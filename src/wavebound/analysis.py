@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Geometry, ModelKind
-from .modematch import EigenField, Spectrum, evaluate_field, scan_spectrum
+from .modematch import EigenField, Spectrum, count_states, evaluate_field, scan_spectrum
 
 __all__ = [
     "SweepResult",
@@ -71,13 +71,9 @@ class SweepResult:
 
 
 def _scan_one(args) -> Spectrum:
-    model, lam, N, grid_points, check_stability = args
+    model, lam, N, check_stability = args
     return scan_spectrum(
-        model,
-        Geometry.from_lambda(lam),
-        N=N,
-        grid_points=grid_points,
-        check_stability=check_stability,
+        model, Geometry.from_lambda(lam), N=N, check_stability=check_stability
     )
 
 
@@ -85,13 +81,12 @@ def sweep(
     model: ModelKind,
     lambdas,
     N: int = 64,
-    grid_points: int = 400,
     check_stability: bool = True,
     jobs: int = 1,
 ) -> SweepResult:
     """Spectra over a lambda grid; points are independent (jobs > 1 forks)."""
     lams = tuple(float(x) for x in lambdas)
-    tasks = [(model, lam, N, grid_points, check_stability) for lam in lams]
+    tasks = [(model, lam, N, check_stability) for lam in lams]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             spectra = tuple(pool.map(_scan_one, tasks))
@@ -240,13 +235,12 @@ def find_emergence(
     lo: float | None = None,
     hi: float | None = None,
     N: int = 32,
-    grid_points: int = 400,
     tol: float = 1e-4,
 ) -> float:
     """Bisect for the lambda at which the m-th branch detaches from mu.
 
-    The branch "exists" at lambda when the scan reports at least m
-    accepted roots with the m-th strictly below (1 - EMERGENCE_GAP)*mu
+    The branch "exists" at lambda when at least m eigenvalues lie
+    strictly below (1 - EMERGENCE_GAP)*mu, one state count there
     (eigenvalues emerge from the threshold, so a strict gap avoids
     near-threshold dust).  The emergence point of branch m lies in
     (m-1, m); the default bracket reflects that.
@@ -259,17 +253,9 @@ def find_emergence(
         hi = 0.3 if m == 1 else float(m)
 
     def exists(lam: float) -> bool:
-        spec = scan_spectrum(
-            model,
-            Geometry.from_lambda(lam),
-            N=N,
-            grid_points=grid_points,
-            check_stability=False,
-        )
-        return (
-            len(spec.eigenvalues) >= m
-            and spec.eigenvalues[m - 1] < 1.0 - EMERGENCE_GAP
-        )
+        geometry = Geometry.from_lambda(lam)
+        below_gap = (1.0 - EMERGENCE_GAP) * geometry.mu
+        return count_states(model, geometry, N, below_gap) >= m
 
     if exists(lo):
         raise ValueError(f"branch {m} already present at lo={lo}")

@@ -35,7 +35,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_MISSING_BRANCH = 4
 EXIT_INVARIANT = 5
 
-CSV_VERSION_LINE = "# wavebound-csv v1"
+CSV_VERSION_LINE = "# wavebound-csv v2"
 
 MU = math.pi**2 / 4.0
 
@@ -56,7 +56,6 @@ class RunConfig:
     d: float
     lam: float | None
     modes: int
-    scan_points: int
     out: str | None
     format: str
     jobs: int
@@ -129,7 +128,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("lambda must be positive")
 
     modes = pick(args.modes, "modes", int, 64)
-    scan_points = pick(args.scan_points, "scan_points", int, 400)
     out = pick(args.out, "out", str, None)
     fmt = pick(args.format, "format", str, None)
     if fmt is not None and fmt not in ("csv", "json"):
@@ -142,7 +140,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         d=d,
         lam=lam,
         modes=modes,
-        scan_points=scan_points,
         out=out,
         format=fmt,
         jobs=jobs,
@@ -155,7 +152,6 @@ def _config_dict(config: RunConfig, **extra) -> dict:
         "d": config.d,
         "lambda": config.lam,
         "modes": config.modes,
-        "scan_points": config.scan_points,
     }
     base.update(extra)
     return base
@@ -202,12 +198,7 @@ SPECTRUM_COLUMNS = ("lambda", "branch_index", "eigenvalue_over_mu",
 
 
 def _spectrum_rows(config: RunConfig, lam: float) -> list:
-    spectrum = mm.scan_spectrum(
-        config.model,
-        Geometry.from_lambda(lam),
-        N=config.modes,
-        grid_points=config.scan_points,
-    )
+    spectrum = mm.scan_spectrum(config.model, Geometry.from_lambda(lam), N=config.modes)
     gate = all(spectrum.stable) and not spectrum.near_threshold
     violations = bd.check_spectrum(lam, spectrum.eigenvalues, all_stable=gate)
     if violations:
@@ -265,13 +256,7 @@ def cmd_field(
     if nx < 2 or ny < 2 or x_halfwidth <= 0:
         raise ConfigError("field grid requires nx, ny >= 2 and x-halfwidth > 0")
     try:
-        field = mm.solve_field(
-            config.model,
-            config.geometry,
-            branch,
-            N=config.modes,
-            grid_points=config.scan_points,
-        )
+        field = mm.solve_field(config.model, config.geometry, branch, N=config.modes)
     except LookupError as exc:
         raise LookupError(str(exc)) from exc
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
@@ -390,7 +375,6 @@ def cmd_analyze(
         config.model,
         lams,
         N=config.modes,
-        grid_points=config.scan_points,
         check_stability=False,
         jobs=config.jobs,
     )
@@ -399,13 +383,7 @@ def cmd_analyze(
 
     corners = {}
     lam = config.lam if config.lam is not None else 0.5
-    field = mm.solve_field(
-        config.model,
-        Geometry.from_lambda(lam),
-        branch,
-        N=config.modes,
-        grid_points=config.scan_points,
-    )
+    field = mm.solve_field(config.model, Geometry.from_lambda(lam), branch, N=config.modes)
     for i, corner in enumerate(an.switch_points(config.model, field.geometry), 1):
         exponent, quality = an.corner_exponent(field, corner)
         corners[f"P{i}"] = {
@@ -455,8 +433,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="strip width (default 1)")
     parser.add_argument("--modes", type=int, default=None,
                         help="truncation order per region (default 64)")
-    parser.add_argument("--scan-points", dest="scan_points", type=int,
-                        default=None, help="energy grid size (default 400)")
     parser.add_argument("--out", default=None,
                         help="output path (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default=None,

@@ -42,6 +42,7 @@ __all__ = [
     "region_profile",
     "decay_rate",
     "overlap",
+    "overlap_matrix",
     "overlap_quadrature",
 ]
 
@@ -190,29 +191,40 @@ def _check_overlap_pair(mode_tail: TransverseMode, mode_center: TransverseMode):
         )
 
 
-def overlap(mode_tail: TransverseMode, mode_center: TransverseMode) -> float:
-    """Closed-form projection integral int_0^d tail(y) center(y) dy.
+def _overlap_closed_form(tail_profile: ProfileKind, k, m):
+    """C_km (sine tails) or D_km (cosine tails) for broadcastable k, m.
 
     For the sine family against the Neumann-Neumann cosines,
 
         C_k0 = sqrt(2) / (nu_k pi),
         C_km = (2 nu_k / pi) / (nu_k^2 - m^2)          (m >= 1),
 
-    and for the cosine tail family D_km = (-1)^(k+m) C_km with
-    D_k0 = (-1)^k C_k0.  The integrals are independent of d because all
-    profiles carry the 1/sqrt(d) normalization.
+    and for the cosine tail family D_km = (-1)^(k+m) C_km.  The
+    integrals are independent of d because all profiles carry the
+    1/sqrt(d) normalization.
     """
-    _check_overlap_pair(mode_tail, mode_center)
-    k = mode_tail.index
-    m = mode_center.index
-    nu = mode_tail.nu_or_m
-    if m == 0:
-        c = math.sqrt(2.0) / (nu * math.pi)
-    else:
-        c = (2.0 * nu / math.pi) / (nu * nu - m * m)
-    if mode_tail.profile is ProfileKind.ND_COSINE:
-        c *= (-1.0) ** (k + m)
+    nu = np.asarray(k) + 0.5
+    m = np.asarray(m)
+    c = np.where(m == 0, math.sqrt(2.0) / (nu * math.pi),
+                 (2.0 * nu / math.pi) / (nu * nu - m * m))
+    if tail_profile is ProfileKind.ND_COSINE:
+        c = c * (-1.0) ** (k + m)
     return c
+
+
+def overlap(mode_tail: TransverseMode, mode_center: TransverseMode) -> float:
+    """Closed-form projection integral int_0^d tail(y) center(y) dy."""
+    _check_overlap_pair(mode_tail, mode_center)
+    return float(_overlap_closed_form(mode_tail.profile, mode_tail.index,
+                                      mode_center.index))
+
+
+def overlap_matrix(tail_profile: ProfileKind, N: int) -> np.ndarray:
+    """O[k, m] = overlap of tail mode k with center mode m, for k, m < N."""
+    if tail_profile not in (ProfileKind.DN_SINE, ProfileKind.ND_COSINE):
+        raise ValueError(f"tail family must be DN_SINE or ND_COSINE, got {tail_profile}")
+    idx = np.arange(N)
+    return _overlap_closed_form(tail_profile, idx[:, None], idx[None, :])
 
 
 def overlap_quadrature(

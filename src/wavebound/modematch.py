@@ -1,7 +1,7 @@
 """Interface-matching eigenvalue solver for the three-region strip.
 
-At a trial energy E below the threshold mu, the field is expanded in
-the exact transverse basis of each region:
+At an energy E below the threshold mu, the field is expanded in the
+exact transverse basis of each region:
 
 * region I   (x < -delta):  sum_k a_k exp(+kappa_k (x + delta)) T^I_k(y)
 * region II  (|x| < delta): sum_m [alpha_m c_m(x) + beta_m s_m(x)] w_m(y)
@@ -13,13 +13,26 @@ propagating center mode below mu) c_0 = cos(sqrt(E) x), s_0 =
 sin(sqrt(E) x); for m >= 1 c_m = cosh(gamma_m x)/cosh(gamma_m delta)
 and s_m = sinh(gamma_m x)/sinh(gamma_m delta).
 
-Truncating each expansion at N modes and enforcing continuity of the
-field (projected on the center basis) and of its x-derivative
-(projected on the tail bases) at x = -delta and x = +delta yields a
-4N x 4N homogeneous linear system.  Energies where the system is
-singular are the discrete eigenvalues; they are located by scanning a
-dispersion indicator (determinant sign and smallest singular value)
-over (0, mu) and refining the brackets by bisection.
+Both models are symmetric under a reflection that swaps the tails:
+model A under the point reflection (x, y) -> (-x, 1 - y), model B
+under x -> -x.  Every eigenfunction is even or odd under it (its
+parity sector), which fixes b from a and keeps one center function
+f_m per mode: in the even sector c_m for every m of model B and for
+even m of model A, s_m otherwise; the odd sector takes the other one.
+Matching at x = -delta then suffices.  Value continuity projected on
+the center modes gives the center amplitudes, (O^T a)_m = A_m
+f_m(-delta), and derivative continuity projected on the tail-I modes
+becomes the symmetric N x N system
+
+    M_s(E) a = 0,    M_s(E) = diag(kappa_k) - O diag(Lambda_m) O^T,
+
+with O the tail-I/center overlap matrix and Lambda_m =
+f_m'(-delta)/f_m(-delta).  M_s(E) decreases in E between the poles of
+Lambda_0, so the number of sector eigenvalues below E is the number of
+negative eigenvalues of M_s(E) plus the number of poles of Lambda_0
+below E (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263).
+The count is exact for the truncated problem, and each eigenvalue is
+located by bisecting it.
 
 All computations are done in nondimensional units d = 1; reported
 eigenvalues are the dimensionless ratios E/mu.
@@ -28,32 +41,31 @@ eigenvalues are the dimensionless ratios E/mu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import lu_factor, svd, svdvals
+from scipy.linalg import eigh, eigvalsh
 
 from .geometry import (
     Geometry,
     ModelKind,
     ProfileKind,
     Region,
-    TransverseMode,
+    overlap_matrix,
     region_profile,
 )
 
 __all__ = [
-    "MatchingSystem",
-    "DispersionTrace",
+    "SECTORS",
     "Spectrum",
     "EigenField",
-    "assemble",
-    "dispersion",
-    "dispersion_trace",
+    "sector_matrix",
+    "sector_count",
+    "count_states",
     "scan_spectrum",
     "solve_coefficients",
     "evaluate_field",
+    "solve_field",
     "convergence_study",
     "ConvergenceStudy",
 ]
@@ -62,15 +74,16 @@ __all__ = [
 SCAN_LO_FRAC = 1e-8
 SCAN_HI_FRAC = 1.0 - 1e-6
 
-#: refinement width, acceptance residual, and stability drift tolerances
+#: refinement width and stability drift tolerances
 REFINE_FRAC = 1e-10
-ACCEPT_SIGMA = 1e-6
-DIP_SIGMA = 1e-3
 STABLE_DRIFT_FRAC = 1e-4
 NEAR_THRESHOLD_FRAC = 1e-6
 
 #: truncation bump used by the stability check
 STABILITY_BUMP = 8
+
+#: parity sectors under the model's reflection: even (+1) and odd (-1)
+SECTORS = (1, -1)
 
 
 def _tail_profiles(model: ModelKind) -> tuple[ProfileKind, ProfileKind]:
@@ -80,230 +93,126 @@ def _tail_profiles(model: ModelKind) -> tuple[ProfileKind, ProfileKind]:
     )
 
 
-def _overlap_matrix(tail_profile: ProfileKind, N: int) -> np.ndarray:
-    """O[k, m] = int tail_k(y) w_m(y) dy for k, m < N (closed forms, d=1)."""
-    k = np.arange(N)
-    nu = k + 0.5
-    m = np.arange(N)
-    O = np.empty((N, N))
-    O[:, 0] = math.sqrt(2.0) / (nu * math.pi)
-    denom = nu[:, None] ** 2 - m[None, 1:] ** 2
-    O[:, 1:] = (2.0 * nu[:, None] / math.pi) / denom
-    if tail_profile is ProfileKind.ND_COSINE:
-        signs = (-1.0) ** (k[:, None] + m[None, :])
-        O = O * signs
-    return O
+def _kappa(N: int, E: float) -> np.ndarray:
+    """Tail decay rates kappa_k = sqrt((nu_k pi)^2 - E)."""
+    nu = np.arange(N) + 0.5
+    return np.sqrt((nu * math.pi) ** 2 - E)
 
 
-@dataclass(frozen=True)
-class MatchingSystem:
-    """The assembled 4N x 4N interface-matching matrix at energy E.
-
-    Row blocks: value continuity at x = -delta projected on the center
-    modes (R1), derivative continuity at -delta projected on the tail-I
-    modes (R2), and the analogous blocks R3/R4 at x = +delta.  Column
-    blocks: a (tail I), b (tail III), alpha (center even functions),
-    beta (center odd functions).
-    """
-
-    model: ModelKind
-    geometry: Geometry
-    N: int
-    E: float
-    matrix: np.ndarray
+def _gamma(N: int, E: float) -> np.ndarray:
+    """Center rates: sqrt(E) for the propagating m = 0, else sqrt((m pi)^2 - E)."""
+    return np.sqrt(np.abs((np.arange(N) * math.pi) ** 2 - E))
 
 
-def _assemble_general(
-    profile_I: ProfileKind,
-    profile_III: ProfileKind,
-    delta: float,
-    N: int,
-    E: float,
+def _center_is_cos(model: ModelKind, sector: int, N: int) -> np.ndarray:
+    """True where the sector's center function f_m is c_m, False for s_m."""
+    if model is ModelKind.A:
+        return (np.arange(N) % 2 == 0) == (sector == 1)
+    return np.full(N, sector == 1)
+
+
+def _center_at_interface(
+    is_cos: np.ndarray, delta: float, E: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values f_m(-delta) and derivatives f_m'(-delta) of the sector's center functions."""
+    g = _gamma(is_cos.size, E)
+    f = np.where(is_cos, 1.0, -1.0)
+    tanh = np.tanh(g[1:] * delta)
+    df = np.empty(is_cos.size)
+    df[1:] = np.where(is_cos[1:], -g[1:] * tanh, g[1:] / tanh)
+    phase = g[0] * delta
+    if is_cos[0]:
+        f[0], df[0] = math.cos(phase), g[0] * math.sin(phase)
+    else:
+        f[0], df[0] = -math.sin(phase), g[0] * math.cos(phase)
+    return f, df
+
+
+def sector_matrix(
+    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
 ) -> np.ndarray:
-    """Matching matrix for arbitrary tail families (d = 1 units)."""
+    """M_s(E) = diag(kappa) - O diag(Lambda) O^T of one parity sector.
+
+    E is the absolute energy of the nondimensional problem (d = 1), so
+    it must lie strictly inside (0, pi^2/4).
+    """
     mu = math.pi**2 / 4.0
     if not (0.0 < E < mu):
         raise ValueError(f"energy must lie in (0, mu)=(0, {mu}), got {E}")
     if not (4 <= N <= 256):
         raise ValueError(f"truncation N must lie in [4, 256], got {N}")
-
-    k = np.arange(N)
-    nu = k + 0.5
-    kappa = np.sqrt((nu * math.pi) ** 2 - E)
-
-    m = np.arange(N)
-    rootE = math.sqrt(E)
-    gamma = np.empty(N)
-    gamma[0] = rootE  # placeholder; m=0 handled separately below
-    if N > 1:
-        gamma[1:] = np.sqrt((m[1:] * math.pi) ** 2 - E)
-
-    # center longitudinal values and derivatives at the interfaces
-    c_minus = np.ones(N)  # c_m(-delta)
-    c_plus = np.ones(N)  # c_m(+delta)
-    s_minus = -np.ones(N)  # s_m(-delta)
-    s_plus = np.ones(N)  # s_m(+delta)
-    dc_minus = np.empty(N)
-    dc_plus = np.empty(N)
-    ds_minus = np.empty(N)
-    ds_plus = np.empty(N)
-
-    c_minus[0] = c_plus[0] = math.cos(rootE * delta)
-    s_plus[0] = math.sin(rootE * delta)
-    s_minus[0] = -s_plus[0]
-    dc_minus[0] = rootE * math.sin(rootE * delta)
-    dc_plus[0] = -dc_minus[0]
-    ds_minus[0] = ds_plus[0] = rootE * math.cos(rootE * delta)
-
-    if N > 1:
-        gd = gamma[1:] * delta
-        tanh = np.tanh(gd)
-        dc_plus[1:] = gamma[1:] * tanh
-        dc_minus[1:] = -dc_plus[1:]
-        ds_plus[1:] = gamma[1:] / tanh
-        ds_minus[1:] = ds_plus[1:]
-
-    O_I = _overlap_matrix(profile_I, N)
-    O_III = _overlap_matrix(profile_III, N)
-
-    A = np.zeros((4 * N, 4 * N))
-    r1 = slice(0, N)
-    r2 = slice(N, 2 * N)
-    r3 = slice(2 * N, 3 * N)
-    r4 = slice(3 * N, 4 * N)
-    ca = slice(0, N)
-    cb = slice(N, 2 * N)
-    cal = slice(2 * N, 3 * N)
-    cbe = slice(3 * N, 4 * N)
-
-    # R1: value continuity at x = -delta, projected on w_m
-    A[r1, ca] = O_I.T
-    A[r1, cal] = -np.diag(c_minus)
-    A[r1, cbe] = -np.diag(s_minus)
-    # R2: derivative continuity at x = -delta, projected on tail-I modes
-    A[r2, ca] = np.diag(kappa)
-    A[r2, cal] = -O_I * dc_minus[None, :]
-    A[r2, cbe] = -O_I * ds_minus[None, :]
-    # R3: value continuity at x = +delta, projected on w_m
-    A[r3, cb] = O_III.T
-    A[r3, cal] = -np.diag(c_plus)
-    A[r3, cbe] = -np.diag(s_plus)
-    # R4: derivative continuity at x = +delta, projected on tail-III modes
-    A[r4, cb] = -np.diag(kappa)
-    A[r4, cal] = -O_III * dc_plus[None, :]
-    A[r4, cbe] = -O_III * ds_plus[None, :]
-    return A
-
-
-def assemble(model: ModelKind, geometry: Geometry, N: int, E: float) -> MatchingSystem:
-    """Assemble the interface-matching system at energy E (d = 1 units).
-
-    E is the absolute energy of the nondimensional problem, so it must
-    lie strictly inside (0, pi^2/4).
-    """
-    unit = geometry.unit()
-    profile_I, profile_III = _tail_profiles(model)
-    A = _assemble_general(profile_I, profile_III, unit.delta, N, E)
-    return MatchingSystem(model=model, geometry=unit, N=N, E=E, matrix=A)
-
-
-def _det_sign(A: np.ndarray) -> int:
-    """Sign of det(A) from a pivoted LU factorization (never the value)."""
-    try:
-        lu, piv = lu_factor(A, check_finite=False)
-    except Exception:
-        return 0
-    diag = np.diag(lu)
-    if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-        return 0
-    sign = 1 if (np.sum(piv != np.arange(len(piv))) % 2 == 0) else -1
-    neg = int(np.sum(diag < 0.0))
-    if neg % 2 == 1:
-        sign = -sign
-    return sign
-
-
-def _sigma_min(A: np.ndarray) -> float:
-    return float(svdvals(A, check_finite=False)[-1])
-
-
-def dispersion(system: MatchingSystem) -> tuple[int, float]:
-    """Dispersion indicator (det_sign, sigma_min) of an assembled system."""
-    return _det_sign(system.matrix), _sigma_min(system.matrix)
-
-
-@dataclass(frozen=True)
-class DispersionTrace:
-    """Sampled dispersion indicator over the scan window."""
-
-    model: ModelKind
-    geometry: Geometry
-    N: int
-    energies: np.ndarray
-    det_signs: np.ndarray
-    sigma_mins: np.ndarray
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return float(self.energies[0]), float(self.energies[-1])
-
-
-def dispersion_trace(
-    model: ModelKind, geometry: Geometry, N: int, grid_points: int = 400
-) -> DispersionTrace:
-    """Sample the dispersion indicator on a uniform energy grid."""
-    unit = geometry.unit()
-    mu = unit.mu
-    energies = np.linspace(SCAN_LO_FRAC * mu, SCAN_HI_FRAC * mu, grid_points)
-    profile_I, profile_III = _tail_profiles(model)
-    det_signs = np.empty(grid_points, dtype=int)
-    sigma_mins = np.empty(grid_points)
-    for i, E in enumerate(energies):
-        A = _assemble_general(profile_I, profile_III, unit.delta, N, float(E))
-        det_signs[i] = _det_sign(A)
-        sigma_mins[i] = _sigma_min(A)
-    return DispersionTrace(
-        model=model,
-        geometry=unit,
-        N=N,
-        energies=energies,
-        det_signs=det_signs,
-        sigma_mins=sigma_mins,
+    O = overlap_matrix(region_profile(model, Region.I), N)
+    f, df = _center_at_interface(
+        _center_is_cos(model, sector, N), geometry.unit().delta, E
     )
+    return np.diag(_kappa(N, E)) - (O * (df / f)) @ O.T
 
 
-def _bisect_sign(f_sign, lo: float, hi: float, sign_lo: int, tol: float) -> float:
-    """Bisection on a sign-valued function; returns the midpoint root."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        s = f_sign(mid)
-        if s == 0:
-            return mid
-        if s == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def sector_count(
+    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
+) -> int:
+    """Number of eigenvalues below E in one sector of the N-truncated problem.
+
+    neg(M_s(E)) plus the poles of Lambda_0 below E: sqrt(E) delta =
+    pi/2 + k pi for the cosine of the even sector, k pi (k >= 1) for
+    the sine of the odd sector.
+    """
+    M = sector_matrix(model, geometry, N, E, sector)
+    negative = int(np.count_nonzero(eigvalsh(M, check_finite=False) < 0.0))
+    phase = math.sqrt(E) * geometry.unit().delta / math.pi
+    poles = math.floor(phase + 0.5) if sector == 1 else math.floor(phase)
+    return negative + poles
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def count_states(model: ModelKind, geometry: Geometry, N: int, E: float) -> int:
+    """Number of eigenvalues below E (d = 1 units) of the N-truncated problem."""
+    return sum(sector_count(model, geometry, N, E, s) for s in SECTORS)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimization; returns the abscissa of the minimum."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
+def _residual(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
+    """min |eig M_s(E)|: zero at a root of the sector."""
+    M = sector_matrix(model, geometry, N, E, sector)
+    return float(np.min(np.abs(eigvalsh(M, check_finite=False))))
+
+
+def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> list:
+    """Eigenvalues of one sector in the scan window, bisecting its count.
+
+    Each root is refined to REFINE_FRAC * mu; the next one lies above
+    the lower end of the previous bracket.
+    """
+    mu = geometry.unit().mu
+    lo, hi = SCAN_LO_FRAC * mu, SCAN_HI_FRAC * mu
+    tol = REFINE_FRAC * mu
+
+    def count(E: float) -> int:
+        return sector_count(model, geometry, N, E, sector)
+
+    roots = []
+    for below in range(count(lo), count(hi)):
+        a, b = lo, hi
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if count(mid) > below:
+                b = mid
+            else:
+                a = mid
+        roots.append(0.5 * (a + b))
+        lo = a
+    return roots
+
+
+def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:
+    """True when the sector at N + STABILITY_BUMP has a root within
+    STABLE_DRIFT_FRAC * mu of E (inside the scan window)."""
+    mu = geometry.unit().mu
+    drift = STABLE_DRIFT_FRAC * mu
+    lo = max(E - drift, SCAN_LO_FRAC * mu)
+    hi = min(E + drift, SCAN_HI_FRAC * mu)
+    bumped = N + STABILITY_BUMP
+    return sector_count(model, geometry, bumped, hi, sector) > sector_count(
+        model, geometry, bumped, lo, sector
+    )
 
 
 @dataclass(frozen=True)
@@ -319,129 +228,43 @@ class Spectrum:
     geometry: Geometry
     N: int
     eigenvalues: tuple  # E/mu, sorted, strictly inside (0, 1)
-    residuals: tuple  # sigma_min at each refined root
+    residuals: tuple  # min |eig M_s| at each refined root
     stable: tuple  # per-eigenvalue bool
     near_threshold: tuple = ()
-    grid_points: int = 400
 
     def stable_eigenvalues(self) -> tuple:
         return tuple(e for e, s in zip(self.eigenvalues, self.stable) if s)
-
-
-def _find_roots(
-    model: ModelKind, geometry: Geometry, N: int, grid_points: int
-) -> tuple[list[float], list[float]]:
-    """Locate refined dispersion roots; returns (roots, sigma_at_roots).
-
-    Roots are bracketed by determinant sign changes and by interior
-    local minima of sigma_min below DIP_SIGMA, then refined to
-    REFINE_FRAC * mu (bisection for sign brackets, golden-section on
-    sigma_min otherwise).
-    """
-    unit = geometry.unit()
-    mu = unit.mu
-    delta = unit.delta
-    profile_I, profile_III = _tail_profiles(model)
-
-    def det_sign_at(E: float) -> int:
-        return _det_sign(_assemble_general(profile_I, profile_III, delta, N, E))
-
-    def sigma_at(E: float) -> float:
-        return _sigma_min(_assemble_general(profile_I, profile_III, delta, N, E))
-
-    trace = dispersion_trace(model, geometry, N, grid_points)
-    E = trace.energies
-    ds = trace.det_signs
-    sm = trace.sigma_mins
-    tol = REFINE_FRAC * mu
-
-    brackets = []  # (kind, lo, hi, aux)
-    sign_cells = set()
-    for i in range(len(E) - 1):
-        if ds[i] != 0 and ds[i + 1] != 0 and ds[i] != ds[i + 1]:
-            brackets.append(("sign", float(E[i]), float(E[i + 1]), int(ds[i])))
-            sign_cells.add(i)
-    for i in range(1, len(E) - 1):
-        if sm[i] < DIP_SIGMA and sm[i] < sm[i - 1] and sm[i] <= sm[i + 1]:
-            if {i - 1, i} & sign_cells:
-                continue
-            brackets.append(("dip", float(E[i - 1]), float(E[i + 1]), None))
-
-    roots = []
-    sigmas = []
-    for kind, lo, hi, aux in brackets:
-        if kind == "sign":
-            root = _bisect_sign(det_sign_at, lo, hi, aux, tol)
-        else:
-            root = _golden_min(sigma_at, lo, hi, tol)
-        roots.append(root)
-        sigmas.append(sigma_at(root))
-
-    # deduplicate refined roots that collapsed to the same energy
-    order = np.argsort(roots)
-    dedup_roots, dedup_sigmas = [], []
-    for idx in order:
-        if dedup_roots and abs(roots[idx] - dedup_roots[-1]) < 10 * tol:
-            if sigmas[idx] < dedup_sigmas[-1]:
-                dedup_roots[-1], dedup_sigmas[-1] = roots[idx], sigmas[idx]
-            continue
-        dedup_roots.append(roots[idx])
-        dedup_sigmas.append(sigmas[idx])
-    return dedup_roots, dedup_sigmas
 
 
 def scan_spectrum(
     model: ModelKind,
     geometry: Geometry,
     N: int = 64,
-    grid_points: int = 400,
     check_stability: bool = True,
 ) -> Spectrum:
-    """Scan (0, mu) for discrete eigenvalues and refine each root.
+    """All discrete eigenvalues in the scan window, from the sector counts.
 
-    Roots whose refined sigma_min exceeds ACCEPT_SIGMA are rejected as
-    spurious.  Roots within NEAR_THRESHOLD_FRAC * mu of the threshold
-    are reported in ``near_threshold`` instead of ``eigenvalues``.  When
-    ``check_stability`` is set, the scan is repeated at truncation
-    N + STABILITY_BUMP and each root is flagged stable when it moves by
-    less than STABLE_DRIFT_FRAC * mu; if any root is unstable (for
-    example, two roots in one grid cell) the scan is redone once with a
-    doubled grid.
+    Roots within NEAR_THRESHOLD_FRAC * mu of the threshold are reported
+    in ``near_threshold`` instead of ``eigenvalues``.  When
+    ``check_stability`` is set, each root is flagged stable when its
+    sector at truncation N + STABILITY_BUMP has a root within
+    STABLE_DRIFT_FRAC * mu of it.
     """
     unit = geometry.unit()
     mu = unit.mu
-
-    def run(points: int) -> tuple[list[float], list[float], list[bool]]:
-        roots, sigmas = _find_roots(model, geometry, N, points)
-        accepted = [
-            (r, s) for r, s in zip(roots, sigmas) if s < ACCEPT_SIGMA
-        ]
-        roots = [r for r, _ in accepted]
-        sigmas = [s for _, s in accepted]
-        if not check_stability:
-            return roots, sigmas, [True] * len(roots)
-        roots_hi, sigmas_hi = _find_roots(model, geometry, N + STABILITY_BUMP, points)
-        roots_hi = [r for r, s in zip(roots_hi, sigmas_hi) if s < ACCEPT_SIGMA]
-        stable = []
-        for r in roots:
-            drift = min((abs(r - rh) for rh in roots_hi), default=math.inf)
-            stable.append(drift < STABLE_DRIFT_FRAC * mu)
-        return roots, sigmas, stable
-
-    roots, sigmas, stable = run(grid_points)
-    used_points = grid_points
-    if check_stability and not all(stable):
-        used_points = 2 * grid_points
-        roots, sigmas, stable = run(used_points)
-
+    roots = sorted(
+        (root, sector)
+        for sector in SECTORS
+        for root in _sector_roots(model, unit, N, sector)
+    )
     eigenvalues, residuals, flags, near = [], [], [], []
-    for r, s, st in zip(roots, sigmas, stable):
-        if mu - r <= NEAR_THRESHOLD_FRAC * mu:
-            near.append(r / mu)
-        else:
-            eigenvalues.append(r / mu)
-            residuals.append(s)
-            flags.append(st)
+    for root, sector in roots:
+        if mu - root <= NEAR_THRESHOLD_FRAC * mu:
+            near.append(root / mu)
+            continue
+        eigenvalues.append(root / mu)
+        residuals.append(_residual(model, unit, N, root, sector))
+        flags.append(not check_stability or _stable(model, unit, N, root, sector))
     return Spectrum(
         model=model,
         geometry=unit,
@@ -450,7 +273,6 @@ def scan_spectrum(
         residuals=tuple(residuals),
         stable=tuple(flags),
         near_threshold=tuple(near),
-        grid_points=used_points,
     )
 
 
@@ -463,10 +285,10 @@ def scan_spectrum(
 class EigenField:
     """Matched modal coefficients of one eigenfunction (d = 1 units).
 
-    Normalized to unit L^2 norm over the full strip: the tail integrals
-    are analytic (the transverse bases are orthonormal and the
-    longitudinal factors pure exponentials), the center part is a
-    per-mode quadrature.
+    Normalized to unit L^2 norm over the full strip, in closed form:
+    the transverse bases are orthonormal, the tail factors are pure
+    exponentials, and the center cross terms int c_m s_m vanish by
+    parity.
     """
 
     model: ModelKind
@@ -477,22 +299,17 @@ class EigenField:
     b: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    sigma_min: float
+    residual: float  # min |eig M_s| of the sector at E
     possible_multiplicity: bool = False
 
     @property
     def kappa(self) -> np.ndarray:
-        nu = np.arange(self.N) + 0.5
-        return np.sqrt((nu * math.pi) ** 2 - self.E)
+        return _kappa(self.N, self.E)
 
     @property
     def gamma(self) -> np.ndarray:
         """Center longitudinal rates; entry 0 is sqrt(E) (propagating)."""
-        m = np.arange(self.N)
-        g = np.empty(self.N)
-        g[0] = math.sqrt(self.E)
-        g[1:] = np.sqrt((m[1:] * math.pi) ** 2 - self.E)
-        return g
+        return _gamma(self.N, self.E)
 
 
 def _center_factors(field: EigenField, x: np.ndarray) -> np.ndarray:
@@ -521,74 +338,84 @@ def _center_factors(field: EigenField, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_coefficients(system: MatchingSystem) -> EigenField:
-    """Null-vector extraction and normalization at a converged root.
+def solve_coefficients(
+    model: ModelKind, geometry: Geometry, N: int, E: float
+) -> EigenField:
+    """Eigenfield at a root E from the null vector of its sector matrix.
 
-    The coefficient vector is the right singular vector of the smallest
-    singular value; it is rescaled to unit L^2(Omega) norm and its
-    global sign fixed so the largest-magnitude coefficient is positive.
-    A near-degenerate second singular value (less than 1e3 times the
-    smallest) flags possible eigenvalue multiplicity.
+    E is a root when a sector's count steps within REFINE_FRAC * mu of
+    it (the width the roots are refined to); a step in both sectors, or
+    by more than one, flags possible multiplicity.  The eigenvector of
+    M_s(E) closest to zero gives a, the reflection gives b, and value
+    continuity the center amplitudes (O^T a)_m / f_m(-delta); where
+    f_0(-delta) is small (near a pole of Lambda_0) the m = 0 amplitude
+    comes from derivative continuity instead.  The field is scaled to
+    unit L^2(Omega) norm with the largest-magnitude coefficient
+    positive.
     """
-    A = system.matrix
-    _, s, Vt = svd(A, check_finite=False)
-    sigma_min = float(s[-1])
-    if sigma_min >= ACCEPT_SIGMA:
-        raise ValueError(
-            f"system is not at a converged root: sigma_min={sigma_min} >= {ACCEPT_SIGMA}"
-        )
-    possible_multiplicity = bool(s[-2] < 1e3 * s[-1])
-    v = Vt[-1]
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0.0:
-        v = -v
-    N = system.N
-    field = EigenField(
-        model=system.model,
-        geometry=system.geometry,
-        N=N,
-        E=system.E,
-        a=v[0:N].copy(),
-        b=v[N : 2 * N].copy(),
-        alpha=v[2 * N : 3 * N].copy(),
-        beta=v[3 * N : 4 * N].copy(),
-        sigma_min=sigma_min,
-        possible_multiplicity=possible_multiplicity,
-    )
-    norm = math.sqrt(_field_norm_sq(field))
+    unit = geometry.unit()
+    delta = unit.delta
+    tol = REFINE_FRAC * unit.mu
+    steps = [
+        sector_count(model, unit, N, E + tol, s) - sector_count(model, unit, N, E - tol, s)
+        for s in SECTORS
+    ]
+    if not any(steps):
+        raise ValueError(f"E={E} is not a root: no sector count steps within {tol:.3g}")
+    sector = SECTORS[0] if steps[0] else SECTORS[1]
+    w, V = eigh(sector_matrix(model, unit, N, E, sector), check_finite=False)
+    nearest = int(np.argmin(np.abs(w)))
+    a = V[:, nearest]
+
+    O = overlap_matrix(region_profile(model, Region.I), N)
+    is_cos = _center_is_cos(model, sector, N)
+    f, df = _center_at_interface(is_cos, delta, E)
+    amplitude = (O.T @ a) / f
+    if abs(f[0]) * math.sqrt(E) < abs(df[0]):
+        rest = _kappa(N, E) * a - O[:, 1:] @ (df[1:] * amplitude[1:])
+        amplitude[0] = (O[:, 0] @ rest) / (O[:, 0] @ O[:, 0]) / df[0]
+    if model is ModelKind.A:
+        b = sector * (-1.0) ** np.arange(N) * a
+    else:
+        b = sector * a
+    alpha = np.where(is_cos, amplitude, 0.0)
+    beta = np.where(is_cos, 0.0, amplitude)
+
+    v = np.concatenate([a, b, alpha, beta])
+    scale = math.sqrt(_field_norm_sq(unit, E, a, b, alpha, beta))
+    if v[np.argmax(np.abs(v))] < 0.0:
+        scale = -scale
     return EigenField(
-        model=field.model,
-        geometry=field.geometry,
+        model=model,
+        geometry=unit,
         N=N,
-        E=field.E,
-        a=field.a / norm,
-        b=field.b / norm,
-        alpha=field.alpha / norm,
-        beta=field.beta / norm,
-        sigma_min=sigma_min,
-        possible_multiplicity=possible_multiplicity,
+        E=E,
+        a=a / scale,
+        b=b / scale,
+        alpha=alpha / scale,
+        beta=beta / scale,
+        residual=float(abs(w[nearest])),
+        possible_multiplicity=sum(steps) > 1,
     )
 
 
-def _field_norm_sq(field: EigenField) -> float:
-    """L^2(Omega) norm squared: analytic tails plus center quadrature."""
-    kappa = field.kappa
-    tails = float(np.sum(field.a**2 / (2.0 * kappa)) + np.sum(field.b**2 / (2.0 * kappa)))
-    delta = field.geometry.delta
-
-    center = 0.0
-    for m in range(field.N):
-        am, bm = field.alpha[m], field.beta[m]
-        if am == 0.0 and bm == 0.0:
-            continue
-
-        def integrand(x, m=m, am=am, bm=bm):
-            f = _center_factors(field, np.array([x]))
-            return (am * f[0, m, 0] + bm * f[1, m, 0]) ** 2
-
-        val, _ = quad(integrand, -delta, delta, epsabs=1e-12, epsrel=1e-12, limit=200)
-        center += val
-    return tails + center
+def _field_norm_sq(geometry: Geometry, E: float, a, b, alpha, beta) -> float:
+    """L^2(Omega) norm squared: tails a_k^2 / (2 kappa_k), center
+    alpha_m^2 int c_m^2 + beta_m^2 int s_m^2 over (-delta, delta)."""
+    N = len(a)
+    kappa = _kappa(N, E)
+    delta = geometry.delta
+    g = _gamma(N, E)
+    cos_sq = np.empty(N)
+    sin_sq = np.empty(N)
+    half_sin = math.sin(2.0 * g[0] * delta) / (2.0 * g[0])
+    cos_sq[0] = delta + half_sin
+    sin_sq[0] = delta - half_sin
+    t = np.tanh(g[1:] * delta)
+    cos_sq[1:] = delta * (1.0 - t**2) + t / g[1:]  # delta sech^2 + tanh / gamma
+    sin_sq[1:] = 1.0 / (g[1:] * t) - delta * (1.0 / t**2 - 1.0)  # coth / gamma - delta csch^2
+    tails = np.sum((a**2 + b**2) / (2.0 * kappa))
+    return float(tails + np.sum(alpha**2 * cos_sq + beta**2 * sin_sq))
 
 
 def evaluate_field(field: EigenField, x, y) -> np.ndarray:
@@ -650,10 +477,9 @@ def solve_field(
     geometry: Geometry,
     branch: int,
     N: int = 64,
-    grid_points: int = 400,
 ) -> EigenField:
-    """Spectrum scan plus coefficient solve for the given branch (1-based)."""
-    spectrum = scan_spectrum(model, geometry, N=N, grid_points=grid_points)
+    """Spectrum plus coefficient solve for the given branch (1-based)."""
+    spectrum = scan_spectrum(model, geometry, N=N, check_stability=False)
     if branch < 1 or branch > len(spectrum.eigenvalues):
         raise LookupError(
             f"branch {branch} absent: spectrum has {len(spectrum.eigenvalues)} "
@@ -661,8 +487,7 @@ def solve_field(
         )
     unit = geometry.unit()
     E = spectrum.eigenvalues[branch - 1] * unit.mu
-    system = assemble(model, geometry, N, E)
-    return solve_coefficients(system)
+    return solve_coefficients(model, unit, N, E)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +508,6 @@ def convergence_study(
     geometry: Geometry,
     N_list,
     branch: int = 1,
-    grid_points: int = 400,
 ) -> ConvergenceStudy:
     """Track one eigenvalue branch across truncations and fit its order.
 
@@ -695,8 +519,7 @@ def convergence_study(
         raise ValueError("need at least three truncation orders")
     rows = []
     for N in N_list:
-        spec = scan_spectrum(model, geometry, N=N, grid_points=grid_points,
-                             check_stability=False)
+        spec = scan_spectrum(model, geometry, N=N, check_stability=False)
         if len(spec.eigenvalues) >= branch:
             rows.append((N, spec.eigenvalues[branch - 1]))
     if len(rows) < 2:

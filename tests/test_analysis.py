@@ -33,8 +33,7 @@ def sweep_b():
 def field_a_half():
     geometry = Geometry.from_lambda(0.5)
     spec = mm.scan_spectrum(ModelKind.A, geometry, N=32, check_stability=False)
-    system = mm.assemble(ModelKind.A, geometry, 32, spec.eigenvalues[0] * MU)
-    return mm.solve_coefficients(system)
+    return mm.solve_coefficients(ModelKind.A, geometry, 32, spec.eigenvalues[0] * MU)
 
 
 class TestSweep:

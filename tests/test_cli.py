@@ -26,7 +26,7 @@ def run(argv, capsys=None):
 
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# wavebound-csv v1"
+    assert lines[0] == "# wavebound-csv v2"
     header = lines[1].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     return header, rows
@@ -67,6 +67,21 @@ class TestConfigResolution:
         e_b = float(rows1[0]["eigenvalue_over_mu"])
         e_a = float(rows2[0]["eigenvalue_over_mu"])
         assert abs(e_b - e_a) > 1e-3
+
+    def test_retired_scan_points_key_ignored(self, tmp_path):
+        """Config files written for the old energy-grid scan still load;
+        the key is ignored like any unknown key, and the flag is gone."""
+        conf = tmp_path / "old.conf"
+        conf.write_text("scan_points = 120\nmodes = 16\n")
+        out1 = tmp_path / "old.json"
+        out2 = tmp_path / "new.json"
+        base = ["spectrum", "--model", "A", "--lambda", "0.5", "--format", "json"]
+        assert run(base + ["--config", str(conf), "--out", str(out1)]) == 0
+        assert run(base + ["--modes", "16", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert "scan_points" not in json.loads(out1.read_text())["config"]
+        with pytest.raises(SystemExit):
+            run(base + ["--scan-points", "120"])
 
     def test_malformed_config_file(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"

@@ -19,6 +19,7 @@ from wavebound.geometry import (
     TransverseMode,
     decay_rate,
     overlap,
+    overlap_matrix,
     overlap_quadrature,
     region_profile,
 )
@@ -179,12 +180,17 @@ def test_overlap_trivial_anchor_values():
 
 @pytest.mark.parametrize("tail_profile", [ProfileKind.DN_SINE, ProfileKind.ND_COSINE])
 def test_overlap_closed_form_matches_quadrature(tail_profile):
-    """The build-time oracle: closed forms agree with quadrature to 1e-12."""
+    """The build-time oracle: closed forms agree with quadrature to 1e-12,
+    and the matrix form holds the scalar values entry by entry."""
+    O = overlap_matrix(tail_profile, 8)
+    assert O.shape == (8, 8)
     for k in range(8):
         for m in range(8):
             t = TransverseMode(tail_profile, k)
             c = TransverseMode(ProfileKind.NN_COSINE, m)
             assert abs(overlap(t, c) - overlap_quadrature(t, c)) < 1e-12, (k, m)
+            assert abs(O[k, m] - overlap_quadrature(t, c)) < 1e-12, (k, m)
+            assert O[k, m] == overlap(t, c), (k, m)
 
 
 def test_overlap_sign_relation():
@@ -208,6 +214,8 @@ def test_overlap_rejects_bad_pairs():
         overlap(u, u)  # tail family is not the center family
     with pytest.raises(ValueError):
         overlap(u, TransverseMode(ProfileKind.NN_COSINE, 0, d=2.0))  # width mismatch
+    with pytest.raises(ValueError):
+        overlap_matrix(ProfileKind.NN_COSINE, 4)
 
 
 def test_parseval_partial_sums():

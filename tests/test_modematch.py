@@ -2,7 +2,10 @@
 
 Reference counts come from the geometry's bracketing bounds; coefficient
 structure is checked against the exact reflection symmetries of the two
-models.  Heavier objects (spectra, fields) are shared per module.
+models.  The full 4N x 4N matching matrix of both interfaces, which the
+solver reduces to one N x N matrix per parity sector, is kept here as an
+independent reference: every counted root must be a null point of it.
+Heavier objects (spectra, fields) are shared per module.
 """
 
 import math
@@ -11,11 +14,80 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import svdvals
 
 from wavebound import modematch as mm
-from wavebound.geometry import Geometry, ModelKind, ProfileKind
+from wavebound.bounds import state_count_bounds
+from wavebound.geometry import (
+    Geometry,
+    ModelKind,
+    ProfileKind,
+    Region,
+    overlap_matrix,
+    region_profile,
+)
 
 MU = math.pi**2 / 4.0
+
+
+def _assemble_general(profile_I, profile_III, delta, N, E):
+    """4N x 4N matching matrix for arbitrary tail families (d = 1 units).
+
+    Row blocks: value continuity at x = -delta projected on the center
+    modes, derivative continuity at -delta projected on the tail-I
+    modes, and the same two at x = +delta.  Column blocks: a (tail I),
+    b (tail III), alpha (center c_m), beta (center s_m).
+    """
+    k = np.arange(N)
+    nu = k + 0.5
+    kappa = np.sqrt((nu * math.pi) ** 2 - E)
+    rootE = math.sqrt(E)
+    gamma = np.sqrt((k[1:] * math.pi) ** 2 - E)
+
+    # unit-scaled center functions and derivatives at the interfaces
+    c_minus = np.ones(N)
+    c_plus = np.ones(N)
+    s_minus = -np.ones(N)
+    s_plus = np.ones(N)
+    dc_minus = np.empty(N)
+    dc_plus = np.empty(N)
+    ds_minus = np.empty(N)
+    ds_plus = np.empty(N)
+    c_minus[0] = c_plus[0] = math.cos(rootE * delta)
+    s_plus[0] = math.sin(rootE * delta)
+    s_minus[0] = -s_plus[0]
+    dc_minus[0] = rootE * math.sin(rootE * delta)
+    dc_plus[0] = -dc_minus[0]
+    ds_minus[0] = ds_plus[0] = rootE * math.cos(rootE * delta)
+    tanh = np.tanh(gamma * delta)
+    dc_plus[1:] = gamma * tanh
+    dc_minus[1:] = -dc_plus[1:]
+    ds_plus[1:] = ds_minus[1:] = gamma / tanh
+
+    O_I = overlap_matrix(profile_I, N)
+    O_III = overlap_matrix(profile_III, N)
+    r1, r2, r3, r4 = (slice(i * N, (i + 1) * N) for i in range(4))
+    ca, cb, cal, cbe = r1, r2, r3, r4
+    A = np.zeros((4 * N, 4 * N))
+    A[r1, ca] = O_I.T
+    A[r1, cal] = -np.diag(c_minus)
+    A[r1, cbe] = -np.diag(s_minus)
+    A[r2, ca] = np.diag(kappa)
+    A[r2, cal] = -O_I * dc_minus[None, :]
+    A[r2, cbe] = -O_I * ds_minus[None, :]
+    A[r3, cb] = O_III.T
+    A[r3, cal] = -np.diag(c_plus)
+    A[r3, cbe] = -np.diag(s_plus)
+    A[r4, cb] = -np.diag(kappa)
+    A[r4, cal] = -O_III * dc_plus[None, :]
+    A[r4, cbe] = -O_III * ds_plus[None, :]
+    return A
+
+
+def reference_matrix(model, lam, N, E):
+    return _assemble_general(
+        region_profile(model, Region.I), region_profile(model, Region.III), lam, N, E
+    )
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +101,7 @@ def spectrum_a_half():
 @pytest.fixture(scope="module")
 def field_a_half(spectrum_a_half):
     E = spectrum_a_half.eigenvalues[0] * MU
-    system = mm.assemble(ModelKind.A, Geometry.from_lambda(0.5), 32, E)
-    return mm.solve_coefficients(system)
+    return mm.solve_coefficients(ModelKind.A, Geometry.from_lambda(0.5), 32, E)
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +110,21 @@ def field_b_half():
         ModelKind.B, Geometry.from_lambda(0.5), N=32, check_stability=False
     )
     E = spec.eigenvalues[0] * MU
-    system = mm.assemble(ModelKind.B, Geometry.from_lambda(0.5), 32, E)
-    return mm.solve_coefficients(system)
+    return mm.solve_coefficients(ModelKind.B, Geometry.from_lambda(0.5), 32, E)
 
 
 # ---------------------------------------------------------------------------
-# assemble
+# sector matrix
 # ---------------------------------------------------------------------------
 
 
 class TestAssemble:
     def test_shape_and_blocks(self):
-        system = mm.assemble(ModelKind.A, Geometry.from_lambda(0.5), 8, 0.5 * MU)
-        assert system.matrix.shape == (32, 32)
-        assert np.all(np.isfinite(system.matrix))
+        for sector in mm.SECTORS:
+            M = mm.sector_matrix(ModelKind.A, Geometry.from_lambda(0.5), 8, 0.5 * MU, sector)
+            assert M.shape == (8, 8)
+            assert np.all(np.isfinite(M))
+            assert np.allclose(M, M.T, rtol=0.0, atol=1e-13)
 
     @given(
         lam=st.floats(0.05, 3.0),
@@ -62,31 +134,31 @@ class TestAssemble:
     )
     @settings(max_examples=40, deadline=None)
     def test_entries_bounded(self, lam, e_frac, N, model):
-        """Unit-scaled longitudinal functions keep every entry below
-        10 * max(kappa_max, 1/delta, 1): the diagonal carries kappa_k,
-        and gamma*coth(gamma*delta) <= gamma + 1/delta."""
-        geometry = Geometry.from_lambda(lam)
-        system = mm.assemble(model, geometry, N, e_frac * MU)
+        """The 4N reference stays well scaled, so its smallest singular
+        value is a fair root test: unit-scaled longitudinal functions
+        keep every entry below 10 * max(kappa_max, 1/delta, 1), since
+        the diagonal carries kappa_k and gamma*coth(gamma*delta) <=
+        gamma + 1/delta."""
+        A = reference_matrix(model, lam, N, e_frac * MU)
         kappa_top = math.sqrt(((N - 0.5) * math.pi) ** 2 - e_frac * MU)
         bound = 10.0 * max(kappa_top, 1.0 / lam, 1.0)
-        assert np.all(np.isfinite(system.matrix))
-        assert np.max(np.abs(system.matrix)) <= bound
+        assert np.all(np.isfinite(A))
+        assert np.max(np.abs(A)) <= bound
 
     def test_energy_out_of_range_rejected(self):
         geometry = Geometry.from_lambda(0.5)
-        with pytest.raises(ValueError):
-            mm.assemble(ModelKind.A, geometry, 8, 0.0)
-        with pytest.raises(ValueError):
-            mm.assemble(ModelKind.A, geometry, 8, MU)
-        with pytest.raises(ValueError):
-            mm.assemble(ModelKind.A, geometry, 8, 1.2 * MU)
+        for E in (0.0, MU, 1.2 * MU):
+            with pytest.raises(ValueError):
+                mm.sector_matrix(ModelKind.A, geometry, 8, E, 1)
+            with pytest.raises(ValueError):
+                mm.count_states(ModelKind.A, geometry, 8, E)
 
     def test_truncation_out_of_range_rejected(self):
         geometry = Geometry.from_lambda(0.5)
         with pytest.raises(ValueError):
-            mm.assemble(ModelKind.A, geometry, 3, 0.5 * MU)
+            mm.sector_matrix(ModelKind.A, geometry, 3, 0.5 * MU, 1)
         with pytest.raises(ValueError):
-            mm.assemble(ModelKind.A, geometry, 257, 0.5 * MU)
+            mm.sector_matrix(ModelKind.A, geometry, 257, 0.5 * MU, 1)
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
@@ -94,61 +166,108 @@ class TestAssemble:
 
     def test_no_rank_deficiency_away_from_roots(self):
         # lam=0.5, N=16, E=0.5*mu sits far from the only eigenvalue
-        system = mm.assemble(ModelKind.A, Geometry.from_lambda(0.5), 16, 0.5 * MU)
-        _, sigma = mm.dispersion(system)
-        assert sigma > 1e-3
-
-    def test_mirror_image_dispersion_agrees(self):
-        """The x-mirrored construction (tail bases swapped) is the same
-        problem reflected, so the dispersion indicator must coincide."""
-        rng = np.random.default_rng(42)
-        sign_products = set()
-        for E in rng.uniform(0.01 * MU, 0.99 * MU, 20):
-            A1 = mm._assemble_general(
-                ProfileKind.DN_SINE, ProfileKind.ND_COSINE, 0.5, 16, float(E)
-            )
-            A2 = mm._assemble_general(
-                ProfileKind.ND_COSINE, ProfileKind.DN_SINE, 0.5, 16, float(E)
-            )
-            assert abs(mm._sigma_min(A1) - mm._sigma_min(A2)) <= 1e-10
-            sign_products.add(mm._det_sign(A1) * mm._det_sign(A2))
-        # determinant signs agree up to one fixed orientation factor
-        assert len(sign_products) == 1
+        geometry = Geometry.from_lambda(0.5)
+        for sector in mm.SECTORS:
+            M = mm.sector_matrix(ModelKind.A, geometry, 16, 0.5 * MU, sector)
+            assert np.min(np.abs(np.linalg.eigvalsh(M))) > 1e-3
 
 
 # ---------------------------------------------------------------------------
-# dispersion and trace
+# residual min |eig M_s| on and off a root
 # ---------------------------------------------------------------------------
 
 
 class TestDispersion:
-    def test_trace_window_and_monotone_grid(self):
-        trace = mm.dispersion_trace(
-            ModelKind.A, Geometry.from_lambda(0.5), 8, grid_points=50
-        )
-        lo, hi = trace.window
-        assert lo >= 1e-8 * MU - 1e-15
-        assert hi <= (1.0 - 1e-6) * MU + 1e-15
-        assert np.all(np.diff(trace.energies) > 0)
-        assert trace.sigma_mins.min() >= 0.0
-
     def test_sigma_floor_away_from_root(self, spectrum_a_half):
-        trace = mm.dispersion_trace(
-            ModelKind.A, Geometry.from_lambda(0.5), 32, grid_points=200
-        )
-        root = spectrum_a_half.eigenvalues[0] * MU
-        far = np.abs(trace.energies - root) > 0.02 * MU
-        assert trace.sigma_mins[far].min() > 1e-4
-
-    def test_det_sign_flips_across_root(self, spectrum_a_half):
-        root = spectrum_a_half.eigenvalues[0] * MU
         geometry = Geometry.from_lambda(0.5)
-        below = mm.dispersion(mm.assemble(ModelKind.A, geometry, 32, root - 1e-3 * MU))
-        above = mm.dispersion(mm.assemble(ModelKind.A, geometry, 32, root + 1e-3 * MU))
-        assert below[0] * above[0] == -1
+        root = spectrum_a_half.eigenvalues[0] * MU
+        energies = np.linspace(1e-8 * MU, (1.0 - 1e-6) * MU, 200)
+        far = energies[np.abs(energies - root) > 0.02 * MU]
+        floor = min(
+            np.min(np.abs(np.linalg.eigvalsh(
+                mm.sector_matrix(ModelKind.A, geometry, 32, float(E), sector))))
+            for E in far
+            for sector in mm.SECTORS
+        )
+        assert floor > 1e-4
 
     def test_sigma_small_at_root(self, spectrum_a_half):
         assert spectrum_a_half.residuals[0] < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the state count
+# ---------------------------------------------------------------------------
+
+
+class TestCount:
+    def test_count_nondecreasing_in_energy(self):
+        for model, lam in ((ModelKind.A, 2.5), (ModelKind.B, 2.5)):
+            geometry = Geometry.from_lambda(lam)
+            energies = np.linspace(1e-8 * MU, (1.0 - 1e-6) * MU, 300)
+            for sector in mm.SECTORS:
+                counts = [mm.sector_count(model, geometry, 24, float(E), sector)
+                          for E in energies]
+                assert counts[0] == 0
+                assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+    def test_count_steps_by_one_across_each_root(self):
+        width = 1e-9 * MU
+        for model, lam in ((ModelKind.A, 2.5), (ModelKind.B, 2.5), (ModelKind.A, 20.2)):
+            geometry = Geometry.from_lambda(lam)
+            spec = mm.scan_spectrum(model, geometry, N=32, check_stability=False)
+            assert len(spec.eigenvalues) >= 2
+            for i, value in enumerate(spec.eigenvalues):
+                E = value * MU
+                assert mm.count_states(model, geometry, 32, E - width) == i
+                assert mm.count_states(model, geometry, 32, E + width) == i + 1
+
+    def test_model_a_count_invariant_under_tail_swap(self, monkeypatch):
+        """The x-mirrored model A (tail families swapped) is the same
+        problem reflected, so every sector count must coincide."""
+        geometry = Geometry.from_lambda(1.7)
+        energies = np.random.default_rng(42).uniform(0.01 * MU, 0.99 * MU, 20)
+        sector_counts = [[mm.sector_count(ModelKind.A, geometry, 16, float(E), s)
+                          for s in mm.SECTORS] for E in energies]
+        swap = {ProfileKind.DN_SINE: ProfileKind.ND_COSINE,
+                ProfileKind.ND_COSINE: ProfileKind.DN_SINE}
+        original = mm.region_profile
+        monkeypatch.setattr(mm, "region_profile",
+                            lambda model, region: swap[original(model, region)])
+        swapped = [[mm.sector_count(ModelKind.A, geometry, 16, float(E), s)
+                    for s in mm.SECTORS] for E in energies]
+        assert swapped == sector_counts
+        assert max(map(sum, sector_counts)) >= 1
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 20.0])
+    def test_count_within_bounds_at_integer_lambda(self, lam):
+        """At integer lambda the threshold sits on a pole of Lambda_0."""
+        n_min, n_max = state_count_bounds(lam)
+        for model in ModelKind:
+            spec = mm.scan_spectrum(model, Geometry.from_lambda(lam), N=32,
+                                    check_stability=False)
+            top = mm.count_states(model, Geometry.from_lambda(lam), 32,
+                                  mm.SCAN_HI_FRAC * MU)
+            assert top == len(spec.eigenvalues) + len(spec.near_threshold)
+            if model is ModelKind.A:
+                assert n_min <= top <= n_max
+
+    @given(
+        lam=st.floats(0.05, 3.0),
+        N=st.integers(4, 24),
+        model=st.sampled_from(list(ModelKind)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_roots_are_null_points_of_reference_matrix(self, lam, N, model):
+        geometry = Geometry.from_lambda(lam)
+        spec = mm.scan_spectrum(model, geometry, N=N, check_stability=False)
+        for value in spec.eigenvalues:
+            E = value * MU
+            A = reference_matrix(model, lam, N, E)
+            assert svdvals(A)[-1] < 1e-6
+            field = mm.solve_coefficients(model, geometry, N, E)
+            v = np.concatenate([field.a, field.b, field.alpha, field.beta])
+            assert np.linalg.norm(A @ v) < 1e-6 * np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +308,6 @@ class TestScanSpectrum:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_count_within_bracketing_bounds(self):
-        from wavebound.bounds import state_count_bounds
-
         for lam in (0.5, 1.5, 2.5):
             spec = mm.scan_spectrum(
                 ModelKind.A, Geometry.from_lambda(lam), N=32, check_stability=False
@@ -245,9 +362,8 @@ class TestEigenField:
         assert abs(total - 1.0) < 1e-6
 
     def test_not_at_root_rejected(self):
-        system = mm.assemble(ModelKind.A, Geometry.from_lambda(0.5), 16, 0.5 * MU)
         with pytest.raises(ValueError):
-            mm.solve_coefficients(system)
+            mm.solve_coefficients(ModelKind.A, Geometry.from_lambda(0.5), 16, 0.5 * MU)
 
     def test_no_multiplicity_flag_for_simple_root(self, field_a_half):
         assert not field_a_half.possible_multiplicity
@@ -283,7 +399,7 @@ class TestEigenField:
 
         spec16 = mm.scan_spectrum(ModelKind.A, geometry, N=16, check_stability=False)
         field16 = mm.solve_coefficients(
-            mm.assemble(ModelKind.A, geometry, 16, spec16.eigenvalues[0] * MU)
+            ModelKind.A, geometry, 16, spec16.eigenvalues[0] * MU
         )
         j16, j32 = jump(field16), jump(field_a_half)
         assert j32 < 1e-2
@@ -291,8 +407,7 @@ class TestEigenField:
 
     def test_solve_field_missing_branch(self):
         with pytest.raises(LookupError):
-            mm.solve_field(ModelKind.A, Geometry.from_lambda(0.2), branch=1, N=16,
-                           grid_points=200)
+            mm.solve_field(ModelKind.A, Geometry.from_lambda(0.2), branch=1, N=16)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +418,7 @@ class TestEigenField:
 class TestConvergence:
     def test_drift_decreases_and_order_positive(self):
         study = mm.convergence_study(
-            ModelKind.A, Geometry.from_lambda(0.5), [16, 24, 32], grid_points=300
+            ModelKind.A, Geometry.from_lambda(0.5), [16, 24, 32]
         )
         rows = study.rows
         assert len(rows) == 3
