@@ -332,12 +332,14 @@ def cmd_oracle(config: RunConfig, branch: int | None) -> int:
     n_min, n_max = bd.state_count_bounds(lam)
     branches = [branch] if branch is not None else list(range(1, n_max + 1))
     rows = []
+    skipped = []
     for b in branches:
         try:
             estimate, order = fo.extrapolate(config.model, config.geometry, branch=b)
         except LookupError:
             if branch is not None:
                 raise
+            skipped.append(b)
             continue
         if estimate / MU >= 1.0:
             if branch is not None:
@@ -352,6 +354,12 @@ def cmd_oracle(config: RunConfig, branch: int | None) -> int:
                 "eigenvalue_over_mu": estimate / MU,
                 "order": order,
             }
+        )
+    if skipped:
+        print(
+            f"warning: oracle skipped branches {', '.join(map(str, skipped))}: "
+            f"it resolves at most {fo.MAX_PAIRS} branches",
+            file=sys.stderr,
         )
     _emit(config, "csv",
           ("lambda", "branch_index", "eigenvalue_over_mu", "order"),

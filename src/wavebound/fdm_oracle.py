@@ -16,6 +16,26 @@ is assembled entry-by-entry so that A == A^T holds exactly in floating
 point.  Its eigenvalues equal those of the generalized problem
 K u = E M u, i.e. of the ghost-point finite-difference operator.
 
+Both models are symmetric under a reflection sigma of the grid that
+swaps the two tails: (i, j) -> (nx - i, ny - j) for model A (the point
+reflection (x, y) -> (-x, 1 - y)) and (i, j) -> (nx - i, j) for model B
+(x -> -x).  sigma maps the Dirichlet set and the masses onto themselves,
+so A commutes with it and splits into an even (s = +1) and an odd
+(s = -1) sector.  A sector's unknowns are the orbit representatives p
+(the vertex of {p, sigma p} that comes first in row-major order); its
+matrix is Q_s^T A Q_s with the orthonormal fold
+
+    Q_s e_p = (e_p + s e_{sigma p}) / sqrt(2),    Q_+ e_p = e_p if sigma p = p,
+
+and vertices fixed by sigma carry no odd unknown (an odd field vanishes
+there).  The sector matrix is assembled from the same edge form in fold
+coordinates, upper triangle once plus its transpose, so it is exactly
+symmetric too; the two spectra together are the spectrum of A, each on
+about half the unknowns.  A has nonpositive off-diagonals and a
+connected graph, so by Perron-Frobenius its ground state is simple and
+positive, hence even: the odd sector never holds the lowest state, and
+the b-th eigenvalue is among the b lowest even and b - 1 lowest odd ones.
+
 Truncation uses artificial Dirichlet walls at x = +-L (monotone upward
 bias).  Everything is in d = 1 units.
 """
@@ -46,6 +66,12 @@ L_MARGIN = 12.0
 
 #: relative eigenpair residual contract
 RESIDUAL_TOL = 1e-10
+
+#: most eigenpairs one shift-invert solve returns, per sector
+MAX_PAIRS = 6
+
+#: reflection parity sectors, even then odd (as ``modematch.SECTORS``)
+SECTORS = (1, -1)
 
 
 @dataclass(frozen=True)
@@ -133,107 +159,138 @@ def dirichlet_mask(model: ModelKind, geometry: Geometry, grid: FdmGrid) -> np.nd
 class FdmOperator:
     """Assembled symmetric operator with its grid bookkeeping.
 
-    ``matrix`` acts on unknown-vertex vectors scaled by sqrt-masses;
-    ``embed`` undoes the scaling and reinserts Dirichlet zeros, giving
+    ``matrix`` acts on vectors of unknowns scaled by sqrt-masses (fold
+    coordinates for a parity sector); ``embed`` maps such a vector to
     nodal field values on the full grid.
     """
 
     grid: FdmGrid
     mask: np.ndarray  # True at Dirichlet vertices
     matrix: sp.csr_matrix
-    index: np.ndarray  # (nx+1, ny+1) unknown index, -1 at Dirichlet
-    inv_sqrt_mass: np.ndarray  # per-unknown M^(-1/2)
+    index: np.ndarray  # (nx+1, ny+1) unknown of each vertex, -1 where u = 0
+    weight: np.ndarray  # (nx+1, ny+1) nodal value per unit of that unknown
 
     @property
     def n_unknowns(self) -> int:
         return self.matrix.shape[0]
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
-        """Nodal values on the (nx+1, ny+1) grid (zeros on Dirichlet)."""
+        """Nodal values on the (nx+1, ny+1) grid (zeros on Dirichlet;
+        a sector's field reflected with the sector's sign)."""
         full = np.zeros(self.index.shape)
-        full[self.index >= 0] = (vec * self.inv_sqrt_mass)[
-            self.index[self.index >= 0]
-        ]
+        carried = self.index >= 0
+        full[carried] = self.weight[carried] * vec[self.index[carried]]
         return full
 
 
-def build_from_mask(grid: FdmGrid, mask: np.ndarray) -> FdmOperator:
-    """Assemble the scaled operator for an arbitrary Dirichlet mask."""
+def _cell_lengths(grid: FdmGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Lumped cell lengths per column and per row (half cells on the
+    boundary lines); the vertex masses are their outer product."""
+    lx = np.full(grid.nx + 1, grid.hx)
+    lx[0] = lx[grid.nx] = grid.hx / 2.0
+    ly = np.full(grid.ny + 1, grid.hy)
+    ly[0] = ly[grid.ny] = grid.hy / 2.0
+    return lx, ly
+
+
+def _inv_sqrt_mass(grid: FdmGrid) -> np.ndarray:
+    lx, ly = _cell_lengths(grid)
+    return 1.0 / np.sqrt(np.outer(lx, ly))
+
+
+def _assemble(grid: FdmGrid, index: np.ndarray, weight: np.ndarray) -> sp.csr_matrix:
+    """Matrix of the edge form in coordinates z with u_p = g_p z_index(p),
+    g = ``weight``.
+
+    Each edge (p, q) of weight w adds w g_p^2 and w g_q^2 to the diagonal
+    and -w g_p g_q to the entry pair (index(p), index(q)); an edge joining
+    two vertices of one orbit adds twice that to the diagonal instead.
+    The upper triangle is summed once and added to its transpose, so the
+    result is exactly symmetric.
+    """
     nx, ny = grid.nx, grid.ny
-    if mask.shape != (nx + 1, ny + 1):
-        raise ValueError("mask shape must be (nx+1, ny+1)")
-    if not mask.any():
-        raise ValueError("at least one Dirichlet vertex is required")
-    hx, hy = grid.hx, grid.hy
-
-    lx = np.full(nx + 1, hx)
-    lx[0] = lx[nx] = hx / 2.0
-    ly = np.full(ny + 1, hy)
-    ly[0] = ly[ny] = hy / 2.0
-
-    index = -np.ones((nx + 1, ny + 1), dtype=np.int64)
-    free = ~mask
-    n = int(free.sum())
-    index[free] = np.arange(n)
-    mass = np.outer(lx, ly)
-    dscale = np.zeros_like(mass)
-    dscale[free] = 1.0 / np.sqrt(mass[free])
-
-    rows, cols, vals = [], [], []
+    lx, ly = _cell_lengths(grid)
+    n = int(index.max()) + 1
     diag = np.zeros(n)
-
-    def add_edges(p_idx, q_idx, p_scale, q_scale, w):
-        both = (p_idx >= 0) & (q_idx >= 0)
-        off = -w[both] * p_scale[both] * q_scale[both]
-        rows.append(p_idx[both])
-        cols.append(q_idx[both])
-        vals.append(off)
-        rows.append(q_idx[both])
-        cols.append(p_idx[both])
-        vals.append(off)
+    rows, cols, vals = [], [], []
+    edges = (
+        # horizontal edges (i, j) -- (i+1, j)
+        (np.s_[:-1, :], np.s_[1:, :],
+         np.broadcast_to((ly / grid.hx)[None, :], (nx, ny + 1))),
+        # vertical edges (i, j) -- (i, j+1)
+        (np.s_[:, :-1], np.s_[:, 1:],
+         np.broadcast_to((lx / grid.hy)[:, None], (nx + 1, ny))),
+    )
+    for p, q, w in edges:
+        p_idx, q_idx = index[p].ravel(), index[q].ravel()
+        p_g, q_g = weight[p].ravel(), weight[q].ravel()
+        w = w.ravel()
         p_only = p_idx >= 0
-        np.add.at(diag, p_idx[p_only], w[p_only] * p_scale[p_only] ** 2)
+        np.add.at(diag, p_idx[p_only], w[p_only] * p_g[p_only] ** 2)
         q_only = q_idx >= 0
-        np.add.at(diag, q_idx[q_only], w[q_only] * q_scale[q_only] ** 2)
-
-    # horizontal edges (i, j) -- (i+1, j)
-    wgt = np.broadcast_to((ly / hx)[None, :], (nx, ny + 1)).ravel()
-    add_edges(
-        index[:-1, :].ravel(),
-        index[1:, :].ravel(),
-        dscale[:-1, :].ravel(),
-        dscale[1:, :].ravel(),
-        wgt,
-    )
-    # vertical edges (i, j) -- (i, j+1)
-    wgt = np.broadcast_to((lx / hy)[:, None], (nx + 1, ny)).ravel()
-    add_edges(
-        index[:, :-1].ravel(),
-        index[:, 1:].ravel(),
-        dscale[:, :-1].ravel(),
-        dscale[:, 1:].ravel(),
-        wgt,
-    )
-
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    matrix = sp.coo_matrix(
+        np.add.at(diag, q_idx[q_only], w[q_only] * q_g[q_only] ** 2)
+        both = p_only & q_only
+        off = -w[both] * p_g[both] * q_g[both]
+        a, b = p_idx[both], q_idx[both]
+        loop = a == b
+        np.add.at(diag, a[loop], 2.0 * off[loop])
+        rows.append(np.minimum(a, b)[~loop])
+        cols.append(np.maximum(a, b)[~loop])
+        vals.append(off[~loop])
+    upper = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
+    return (upper + upper.T + sp.diags(diag)).tocsr()
+
+
+def build_from_mask(grid: FdmGrid, mask: np.ndarray) -> FdmOperator:
+    """Assemble the full-grid scaled operator for an arbitrary Dirichlet mask."""
+    if mask.shape != (grid.nx + 1, grid.ny + 1):
+        raise ValueError("mask shape must be (nx+1, ny+1)")
+    if not mask.any():
+        raise ValueError("at least one Dirichlet vertex is required")
+    free = ~mask
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[free] = np.arange(int(free.sum()))
+    weight = np.where(free, _inv_sqrt_mass(grid), 0.0)
     return FdmOperator(
         grid=grid,
         mask=mask.copy(),
-        matrix=matrix,
+        matrix=_assemble(grid, index, weight),
         index=index,
-        inv_sqrt_mass=dscale[free],
+        weight=weight,
     )
 
 
-def build_operator(model: ModelKind, geometry: Geometry, grid: FdmGrid) -> FdmOperator:
-    """Assemble the operator for a model's boundary conditions."""
-    return build_from_mask(grid, dirichlet_mask(model, geometry, grid))
+def build_operator(
+    model: ModelKind, geometry: Geometry, grid: FdmGrid, sector: int
+) -> FdmOperator:
+    """Assemble one parity sector (+1 even, -1 odd) of a model's operator.
+
+    The unknowns are the orbit representatives of the model's grid
+    reflection, and the matrix is Q_s^T A Q_s (see the module docstring).
+    """
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}")
+    mask = dirichlet_mask(model, geometry, grid)
+    flat = np.arange(mask.size).reshape(mask.shape)
+    mirror = flat[::-1, ::-1] if model is ModelKind.A else flat[::-1, :]
+    fixed = flat == mirror
+    carried = ~mask if sector == 1 else ~mask & ~fixed
+    first = flat <= mirror
+    orbit = np.full(mask.size, -1, dtype=np.int64)
+    orbit[flat[carried & first]] = np.arange(int((carried & first).sum()))
+    index = np.where(carried, orbit[np.minimum(flat, mirror)], -1)
+    fold = np.where(fixed, 1.0, np.where(first, 1.0, float(sector)) * math.sqrt(0.5))
+    weight = np.where(carried, fold * _inv_sqrt_mass(grid), 0.0)
+    return FdmOperator(
+        grid=grid,
+        mask=mask,
+        matrix=_assemble(grid, index, weight),
+        index=index,
+        weight=weight,
+    )
 
 
 def lowest_eigenpairs(operator: FdmOperator, k: int):
@@ -243,8 +300,8 @@ def lowest_eigenpairs(operator: FdmOperator, k: int):
     pairs that miss the contract after inverse-iteration polish raise.
     Vectors are in the scaled unknown space (use ``operator.embed``).
     """
-    if not 1 <= k <= 6:
-        raise ValueError("k must lie in [1, 6]")
+    if not 1 <= k <= MAX_PAIRS:
+        raise ValueError(f"k must lie in [1, {MAX_PAIRS}]")
     A = operator.matrix
     n = A.shape[0]
     if k >= n:
@@ -298,7 +355,19 @@ def extrapolate(
     empirical order p from the last three (finest) grids and returns
     (extrapolated eigenvalue, p).  The corner singularity typically
     gives 1 < p < 2; smooth harnesses give p close to 2.
+
+    On each grid the even sector yields its ``branch`` lowest pairs and
+    the odd sector its ``branch - 1`` lowest (the ground state is even),
+    so branch 1 is one half-size solve.  A branch above ``MAX_PAIRS``
+    raises ``LookupError`` before any grid is built.
     """
+    if branch < 1:
+        raise ValueError("branch must be at least 1")
+    if branch > MAX_PAIRS:
+        raise LookupError(
+            f"branch {branch} not available: the oracle resolves at most "
+            f"{MAX_PAIRS} branches"
+        )
     hs = sorted(h_list, reverse=True)
     if len(hs) < 3:
         raise ValueError("need at least three grid spacings")
@@ -312,11 +381,12 @@ def extrapolate(
     energies = []
     for hy in hs:
         grid = FdmGrid.from_spacing(geometry, hy, L=L)
-        op = build_operator(model, geometry, grid)
-        pairs = lowest_eigenpairs(op, k=min(6, branch + 1))
-        if branch > len(pairs):
-            raise LookupError(f"branch {branch} not available")
-        energies.append(pairs[branch - 1][0])
+        values = []
+        for sector, k in zip(SECTORS, (branch, branch - 1)):
+            if k:
+                op = build_operator(model, geometry, grid, sector)
+                values += [value for value, _ in lowest_eigenpairs(op, k)]
+        energies.append(sorted(values)[branch - 1])
 
     e1, e2, e3 = energies[-3], energies[-2], energies[-1]
     d1, d2 = e1 - e2, e2 - e3

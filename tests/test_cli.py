@@ -274,6 +274,31 @@ class TestAnalyzeCommand:
 
 
 class TestOracleCommand:
+    def test_skipped_branches_named_on_stderr(self, tmp_path, monkeypatch, capsys):
+        """At lambda = 20 branches 7-20 are beyond the oracle's pair limit:
+        one stderr line names them and the CSV is unchanged by it."""
+        real = cli.fo.extrapolate
+
+        def quick(model, geometry, branch):
+            if branch > cli.fo.MAX_PAIRS:
+                return real(model, geometry, branch=branch)
+            return (1.0 - 0.01 * branch) * MU, 1.0
+
+        monkeypatch.setattr(cli.fo, "extrapolate", quick)
+        argv = ["oracle", "--model", "A", "--lambda", "20"]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        skipped = ", ".join(str(b) for b in range(7, 21))
+        assert captured.err.splitlines() == [
+            f"warning: oracle skipped branches {skipped}: "
+            f"it resolves at most {cli.fo.MAX_PAIRS} branches"
+        ]
+        out = tmp_path / "oracle.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == captured.out
+        _, rows = read_csv(out)
+        assert [int(r["branch_index"]) for r in rows] == list(range(1, 7))
+
     @pytest.mark.slow
     def test_agrees_with_spectrum(self, tmp_path):
         o_out = tmp_path / "oracle.csv"

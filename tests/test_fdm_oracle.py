@@ -1,7 +1,8 @@
 """Tests for the finite-difference oracle.
 
 Analytic harnesses (rectangle, strip section) pin the discretization
-order; the model runs cross-validate the mode-matching solver.
+order; the full-grid operator is the reference for the parity sectors;
+the model runs cross-validate the mode-matching solver.
 """
 
 import math
@@ -27,11 +28,42 @@ def all_dirichlet_square(n: int) -> fo.FdmOperator:
     return fo.build_from_mask(grid, mask)
 
 
+def full_operator(model, geometry, grid) -> fo.FdmOperator:
+    return fo.build_from_mask(grid, fo.dirichlet_mask(model, geometry, grid))
+
+
+def reflect(model, field):
+    """A nodal field composed with the model's grid reflection."""
+    return field[::-1, ::-1] if model is ModelKind.A else field[::-1, :]
+
+
 @pytest.fixture(scope="module")
 def op_a_half():
     geometry = Geometry.from_lambda(0.5)
     grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 40)
-    return fo.build_operator(ModelKind.A, geometry, grid)
+    return fo.build_operator(ModelKind.A, geometry, grid, 1)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(m, lam, 20) for m in (ModelKind.A, ModelKind.B)
+            for lam in (0.37, 0.5, 1.5)] + [(ModelKind.A, 0.5, 21)],
+    ids=lambda p: f"{p[0].name}-{p[1]}-ny{p[2]}",
+)
+def split(request):
+    """The full grid's 4 lowest pairs and each sector's, h = 1/ny.
+
+    ny = 21 gives model A no fixed vertex and one edge joining a vertex
+    to its mirror image."""
+    model, lam, ny = request.param
+    geometry = Geometry.from_lambda(lam)
+    grid = fo.FdmGrid.from_spacing(geometry, 1.0 / ny)
+    full = fo.lowest_eigenpairs(full_operator(model, geometry, grid), 4)
+    sectors = {}
+    for s in fo.SECTORS:
+        op = fo.build_operator(model, geometry, grid, s)
+        sectors[s] = (op, fo.lowest_eigenpairs(op, 4))
+    return model, full, sectors
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +118,11 @@ class TestHarnesses:
         assert abs(value - exact) < 1e-3
 
     def test_matrix_exactly_symmetric(self, op_a_half):
-        for A in (op_a_half.matrix, all_dirichlet_square(16).matrix):
+        geometry = Geometry.from_lambda(0.5)
+        grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 20)
+        sectors = [fo.build_operator(m, geometry, grid, s).matrix
+                   for m in (ModelKind.A, ModelKind.B) for s in fo.SECTORS]
+        for A in [op_a_half.matrix, all_dirichlet_square(16).matrix] + sectors:
             diff = A - A.T
             assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -102,8 +138,8 @@ class TestEigenpairs:
     def test_exactly_one_below_threshold(self):
         geometry = Geometry.from_lambda(0.5)
         grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 80)
-        op = fo.build_operator(ModelKind.A, geometry, grid)
-        values = [v for v, _ in fo.lowest_eigenpairs(op, 3)]
+        values = [v for s in fo.SECTORS for v, _ in fo.lowest_eigenpairs(
+            fo.build_operator(ModelKind.A, geometry, grid, s), 3)]
         assert sum(v < MU for v in values) == 1
 
     def test_k_out_of_range(self, op_a_half):
@@ -118,7 +154,7 @@ class TestEigenpairs:
         values = {}
         for L in (6.0, 12.5):
             grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 40, L=L)
-            op = fo.build_operator(ModelKind.A, geometry, grid)
+            op = fo.build_operator(ModelKind.A, geometry, grid, 1)
             values[L] = fo.lowest_eigenpairs(op, 1)[0][0]
         assert values[6.0] > values[12.5]
 
@@ -128,7 +164,7 @@ class TestEigenpairs:
         values = {}
         for L in (12.5, 25.0):
             grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 40, L=L)
-            op = fo.build_operator(ModelKind.A, geometry, grid)
+            op = fo.build_operator(ModelKind.A, geometry, grid, 1)
             values[L] = fo.lowest_eigenpairs(op, 1)[0][0]
         assert abs(values[25.0] - values[12.5]) < 1e-6 * MU
 
@@ -150,6 +186,47 @@ class TestEigenpairs:
             modes = _profile_values(profile, 8, y)
             coefs = modes @ (weights * slice_vals)
             assert float(np.sum(coefs**2)) / norm_sq >= 0.999
+
+
+class TestParitySplit:
+    def test_sectors_merge_to_full_spectrum(self, split):
+        _, full, sectors = split
+        merged = sorted(v for _, pairs in sectors.values() for v, _ in pairs)
+        for reference, value in zip((v for v, _ in full), merged[:4]):
+            assert abs(value - reference) <= 1e-12 * reference
+
+    def test_ground_state_is_even(self, split):
+        _, full, sectors = split
+        lowest = full[0][0]
+        assert abs(sectors[1][1][0][0] - lowest) <= 1e-12 * lowest
+        assert sectors[-1][1][0][0] > lowest
+
+    def test_embedded_vectors_reflect_with_sector_sign(self, split):
+        model, _, sectors = split
+        for s, (op, pairs) in sectors.items():
+            for _, vector in pairs:
+                field = op.embed(vector)
+                assert np.array_equal(reflect(model, field), s * field)
+                assert not field[op.mask].any()
+                assert np.abs(field).max() > 0.0
+
+    def test_model_b_second_branch_is_odd(self):
+        """B at lambda = 1.5 binds an even and an odd state; the odd one
+        is branch 2, and the odd sector finds it by construction."""
+        geometry = Geometry.from_lambda(1.5)
+        grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 20)
+        full = fo.lowest_eigenpairs(full_operator(ModelKind.B, geometry, grid), 2)
+        even = fo.lowest_eigenpairs(fo.build_operator(ModelKind.B, geometry, grid, 1), 2)
+        odd = fo.lowest_eigenpairs(fo.build_operator(ModelKind.B, geometry, grid, -1), 1)
+        assert even[0][0] < odd[0][0] < even[1][0]
+        assert odd[0][0] < MU
+        assert abs(odd[0][0] - full[1][0]) <= 1e-12 * full[1][0]
+
+    def test_sector_validation(self):
+        geometry = Geometry.from_lambda(0.5)
+        grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 8)
+        with pytest.raises(ValueError):
+            fo.build_operator(ModelKind.A, geometry, grid, 0)
 
 
 class TestExtrapolate:
@@ -187,3 +264,16 @@ class TestExtrapolate:
             fo.extrapolate(ModelKind.A, geometry, h_list=(1 / 40, 1 / 80))
         with pytest.raises(ValueError):
             fo.extrapolate(ModelKind.A, geometry, h_list=(1 / 20, 1 / 50, 1 / 80))
+
+    def test_branch_out_of_range_builds_no_grid(self, monkeypatch):
+        """A branch no sector solve can reach fails before any work."""
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(fo.FdmGrid, "from_spacing", no_grid)
+        monkeypatch.setattr(fo, "build_operator", no_grid)
+        geometry = Geometry.from_lambda(20.0)
+        with pytest.raises(LookupError):
+            fo.extrapolate(ModelKind.A, geometry, branch=fo.MAX_PAIRS + 1)
+        with pytest.raises(ValueError):
+            fo.extrapolate(ModelKind.A, geometry, branch=0)
