@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Geometry, ModelKind
-from .modematch import EigenField, Spectrum, count_states, evaluate_field, scan_spectrum
+from .modematch import EigenField, Spectrum, bisect_count, count_states
+from .modematch import evaluate_field, scan_spectrum
 
 __all__ = [
     "SweepResult",
@@ -266,10 +267,5 @@ def find_emergence(
                 f"branch {m} absent up to lambda={extended}; bad bracket"
             )
         hi = extended
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if exists(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect_count(exists, lo, hi, tol)
     return 0.5 * (lo + hi)

@@ -197,8 +197,7 @@ SPECTRUM_COLUMNS = ("lambda", "branch_index", "eigenvalue_over_mu",
                     "residual", "stable")
 
 
-def _spectrum_rows(config: RunConfig, lam: float) -> list:
-    spectrum = mm.scan_spectrum(config.model, Geometry.from_lambda(lam), N=config.modes)
+def _spectrum_rows(lam: float, spectrum: mm.Spectrum) -> list:
     gate = all(spectrum.stable) and not spectrum.near_threshold
     violations = bd.check_spectrum(lam, spectrum.eigenvalues, all_stable=gate)
     if violations:
@@ -215,31 +214,29 @@ def _spectrum_rows(config: RunConfig, lam: float) -> list:
     ]
 
 
+def _lambda_grid(lam_min: float, lam_max: float, step: float) -> list:
+    count = int(math.floor((lam_max - lam_min) / step + 1e-9)) + 1
+    return [lam_min + i * step for i in range(count)]
+
+
 def cmd_spectrum(config: RunConfig) -> int:
-    rows = _spectrum_rows(config, config.geometry.lam)
+    geometry = config.geometry
+    spectrum = mm.scan_spectrum(config.model, geometry, N=config.modes)
+    rows = _spectrum_rows(geometry.lam, spectrum)
     _emit(config, "csv", SPECTRUM_COLUMNS, rows, _config_dict(config))
     return EXIT_OK
-
-
-def _sweep_worker(args) -> list:
-    config, lam = args
-    return _spectrum_rows(config, lam)
 
 
 def cmd_sweep(config: RunConfig, lam_min: float, lam_max: float, step: float) -> int:
     if not (0 < lam_min <= lam_max) or step <= 0:
         raise ConfigError("sweep requires 0 < lambda-min <= lambda-max, step > 0")
-    count = int(math.floor((lam_max - lam_min) / step + 1e-9)) + 1
-    lams = [lam_min + i * step for i in range(count)]
-    tasks = [(config, lam) for lam in lams]
-    if config.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(_sweep_worker, tasks))
-    else:
-        chunks = [_sweep_worker(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    result = an.sweep(config.model, _lambda_grid(lam_min, lam_max, step),
+                      N=config.modes, jobs=config.jobs)
+    rows = [
+        row
+        for lam, spectrum in zip(result.lambdas, result.spectra)
+        for row in _spectrum_rows(lam, spectrum)
+    ]
     json_config = _config_dict(
         config, lambda_min=lam_min, lambda_max=lam_max, step=step
     )
@@ -255,10 +252,7 @@ def cmd_field(
         raise ConfigError("branch must be >= 1")
     if nx < 2 or ny < 2 or x_halfwidth <= 0:
         raise ConfigError("field grid requires nx, ny >= 2 and x-halfwidth > 0")
-    try:
-        field = mm.solve_field(config.model, config.geometry, branch, N=config.modes)
-    except LookupError as exc:
-        raise LookupError(str(exc)) from exc
+    field = mm.solve_field(config.model, config.geometry, branch, N=config.modes)
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
     ys = np.linspace(0.0, 1.0, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -377,11 +371,9 @@ def cmd_analyze(
 ) -> int:
     if not (0 < lam_min < lam_max) or step <= 0:
         raise ConfigError("analyze requires 0 < lambda-min < lambda-max, step > 0")
-    count = int(math.floor((lam_max - lam_min) / step + 1e-9)) + 1
-    lams = [lam_min + i * step for i in range(count)]
     sweep_result = an.sweep(
         config.model,
-        lams,
+        _lambda_grid(lam_min, lam_max, step),
         N=config.modes,
         check_stability=False,
         jobs=config.jobs,
@@ -516,10 +508,7 @@ def main(argv=None) -> int:
             return cmd_analyze(config, args.lam_min, args.lam_max, args.step,
                                args.rho, args.branch)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LookupError as exc:

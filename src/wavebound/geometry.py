@@ -18,6 +18,8 @@ families, fixed by the wall conditions of that region:
 
 with nu_k = (2k+1)/2.  The transverse eigenvalue is (nu_k pi / d)^2 for
 the half-integer families and (m pi / d)^2 for the Neumann-Neumann one.
+``profile_values`` evaluates the first N profiles of a family at d = 1,
+the units of every spectral computation.
 
 Overlap integrals between a tail family (DN_SINE or ND_COSINE) and the
 center family (NN_COSINE) have closed forms which are used at runtime;
@@ -38,10 +40,8 @@ __all__ = [
     "Region",
     "ProfileKind",
     "Geometry",
-    "TransverseMode",
     "region_profile",
-    "decay_rate",
-    "overlap",
+    "profile_values",
     "overlap_matrix",
     "overlap_quadrature",
 ]
@@ -125,74 +125,28 @@ class Geometry:
         return Geometry(d=1.0, delta=self.lam)
 
 
-@dataclass(frozen=True)
-class TransverseMode:
-    """One cross-section mode: a family, an index, and the strip width."""
-
-    profile: ProfileKind
-    index: int
-    d: float = 1.0
-    region: Region | None = None
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"mode index must be >= 0, got {self.index}")
-        if not (self.d > 0.0):
-            raise ValueError(f"strip width d must be positive, got {self.d}")
-
-    @property
-    def nu_or_m(self) -> float:
-        """Half-integer nu_k = (2k+1)/2, or the integer m for NN_COSINE."""
-        if self.profile is ProfileKind.NN_COSINE:
-            return float(self.index)
-        return (2 * self.index + 1) / 2.0
-
-    @property
-    def transverse_eigenvalue(self) -> float:
-        """Eigenvalue of -d^2/dy^2 with the family's wall conditions."""
-        return (self.nu_or_m * math.pi / self.d) ** 2
-
-    def __call__(self, y):
-        """Evaluate the orthonormal profile at y (scalar or array)."""
-        y = np.asarray(y, dtype=float)
-        if self.profile is ProfileKind.DN_SINE:
-            return np.sqrt(2.0 / self.d) * np.sin(self.nu_or_m * np.pi * y / self.d)
-        if self.profile is ProfileKind.ND_COSINE:
-            return np.sqrt(2.0 / self.d) * np.cos(self.nu_or_m * np.pi * y / self.d)
-        if self.index == 0:
-            return np.full_like(y, np.sqrt(1.0 / self.d))
-        return np.sqrt(2.0 / self.d) * np.cos(self.nu_or_m * np.pi * y / self.d)
+def profile_values(profile: ProfileKind, N: int, y: np.ndarray) -> np.ndarray:
+    """Transverse profiles evaluated at y, shape (N, len(y)) (d = 1)."""
+    y = np.asarray(y, dtype=float)
+    idx = np.arange(N)
+    if profile is ProfileKind.DN_SINE:
+        nu = idx + 0.5
+        return math.sqrt(2.0) * np.sin(nu[:, None] * math.pi * y[None, :])
+    if profile is ProfileKind.ND_COSINE:
+        nu = idx + 0.5
+        return math.sqrt(2.0) * np.cos(nu[:, None] * math.pi * y[None, :])
+    vals = math.sqrt(2.0) * np.cos(idx[:, None] * math.pi * y[None, :])
+    vals[0] = 1.0
+    return vals
 
 
-def decay_rate(mode: TransverseMode, E: float) -> float:
-    """Longitudinal decay rate kappa = sqrt(transverse_eigenvalue - E).
-
-    The mode must be evanescent at energy E: a propagating mode
-    (E >= transverse eigenvalue) has no square-integrable tail and is
-    rejected.
-    """
-    ev = mode.transverse_eigenvalue
-    if E >= ev:
-        raise ValueError(
-            f"E={E} >= transverse eigenvalue {ev}: mode is propagating, "
-            "not a bound-state tail"
-        )
-    return math.sqrt(ev - E)
+def _check_tail(tail_profile: ProfileKind) -> None:
+    if tail_profile not in (ProfileKind.DN_SINE, ProfileKind.ND_COSINE):
+        raise ValueError(f"tail family must be DN_SINE or ND_COSINE, got {tail_profile}")
 
 
-def _check_overlap_pair(mode_tail: TransverseMode, mode_center: TransverseMode):
-    if mode_tail.profile not in (ProfileKind.DN_SINE, ProfileKind.ND_COSINE):
-        raise ValueError(f"tail mode must be DN_SINE or ND_COSINE, got {mode_tail.profile}")
-    if mode_center.profile is not ProfileKind.NN_COSINE:
-        raise ValueError(f"center mode must be NN_COSINE, got {mode_center.profile}")
-    if mode_tail.d != mode_center.d:
-        raise ValueError(
-            f"mismatched strip widths: tail d={mode_tail.d}, center d={mode_center.d}"
-        )
-
-
-def _overlap_closed_form(tail_profile: ProfileKind, k, m):
-    """C_km (sine tails) or D_km (cosine tails) for broadcastable k, m.
+def overlap_matrix(tail_profile: ProfileKind, N: int) -> np.ndarray:
+    """O[k, m] = overlap of tail mode k with center mode m, for k, m < N.
 
     For the sine family against the Neumann-Neumann cosines,
 
@@ -203,8 +157,10 @@ def _overlap_closed_form(tail_profile: ProfileKind, k, m):
     integrals are independent of d because all profiles carry the
     1/sqrt(d) normalization.
     """
-    nu = np.asarray(k) + 0.5
-    m = np.asarray(m)
+    _check_tail(tail_profile)
+    k = np.arange(N)[:, None]
+    m = np.arange(N)[None, :]
+    nu = k + 0.5
     c = np.where(m == 0, math.sqrt(2.0) / (nu * math.pi),
                  (2.0 * nu / math.pi) / (nu * nu - m * m))
     if tail_profile is ProfileKind.ND_COSINE:
@@ -212,35 +168,16 @@ def _overlap_closed_form(tail_profile: ProfileKind, k, m):
     return c
 
 
-def overlap(mode_tail: TransverseMode, mode_center: TransverseMode) -> float:
-    """Closed-form projection integral int_0^d tail(y) center(y) dy."""
-    _check_overlap_pair(mode_tail, mode_center)
-    return float(_overlap_closed_form(mode_tail.profile, mode_tail.index,
-                                      mode_center.index))
+def overlap_quadrature(tail_profile: ProfileKind, k: int, m: int) -> float:
+    """Overlap of tail mode k with center mode m by adaptive quadrature (the oracle)."""
+    _check_tail(tail_profile)
 
+    def integrand(y):
+        tail = profile_values(tail_profile, k + 1, [y])[k, 0]
+        center = profile_values(ProfileKind.NN_COSINE, m + 1, [y])[m, 0]
+        return float(tail * center)
 
-def overlap_matrix(tail_profile: ProfileKind, N: int) -> np.ndarray:
-    """O[k, m] = overlap of tail mode k with center mode m, for k, m < N."""
-    if tail_profile not in (ProfileKind.DN_SINE, ProfileKind.ND_COSINE):
-        raise ValueError(f"tail family must be DN_SINE or ND_COSINE, got {tail_profile}")
-    idx = np.arange(N)
-    return _overlap_closed_form(tail_profile, idx[:, None], idx[None, :])
-
-
-def overlap_quadrature(
-    mode_tail: TransverseMode, mode_center: TransverseMode
-) -> float:
-    """The same projection integral by adaptive quadrature (the oracle)."""
-    _check_overlap_pair(mode_tail, mode_center)
-    d = mode_tail.d
-    val, err = quad(
-        lambda y: float(mode_tail(y) * mode_center(y)),
-        0.0,
-        d,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
+    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
     if err > 1e-12:
         raise RuntimeError(f"overlap quadrature did not converge: err={err}")
     return val

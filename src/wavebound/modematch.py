@@ -52,6 +52,7 @@ from .geometry import (
     ProfileKind,
     Region,
     overlap_matrix,
+    profile_values,
     region_profile,
 )
 
@@ -62,6 +63,7 @@ __all__ = [
     "sector_matrix",
     "sector_count",
     "count_states",
+    "bisect_count",
     "scan_spectrum",
     "solve_coefficients",
     "evaluate_field",
@@ -84,13 +86,6 @@ STABILITY_BUMP = 8
 
 #: parity sectors under the model's reflection: even (+1) and odd (-1)
 SECTORS = (1, -1)
-
-
-def _tail_profiles(model: ModelKind) -> tuple[ProfileKind, ProfileKind]:
-    return (
-        region_profile(model, Region.I),
-        region_profile(model, Region.III),
-    )
 
 
 def _kappa(N: int, E: float) -> np.ndarray:
@@ -175,6 +170,19 @@ def _residual(model: ModelKind, geometry: Geometry, N: int, E: float, sector: in
     return float(np.min(np.abs(eigvalsh(M, check_finite=False))))
 
 
+def bisect_count(reached, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] until it is at most tol wide, keeping reached(lo)
+    false and reached(hi) true; reached(x) is a count crossing its
+    target, so it is monotone in x.  Returns the final bracket."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> list:
     """Eigenvalues of one sector in the scan window, bisecting its count.
 
@@ -183,22 +191,14 @@ def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> 
     """
     mu = geometry.unit().mu
     lo, hi = SCAN_LO_FRAC * mu, SCAN_HI_FRAC * mu
-    tol = REFINE_FRAC * mu
 
     def count(E: float) -> int:
         return sector_count(model, geometry, N, E, sector)
 
     roots = []
     for below in range(count(lo), count(hi)):
-        a, b = lo, hi
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if count(mid) > below:
-                b = mid
-            else:
-                a = mid
-        roots.append(0.5 * (a + b))
-        lo = a
+        lo, b = bisect_count(lambda E: count(E) > below, lo, hi, REFINE_FRAC * mu)
+        roots.append(0.5 * (lo + b))
     return roots
 
 
@@ -430,8 +430,6 @@ def evaluate_field(field: EigenField, x, y) -> np.ndarray:
     x, y = np.broadcast_arrays(x, y)
     out = np.empty(x.shape)
     delta = field.geometry.delta
-
-    profile_I, profile_III = _tail_profiles(field.model)
     kappa = field.kappa
 
     left = x < -delta
@@ -441,35 +439,20 @@ def evaluate_field(field: EigenField, x, y) -> np.ndarray:
     if np.any(left):
         xl, yl = x[left], y[left]
         tails = np.exp(kappa[:, None] * (xl[None, :] + delta))  # decaying
-        prof = _profile_values(profile_I, field.N, yl)
+        prof = profile_values(region_profile(field.model, Region.I), field.N, yl)
         out[left] = np.einsum("k,kp,kp->p", field.a, tails, prof)
     if np.any(right):
         xr, yr = x[right], y[right]
         tails = np.exp(-kappa[:, None] * (xr[None, :] - delta))
-        prof = _profile_values(profile_III, field.N, yr)
+        prof = profile_values(region_profile(field.model, Region.III), field.N, yr)
         out[right] = np.einsum("k,kp,kp->p", field.b, tails, prof)
     if np.any(center):
         xc, yc = x[center], y[center]
         f = _center_factors(field, xc)
-        prof = _profile_values(ProfileKind.NN_COSINE, field.N, yc)
+        prof = profile_values(ProfileKind.NN_COSINE, field.N, yc)
         longi = field.alpha[:, None] * f[0] + field.beta[:, None] * f[1]
         out[center] = np.einsum("mp,mp->p", longi, prof)
     return out
-
-
-def _profile_values(profile: ProfileKind, N: int, y: np.ndarray) -> np.ndarray:
-    """Transverse profiles evaluated at y, shape (N, len(y)) (d = 1)."""
-    y = np.asarray(y, dtype=float)
-    idx = np.arange(N)
-    if profile is ProfileKind.DN_SINE:
-        nu = idx + 0.5
-        return math.sqrt(2.0) * np.sin(nu[:, None] * math.pi * y[None, :])
-    if profile is ProfileKind.ND_COSINE:
-        nu = idx + 0.5
-        return math.sqrt(2.0) * np.cos(nu[:, None] * math.pi * y[None, :])
-    vals = math.sqrt(2.0) * np.cos(idx[:, None] * math.pi * y[None, :])
-    vals[0] = 1.0
-    return vals
 
 
 def solve_field(

@@ -9,7 +9,8 @@ binding for model B:
 * ``konec2_rhs``: the rational function whose crossing with 1 - 2/pi
   yields the lower estimate ``lambda1() = kappa0/pi``.
 * ``modelB_certificate``: the two-parameter trial-state energy whose
-  negativity certifies a model-B bound state for any window size.
+  negativity certifies a model-B bound state for any window size;
+  ``find_negative_certificate`` takes its minimum in closed form.
 
 The trial profiles entering the window functional solve a coupled
 linear Euler system; their closed forms and analytic derivatives are
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize
+from scipy.optimize import brentq
 
 __all__ = [
     "T1",
@@ -275,35 +276,10 @@ def q2_quadrature(delta: float, d: float = 1.0) -> float:
     return val
 
 
-def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
-    """Plain bisection; requires a sign change on [lo, hi]."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RuntimeError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 @lru_cache(maxsize=1)
 def lambda2() -> float:
     """Upper window estimate: the root of q2_closed in (0.05, 0.95)."""
-    return _bisect(q2_closed, 0.05, 0.95, tol=1e-10)
+    return brentq(q2_closed, 0.05, 0.95, xtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +306,11 @@ def konec2_rhs(kappa: float) -> float:
 @lru_cache(maxsize=1)
 def kappa0() -> float:
     """The crossing konec2_rhs(kappa) = 1 - 2/pi."""
-    return _bisect(
+    return brentq(
         lambda k: konec2_rhs(k) - KONEC2_LHS,
         1e-6,
         KAPPA_MAX - 1e-6,
-        tol=1e-12,
+        xtol=1e-12,
     )
 
 
@@ -348,58 +324,45 @@ def lambda1() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bump(x, delta):
-    """Smooth compactly supported bump exp(-1/(1 - (x/delta)^2)) on (-delta, delta)."""
-    u = np.asarray(x, dtype=float) / delta
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
+def _bump(u: float) -> float:
+    """Smooth bump g(u) = exp(-1/(1 - u^2)) for |u| < 1 (zero outside)."""
+    return math.exp(-1.0 / (1.0 - u * u))
 
 
-def _bump_prime(x, delta):
-    """Analytic derivative of the bump."""
-    u = np.asarray(x, dtype=float) / delta
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    w = 1.0 - ui * ui
-    out[inside] = np.exp(-1.0 / w) * (-2.0 * ui / delta) / (w * w)
-    return out
+@lru_cache(maxsize=1)
+def _bump_moments() -> tuple[float, float, float]:
+    """int g^2, int (g g')^2 and int g^4 over (-1, 1), by adaptive quadrature."""
+    integrands = (
+        lambda u: _bump(u) ** 2,
+        lambda u: (_bump(u) ** 2 * 2.0 * u / (1.0 - u * u) ** 2) ** 2,
+        lambda u: _bump(u) ** 4,
+    )
+    moments = []
+    for integrand in integrands:
+        val, err = quad(integrand, -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        if err > 1e-12 * val:
+            raise RuntimeError(f"bump moment quadrature did not converge: err={err}")
+        moments.append(val)
+    return tuple(moments)
 
 
-@lru_cache(maxsize=32)
 def certificate_norms(delta: float, d: float = 1.0) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of the certificate q = sigma A - eps B + eps^2 C.
 
-    A = ||phi'||^2 for the plateau function (1 on [-2 delta, 2 delta],
-    Gaussian decay outside), B = (pi/d) sqrt(2/d) ||j||^2 for the bump
-    localization j, and C = 4 d ||j j'||^2 - d mu ||j^2||^2.  All norms
-    by adaptive quadrature.
+    A = ||phi'||^2 = sqrt(pi/2)/d for the plateau function (1 on
+    [-2 delta, 2 delta], Gaussian decay exp(-((|x| - 2 delta)/d)^2)
+    outside), B = (pi/d) sqrt(2/d) ||j||^2 for the bump localization
+    j(x) = g(x/delta), and C = 4 d ||j j'||^2 - d mu ||j^2||^2.  The
+    bump norms scale exactly with the window: ||j||^2 = delta int g^2,
+    ||j j'||^2 = int (g g')^2 / delta and ||j^2||^2 = delta int g^4.
     """
-    b = 2.0 * delta
+    if not (delta > 0.0) or not (d > 0.0):
+        raise ValueError("delta and d must be positive")
+    g2, ggp2, g4 = _bump_moments()
     mu = _PI**2 / (4.0 * d * d)
-
-    # plateau envelope: 1 on [-b, b], exp(-((|x|-b)/d)^2) outside
-    def dplateau_sq(x):
-        t = (x - b) / d
-        return (2.0 * t / d * math.exp(-t * t)) ** 2
-
-    half, err1 = quad(dplateau_sq, b, b + 12.0 * d, epsabs=1e-12, limit=200)
-    A = 2.0 * half
-
-    j_sq, err2 = quad(lambda x: float(_bump(x, delta) ** 2), -delta, delta,
-                      epsabs=1e-12, limit=200)
-    jjp_sq, err3 = quad(lambda x: float((_bump(x, delta) * _bump_prime(x, delta)) ** 2),
-                        -delta, delta, epsabs=1e-12, limit=200)
-    j2_sq, err4 = quad(lambda x: float(_bump(x, delta) ** 4), -delta, delta,
-                       epsabs=1e-12, limit=200)
-    if max(err1, err2, err3, err4) > 1e-9:
-        raise RuntimeError("certificate norm quadrature did not converge")
-
-    B = (_PI / d) * math.sqrt(2.0 / d) * j_sq
-    C = 4.0 * d * jjp_sq - d * mu * j2_sq
+    A = math.sqrt(_PI / 2.0) / d
+    B = (_PI / d) * math.sqrt(2.0 / d) * delta * g2
+    C = 4.0 * d * ggp2 / delta - d * mu * delta * g4
     return A, B, C
 
 
@@ -412,8 +375,6 @@ def modelB_certificate(delta: float, d: float, sigma: float, epsilon: float) -> 
     """
     if sigma < 0.0 or epsilon < 0.0:
         raise ValueError("sigma and epsilon must be nonnegative")
-    if not (delta > 0.0) or not (d > 0.0):
-        raise ValueError("delta and d must be positive")
     A, B, C = certificate_norms(delta, d)
     return sigma * A - epsilon * B + epsilon * epsilon * C
 
@@ -421,38 +382,18 @@ def modelB_certificate(delta: float, d: float, sigma: float, epsilon: float) -> 
 def find_negative_certificate(
     delta: float, d: float = 1.0
 ) -> tuple[float, float, float]:
-    """Search (sigma, epsilon) making the certificate negative.
+    """(sigma, epsilon, value) at the closed-form minimum of the certificate.
 
-    Coarse log-grid search over sigma in 10^[-6, 0], epsilon in
-    10^[-4, 0], followed by local refinement.  Returns
-    (sigma, epsilon, value) with the most negative value found.
+    q grows linearly in sigma, which therefore sits on a positive floor
+    of 1e-12 (the construction needs sigma > 0).  In epsilon q is a
+    parabola with minimum at B/(2C) when C > 0; when C <= 0 (wide
+    windows) every epsilon > 0 makes -eps B + eps^2 C negative, and
+    epsilon = 1 is taken.
     """
-    best = None
-    for sigma in np.logspace(-6.0, 0.0, 13):
-        for eps in np.logspace(-4.0, 0.0, 13):
-            val = modelB_certificate(delta, d, sigma, eps)
-            if best is None or val < best[2]:
-                best = (sigma, eps, val)
-    sigma, eps, _ = best
-
-    def objective(p):
-        s, e = math.exp(p[0]), math.exp(p[1])
-        return modelB_certificate(delta, d, s, e)
-
-    res = minimize(
-        objective,
-        [math.log(sigma), math.log(eps)],
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
-    )
-    # the certificate increases with sigma, so the optimizer drives sigma
-    # toward zero; clamp to a positive floor (the construction needs sigma > 0)
-    s = max(math.exp(res.x[0]), 1e-12)
-    e = math.exp(res.x[1])
-    val = modelB_certificate(delta, d, s, e)
-    if val < best[2]:
-        best = (s, e, val)
-    return best
+    _, B, C = certificate_norms(delta, d)
+    sigma = 1e-12
+    epsilon = B / (2.0 * C) if C > 0.0 else 1.0
+    return sigma, epsilon, modelB_certificate(delta, d, sigma, epsilon)
 
 
 # ---------------------------------------------------------------------------

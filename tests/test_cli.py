@@ -180,6 +180,24 @@ class TestSweepCommand:
                     "--lambda-max", "0.5", "--step", "0.1"]) == 2
 
 
+class TestInvariantViolation:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--lambda", "0.75"],
+        ["sweep", "--lambda-min", "0.5", "--lambda-max", "1.0", "--step",
+         "0.25", "--jobs", "1"],
+        ["sweep", "--lambda-min", "0.5", "--lambda-max", "1.0", "--step",
+         "0.25", "--jobs", "2"],
+    ], ids=["spectrum", "sweep-jobs1", "sweep-jobs2"])
+    def test_failed_bounds_check_exits_5(self, argv, tmp_path, monkeypatch, capsys):
+        """A spectrum that contradicts the brackets is never written."""
+        monkeypatch.setattr(cli.bd, "check_spectrum",
+                            lambda lam, eigenvalues, all_stable: ["forced"])
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--model", "A", "--modes", "16", "--out", str(out)]) == 5
+        assert "internal invariant violation: forced" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFieldCommand:
     def test_missing_branch_exit_code(self, tmp_path):
         assert run(
@@ -271,6 +289,14 @@ class TestAnalyzeCommand:
         assert set(fits) == {"P1", "P2"}
         for fit in fits.values():
             assert abs(fit["exponent"] - 0.5) < 0.05
+
+    def test_parallel_matches_serial(self, tmp_path):
+        """analysis.sweep's worker pool returns the serial spectra."""
+        base = ["analyze", "--model", "A", "--lambda", "0.5", "--modes", "16"]
+        out1, out2 = tmp_path / "ser.json", tmp_path / "par.json"
+        assert run(base + ["--jobs", "1", "--out", str(out1)]) == 0
+        assert run(base + ["--jobs", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestOracleCommand:

@@ -171,8 +171,7 @@ class TestEigenpairs:
     def test_tail_slice_projects_on_transverse_family(self, op_a_half, pairs_a_half):
         """In the tails the eigenvector is a combination of the region's
         transverse modes; the first 8 carry >= 0.999 of a slice's norm."""
-        from wavebound.geometry import ProfileKind
-        from wavebound.modematch import _profile_values
+        from wavebound.geometry import ProfileKind, profile_values
 
         field = op_a_half.embed(pairs_a_half[0][1])
         grid = op_a_half.grid
@@ -183,7 +182,7 @@ class TestEigenpairs:
             slice_vals = field[grid.column_of(x0), :]
             norm_sq = float(np.sum(weights * slice_vals**2))
             assert norm_sq > 0.0
-            modes = _profile_values(profile, 8, y)
+            modes = profile_values(profile, 8, y)
             coefs = modes @ (weights * slice_vals)
             assert float(np.sum(coefs**2)) / norm_sq >= 0.999
 

@@ -191,7 +191,7 @@ def test_certificate_affine_in_sigma():
     assert (q2 - q1) / 0.6 == pytest.approx(A, rel=1e-10)
 
 
-@pytest.mark.parametrize("delta", [0.05, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.5, 1.0, 2.0, 5.0])
 def test_negative_certificate_exists_for_every_window(delta):
     sigma, eps, val = V.find_negative_certificate(delta)
     assert val < 0.0
@@ -199,11 +199,47 @@ def test_negative_certificate_exists_for_every_window(delta):
     assert V.modelB_certificate(delta, 1.0, sigma, eps) == pytest.approx(val, rel=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.7, 2.0])
+def test_certificate_norms_match_direct_quadrature(delta):
+    """The window-scaled bump moments equal the norms of j(x) = g(x/delta)
+    integrated over (-delta, delta), and A the plateau's ||phi'||^2."""
+    from scipy.integrate import quad
+
+    def j(x):
+        return math.exp(-1.0 / (1.0 - (x / delta) ** 2))
+
+    def jp(x):
+        u = x / delta
+        return j(x) * (-2.0 * u / delta) / (1.0 - u * u) ** 2
+
+    def norm(f):
+        return quad(f, -delta, delta, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    mu = math.pi**2 / 4.0
+    plateau = 2.0 * quad(lambda t: (2.0 * t * math.exp(-t * t)) ** 2, 0.0, 12.0)[0]
+    expected = (
+        plateau,
+        math.pi * math.sqrt(2.0) * norm(lambda x: j(x) ** 2),
+        4.0 * norm(lambda x: (j(x) * jp(x)) ** 2) - mu * norm(lambda x: j(x) ** 4),
+    )
+    assert V.certificate_norms(delta, 1.0) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.5, 1.0])
+def test_negative_certificate_is_the_minimum_in_epsilon(delta):
+    """Where C > 0 the returned epsilon minimizes the parabola in epsilon."""
+    sigma, eps, val = V.find_negative_certificate(delta)
+    for factor in (0.99, 1.01):
+        assert V.modelB_certificate(delta, 1.0, sigma, factor * eps) > val
+
+
 def test_certificate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         V.modelB_certificate(0.1, 1.0, -1.0, 0.1)
     with pytest.raises(ValueError):
         V.modelB_certificate(-0.1, 1.0, 1.0, 0.1)
+    with pytest.raises(ValueError):
+        V.find_negative_certificate(0.0)
 
 
 # ---------------------------------------------------------------------------
