@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import critical_lambda_window
 from .geometry import Geometry, ModelKind
 from .modematch import EigenField, Spectrum, bisect_count, count_states
 from .modematch import evaluate_field, scan_spectrum
@@ -243,15 +244,20 @@ def find_emergence(
     The branch "exists" at lambda when at least m eigenvalues lie
     strictly below (1 - EMERGENCE_GAP)*mu, one state count there
     (eigenvalues emerge from the threshold, so a strict gap avoids
-    near-threshold dust).  The emergence point of branch m lies in
-    (m-1, m); the default bracket reflects that.
+    near-threshold dust).  The default bracket is the closed-form
+    window (m-1, m) of ``bounds.critical_lambda_window`` with its lower
+    end moved 1e-3 off the integer, and (0.2, 0.3) for m = 1, whose
+    emergence point lies near 0.264.  A bracket whose ``lo`` already
+    holds the branch raises ValueError, one whose ``hi`` lacks it
+    RuntimeError.
     """
-    if m < 1:
-        raise ValueError("branch index must be >= 1")
-    if lo is None:
-        lo = 0.2 if m == 1 else (m - 1) + 1e-3
-    if hi is None:
-        hi = 0.3 if m == 1 else float(m)
+    window_lo, window_hi = critical_lambda_window(m)
+    if m == 1:
+        window_lo, window_hi = 0.2, 0.3
+    else:
+        window_lo += 1e-3
+    lo = window_lo if lo is None else lo
+    hi = window_hi if hi is None else hi
 
     def exists(lam: float) -> bool:
         geometry = Geometry.from_lambda(lam)
@@ -261,11 +267,6 @@ def find_emergence(
     if exists(lo):
         raise ValueError(f"branch {m} already present at lo={lo}")
     if not exists(hi):
-        extended = hi + 0.49
-        if not exists(extended):
-            raise RuntimeError(
-                f"branch {m} absent up to lambda={extended}; bad bracket"
-            )
-        hi = extended
+        raise RuntimeError(f"branch {m} absent at hi={hi}; bad bracket")
     lo, hi = bisect_count(exists, lo, hi, tol)
     return 0.5 * (lo + hi)

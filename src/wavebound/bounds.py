@@ -16,14 +16,11 @@ inequalities; every computed spectrum is validated against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
-    "BracketReport",
     "state_count_bounds",
     "eigenvalue_window",
     "critical_lambda_window",
-    "bracket_report",
     "check_spectrum",
 ]
 
@@ -58,27 +55,6 @@ def critical_lambda_window(m: int) -> tuple[float, float]:
     if m < 1:
         raise ValueError(f"eigenvalue index m must be >= 1, got {m}")
     return float(m - 1), float(m)
-
-
-@dataclass(frozen=True)
-class BracketReport:
-    """All brackets relevant at a given window parameter."""
-
-    lam: float
-    n_min: int
-    n_max: int
-    per_eigenvalue_window: list = field(default_factory=list)
-
-    def window_vacuous(self, m: int) -> bool:
-        """True when the raw upper bound (m/lam)^2 exceeds the threshold."""
-        return (m / self.lam) ** 2 > 1.0
-
-
-def bracket_report(lam: float) -> BracketReport:
-    """Brackets on count and on each potentially-bound eigenvalue."""
-    n_min, n_max = state_count_bounds(lam)
-    windows = [eigenvalue_window(m, lam) for m in range(1, max(n_max, 1) + 1)]
-    return BracketReport(lam=lam, n_min=n_min, n_max=n_max, per_eigenvalue_window=windows)
 
 
 def check_spectrum(lam: float, eigenvalues_over_mu, all_stable: bool = True) -> list[str]:

@@ -116,13 +116,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown model {model_name!r} (expected A or B)")
 
     d = pick(getattr(args, "d", None), "d", float, 1.0)
+    if not 0.0 < d < math.inf:
+        raise ConfigError("d must be positive and finite")
     lam = pick(getattr(args, "lam", None), "lambda", float, None)
     delta = pick(getattr(args, "delta", None), "delta", float, None)
     if lam is not None and delta is not None:
         raise ConfigError("give exactly one of --lambda and --delta")
     if lam is None and delta is not None:
-        if d <= 0:
-            raise ConfigError("d must be positive")
         lam = delta / d
     if lam is not None and lam <= 0:
         raise ConfigError("lambda must be positive")
@@ -181,12 +181,19 @@ def render_json(config: dict, results) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(config: RunConfig, default_fmt: str, columns, rows, json_config) -> None:
+def _emit(config: RunConfig, default_fmt: str, columns, rows, json_config,
+          results=None) -> None:
+    """Write ``rows`` as CSV, or ``results`` (default: ``rows``) as JSON."""
     fmt = config.format or default_fmt
     if fmt == "csv":
-        _write_text(config.out, render_csv(columns, rows))
+        text = render_csv(columns, rows)
     else:
-        _write_text(config.out, render_json(json_config, rows))
+        text = render_json(json_config, rows if results is None else results)
+    _write_text(config.out, text)
+
+
+def _name_value_rows(results: dict) -> list:
+    return [{"name": k, "value": v} for k, v in results.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def _lambda_grid(lam_min: float, lam_max: float, step: float) -> list:
     return [lam_min + i * step for i in range(count)]
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     geometry = config.geometry
     spectrum = mm.scan_spectrum(config.model, geometry, N=config.modes)
     rows = _spectrum_rows(geometry.lam, spectrum)
@@ -227,7 +234,8 @@ def cmd_spectrum(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, lam_min: float, lam_max: float, step: float) -> int:
+def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
+    lam_min, lam_max, step = args.lam_min, args.lam_max, args.step
     if not (0 < lam_min <= lam_max) or step <= 0:
         raise ConfigError("sweep requires 0 < lambda-min <= lambda-max, step > 0")
     result = an.sweep(config.model, _lambda_grid(lam_min, lam_max, step),
@@ -245,9 +253,8 @@ def cmd_sweep(config: RunConfig, lam_min: float, lam_max: float, step: float) ->
     return EXIT_OK
 
 
-def cmd_field(
-    config: RunConfig, branch: int, nx: int, ny: int, x_halfwidth: float
-) -> int:
+def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
+    branch, nx, ny, x_halfwidth = args.branch, args.nx, args.ny, args.x_halfwidth
     if branch < 1:
         raise ConfigError("branch must be >= 1")
     if nx < 2 or ny < 2 or x_halfwidth <= 0:
@@ -274,27 +281,19 @@ def cmd_field(
     return EXIT_OK
 
 
-def cmd_bounds(config: RunConfig) -> int:
+def cmd_bounds(config: RunConfig, args: argparse.Namespace) -> int:
     lam = config.geometry.lam
-    report = bd.bracket_report(lam)
+    n_min, n_max = bd.state_count_bounds(lam)
+    columns = ("lambda", "n_min", "n_max", "branch_index", "window_lo", "window_hi")
     rows = [
-        {
-            "lambda": lam,
-            "n_min": report.n_min,
-            "n_max": report.n_max,
-            "branch_index": m,
-            "window_lo": lo,
-            "window_hi": hi,
-        }
-        for m, (lo, hi) in enumerate(report.per_eigenvalue_window, start=1)
+        dict(zip(columns, (lam, n_min, n_max, m, *bd.eigenvalue_window(m, lam))))
+        for m in range(1, n_max + 1)
     ]
-    _emit(config, "csv",
-          ("lambda", "n_min", "n_max", "branch_index", "window_lo", "window_hi"),
-          rows, _config_dict(config))
+    _emit(config, "csv", columns, rows, _config_dict(config))
     return EXIT_OK
 
 
-def cmd_thresholds(config: RunConfig) -> int:
+def cmd_thresholds(config: RunConfig, args: argparse.Namespace) -> int:
     try:
         lambda1 = va.lambda1()
         kappa0 = va.kappa0()
@@ -302,29 +301,25 @@ def cmd_thresholds(config: RunConfig) -> int:
         lambda0 = an.find_emergence(ModelKind.A, 1, N=32)
     except (RuntimeError, ValueError) as exc:
         raise RuntimeError(f"threshold search failed: {exc}") from exc
-    report = va.ThresholdReport(
-        lambda1=lambda1, kappa0=kappa0, lambda2=lambda2, lambda0_numeric=lambda0
-    )
+    # alphabetical: the CSV lists the rows in this order
     results = {
-        "lambda1": report.lambda1,
-        "kappa0": report.kappa0,
-        "lambda2": report.lambda2,
-        "lambda0_numeric": report.lambda0_numeric,
-        "ordering_ok": report.ordering_ok,
+        "kappa0": kappa0,
+        "lambda0_numeric": lambda0,
+        "lambda1": lambda1,
+        "lambda2": lambda2,
+        "ordering_ok": 0.0 < lambda1 < lambda0 < lambda2 < 1.0,
     }
-    fmt = config.format or "json"
-    if fmt == "json":
-        _write_text(config.out, render_json({"command": "thresholds"}, results))
-    else:
-        rows = [{"name": k, "value": v} for k, v in sorted(results.items())]
-        _write_text(config.out, render_csv(("name", "value"), rows))
+    _emit(config, "json", ("name", "value"), _name_value_rows(results),
+          {"command": "thresholds"}, results=results)
     return EXIT_OK
 
 
-def cmd_oracle(config: RunConfig, branch: int | None) -> int:
+def cmd_oracle(config: RunConfig, args: argparse.Namespace) -> int:
+    branch = args.branch
     lam = config.geometry.lam
     n_min, n_max = bd.state_count_bounds(lam)
     branches = [branch] if branch is not None else list(range(1, n_max + 1))
+    columns = ("lambda", "branch_index", "eigenvalue_over_mu", "order")
     rows = []
     skipped = []
     for b in branches:
@@ -341,34 +336,20 @@ def cmd_oracle(config: RunConfig, branch: int | None) -> int:
                     f"branch {b} lies above the threshold at lambda={lam}"
                 )
             continue
-        rows.append(
-            {
-                "lambda": lam,
-                "branch_index": b,
-                "eigenvalue_over_mu": estimate / MU,
-                "order": order,
-            }
-        )
+        rows.append(dict(zip(columns, (lam, b, estimate / MU, order))))
     if skipped:
         print(
             f"warning: oracle skipped branches {', '.join(map(str, skipped))}: "
             f"it resolves at most {fo.MAX_PAIRS} branches",
             file=sys.stderr,
         )
-    _emit(config, "csv",
-          ("lambda", "branch_index", "eigenvalue_over_mu", "order"),
-          rows, _config_dict(config))
+    _emit(config, "csv", columns, rows, _config_dict(config))
     return EXIT_OK
 
 
-def cmd_analyze(
-    config: RunConfig,
-    lam_min: float,
-    lam_max: float,
-    step: float,
-    rho: float,
-    branch: int,
-) -> int:
+def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
+    lam_min, lam_max, step = args.lam_min, args.lam_max, args.step
+    rho, branch = args.rho, args.branch
     if not (0 < lam_min < lam_max) or step <= 0:
         raise ConfigError("analyze requires 0 < lambda-min < lambda-max, step > 0")
     sweep_result = an.sweep(
@@ -398,22 +379,19 @@ def cmd_analyze(
         "scaling": {"rho": rho, "ok": scale_ok, "worst_margin": worst},
         "corner_exponents": {"lambda": lam, "branch": branch, "fits": corners},
     }
+    summary = {
+        "monotonicity_ok": mono_ok,
+        "scaling_ok": scale_ok,
+        "scaling_worst_margin": worst,
+    }
+    for name, fit in sorted(corners.items()):
+        summary[f"{name}_exponent"] = fit["exponent"]
+        summary[f"{name}_r_squared"] = fit["fit_r_squared"]
     json_config = _config_dict(
         config, lambda_min=lam_min, lambda_max=lam_max, step=step, rho=rho
     )
-    fmt = config.format or "json"
-    if fmt == "json":
-        _write_text(config.out, render_json(json_config, results))
-    else:
-        rows = [
-            {"name": "monotonicity_ok", "value": mono_ok},
-            {"name": "scaling_ok", "value": scale_ok},
-            {"name": "scaling_worst_margin", "value": worst},
-        ]
-        for name, fit in sorted(corners.items()):
-            rows.append({"name": f"{name}_exponent", "value": fit["exponent"]})
-            rows.append({"name": f"{name}_r_squared", "value": fit["fit_r_squared"]})
-        _write_text(config.out, render_csv(("name", "value"), rows))
+    _emit(config, "json", ("name", "value"), _name_value_rows(summary),
+          json_config, results=results)
     return EXIT_OK
 
 
@@ -450,34 +428,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="eigenvalues at one window size")
-    _add_common(p)
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        _add_common(p)
+        return p
 
-    p = sub.add_parser("sweep", help="eigenvalue branches over a lambda range")
-    _add_common(p)
+    command("spectrum", cmd_spectrum, "eigenvalues at one window size")
+
+    p = command("sweep", cmd_sweep, "eigenvalue branches over a lambda range")
     p.add_argument("--lambda-min", dest="lam_min", type=float, required=True)
     p.add_argument("--lambda-max", dest="lam_max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
 
-    p = sub.add_parser("field", help="probability density grid of one state")
-    _add_common(p)
+    p = command("field", cmd_field, "probability density grid of one state")
     p.add_argument("--branch", type=int, default=1)
     p.add_argument("--nx", type=int, default=201)
     p.add_argument("--ny", type=int, default=41)
     p.add_argument("--x-halfwidth", dest="x_halfwidth", type=float, default=6.0)
 
-    p = sub.add_parser("bounds", help="bracketing state counts and windows")
-    _add_common(p)
+    command("bounds", cmd_bounds, "bracketing state counts and windows")
+    command("thresholds", cmd_thresholds, "analytic and numeric critical windows")
 
-    p = sub.add_parser("thresholds", help="analytic and numeric critical windows")
-    _add_common(p)
-
-    p = sub.add_parser("oracle", help="finite-difference cross-check")
-    _add_common(p)
+    p = command("oracle", cmd_oracle, "finite-difference cross-check")
     p.add_argument("--branch", type=int, default=None)
 
-    p = sub.add_parser("analyze", help="monotonicity, scaling, corner fits")
-    _add_common(p)
+    p = command("analyze", cmd_analyze, "monotonicity, scaling, corner fits")
     p.add_argument("--lambda-min", dest="lam_min", type=float, default=0.3)
     p.add_argument("--lambda-max", dest="lam_max", type=float, default=0.9)
     p.add_argument("--step", type=float, default=0.1)
@@ -487,27 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _resolve(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.lam_min, args.lam_max, args.step)
-        if args.command == "field":
-            return cmd_field(config, args.branch, args.nx, args.ny,
-                             args.x_halfwidth)
-        if args.command == "bounds":
-            return cmd_bounds(config)
-        if args.command == "thresholds":
-            return cmd_thresholds(config)
-        if args.command == "oracle":
-            return cmd_oracle(config, args.branch)
-        if args.command == "analyze":
-            return cmd_analyze(config, args.lam_min, args.lam_max, args.step,
-                               args.rho, args.branch)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(_resolve(args), args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

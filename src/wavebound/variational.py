@@ -45,7 +45,6 @@ __all__ = [
     "certificate_norms",
     "modelB_certificate",
     "find_negative_certificate",
-    "ThresholdReport",
 ]
 
 _PI = math.pi
@@ -394,27 +393,3 @@ def find_negative_certificate(
     sigma = 1e-12
     epsilon = B / (2.0 * C) if C > 0.0 else 1.0
     return sigma, epsilon, modelB_certificate(delta, d, sigma, epsilon)
-
-
-# ---------------------------------------------------------------------------
-# Threshold report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """The three window thresholds and their expected ordering."""
-
-    lambda1: float
-    kappa0: float
-    lambda2: float
-    lambda0_numeric: float | None = None
-
-    @property
-    def ordering_ok(self) -> bool:
-        """lambda1 < lambda0 < lambda2 < 1 (false when lambda0 unresolved)."""
-        if self.lambda0_numeric is None:
-            return False
-        return (
-            0.0 < self.lambda1 < self.lambda0_numeric < self.lambda2 < 1.0
-        )

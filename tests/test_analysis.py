@@ -176,3 +176,8 @@ class TestEmergence:
             an.find_emergence(ModelKind.A, 1, lo=0.4, hi=0.6)
         with pytest.raises(ValueError):
             an.find_emergence(ModelKind.A, 0)
+
+    def test_short_bracket_raises_instead_of_widening(self):
+        """The first branch emerges near 0.2643, above hi: no silent retry."""
+        with pytest.raises(RuntimeError):
+            an.find_emergence(ModelKind.A, 1, lo=0.2, hi=0.25)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavebound.bounds import (
-    bracket_report,
     check_spectrum,
     critical_lambda_window,
     eigenvalue_window,
@@ -68,14 +67,6 @@ def test_critical_lambda_window():
     assert critical_lambda_window(3) == (2.0, 3.0)
     with pytest.raises(ValueError):
         critical_lambda_window(0)
-
-
-def test_bracket_report_structure():
-    rep = bracket_report(2.5)
-    assert (rep.n_min, rep.n_max) == (2, 3)
-    assert len(rep.per_eigenvalue_window) == 3
-    assert rep.window_vacuous(3)  # (3/2.5)^2 > 1
-    assert not rep.window_vacuous(2)
 
 
 def test_check_spectrum_accepts_consistent():

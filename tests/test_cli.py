@@ -8,6 +8,10 @@ would hit it.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,15 @@ class TestConfigResolution:
         conf = tmp_path / "bad.conf"
         conf.write_text("model=C\nlambda=0.5\n")
         assert run(["spectrum", "--config", str(conf)]) == 2
+
+    @pytest.mark.parametrize("width", ["-1", "0", "nan", "inf"])
+    def test_bad_width_rejected_without_delta(self, width, tmp_path, capsys):
+        """d is checked for every command, not only when --delta uses it."""
+        out = tmp_path / "bounds.json"
+        assert run(["bounds", "--lambda", "2.5", "--d", width, "--format",
+                    "json", "--out", str(out)]) == 2
+        assert "d must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSpectrumCommand:
@@ -258,6 +271,23 @@ class TestBoundsCommand:
             assert row["branch_index"] == str(m)
             assert float(row["window_lo"]) <= float(row["window_hi"])
 
+    def test_json_rows(self, tmp_path):
+        out = tmp_path / "bounds.json"
+        assert run(["bounds", "--lambda", "2.5", "--format", "json",
+                    "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"] == {"d": 1.0, "lambda": 2.5, "model": "A",
+                                     "modes": 64}
+        windows = [(0.0, 0.16), (0.16, 0.64), (0.64, 1.0)]
+        assert len(payload["results"]) == len(windows)
+        for m, (row, (lo, hi)) in enumerate(zip(payload["results"], windows), 1):
+            assert set(row) == {"lambda", "n_min", "n_max", "branch_index",
+                                "window_lo", "window_hi"}
+            assert (row["lambda"], row["n_min"], row["n_max"]) == (2.5, 2, 3)
+            assert row["branch_index"] == m
+            assert row["window_lo"] == pytest.approx(lo, abs=1e-15)
+            assert row["window_hi"] == pytest.approx(hi, abs=1e-15)
+
 
 class TestThresholdsCommand:
     @pytest.mark.slow
@@ -271,6 +301,15 @@ class TestThresholdsCommand:
         assert 0.25 < res["lambda0_numeric"] < 0.27
         assert abs(res["kappa0"] - res["lambda0_numeric"]) < 5e-3
         assert res["ordering_ok"] is True
+
+    def test_csv_names(self, tmp_path):
+        out = tmp_path / "thresholds.csv"
+        assert run(["thresholds", "--format", "csv", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["name", "value"]
+        assert [r["name"] for r in rows] == [
+            "kappa0", "lambda0_numeric", "lambda1", "lambda2", "ordering_ok"]
+        assert rows[-1]["value"] == "true"
 
 
 class TestAnalyzeCommand:
@@ -289,6 +328,16 @@ class TestAnalyzeCommand:
         assert set(fits) == {"P1", "P2"}
         for fit in fits.values():
             assert abs(fit["exponent"] - 0.5) < 0.05
+
+    def test_csv_names(self, tmp_path):
+        out = tmp_path / "analyze.csv"
+        assert run(["analyze", "--model", "A", "--lambda", "0.5", "--modes",
+                    "16", "--format", "csv", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["name", "value"]
+        assert [r["name"] for r in rows] == [
+            "monotonicity_ok", "scaling_ok", "scaling_worst_margin",
+            "P1_exponent", "P1_r_squared", "P2_exponent", "P2_r_squared"]
 
     def test_parallel_matches_serial(self, tmp_path):
         """analysis.sweep's worker pool returns the serial spectra."""
@@ -340,3 +389,21 @@ class TestOracleCommand:
                    - float(srows[0]["eigenvalue_over_mu"]))
         assert diff < 1e-3
         assert 0.9 < float(orows[0]["order"]) < 1.3
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, code", [
+        (["bounds", "--lambda", "2.5"], 0),
+        (["bounds", "--lambda", "2.5", "--d", "-1"], 2),
+        (["field", "--model", "A", "--lambda", "0.2", "--modes", "16"], 4),
+    ], ids=["ok", "bad-config", "missing-branch"])
+    def test_exit_code_reaches_the_shell(self, argv, code):
+        """``python -m wavebound.cli`` exits with the code main returns."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "wavebound.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == code, proc.stderr

@@ -241,18 +241,3 @@ def test_certificate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         V.find_negative_certificate(0.0)
 
-
-# ---------------------------------------------------------------------------
-# Threshold report
-# ---------------------------------------------------------------------------
-
-
-def test_threshold_report_ordering():
-    rep = V.ThresholdReport(
-        lambda1=V.lambda1(), kappa0=V.kappa0(), lambda2=V.lambda2(), lambda0_numeric=0.26
-    )
-    assert rep.ordering_ok
-    unresolved = V.ThresholdReport(
-        lambda1=V.lambda1(), kappa0=V.kappa0(), lambda2=V.lambda2()
-    )
-    assert not unresolved.ordering_ok
