@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -145,8 +146,10 @@ def _check_tail(tail_profile: ProfileKind) -> None:
         raise ValueError(f"tail family must be DN_SINE or ND_COSINE, got {tail_profile}")
 
 
+@lru_cache(maxsize=8)
 def overlap_matrix(tail_profile: ProfileKind, N: int) -> np.ndarray:
-    """O[k, m] = overlap of tail mode k with center mode m, for k, m < N.
+    """O[k, m] = overlap of tail mode k with center mode m, for k, m < N;
+    independent of the energy, so memoised and returned read-only.
 
     For the sine family against the Neumann-Neumann cosines,
 
@@ -165,6 +168,7 @@ def overlap_matrix(tail_profile: ProfileKind, N: int) -> np.ndarray:
                  (2.0 * nu / math.pi) / (nu * nu - m * m))
     if tail_profile is ProfileKind.ND_COSINE:
         c = c * (-1.0) ** (k + m)
+    c.setflags(write=False)
     return c
 
 

@@ -31,8 +31,9 @@ f_m'(-delta)/f_m(-delta).  M_s(E) decreases in E between the poles of
 Lambda_0, so the number of sector eigenvalues below E is the number of
 negative eigenvalues of M_s(E) plus the number of poles of Lambda_0
 below E (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263).
-The count is exact for the truncated problem, and each eigenvalue is
-located by bisecting it.
+The count is exact for the truncated problem and isolates each
+eigenvalue in a pole-free bracket, where Brent's method converges on the
+one eigenvalue of M_s(E) that crosses zero there.
 
 All computations are done in nondimensional units d = 1; reported
 eigenvalues are the dimensionless ratios E/mu.
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
+from scipy.optimize import brentq
 
 from .geometry import (
     Geometry,
@@ -143,20 +145,21 @@ def sector_matrix(
     return np.diag(_kappa(N, E)) - (O * (df / f)) @ O.T
 
 
+def _poles_below(delta: float, E: float, sector: int) -> int:
+    """Poles of Lambda_0 below E: sqrt(E) delta = pi/2 + k pi for the
+    cosine of the even sector, k pi (k >= 1) for the sine of the odd one."""
+    phase = math.sqrt(E) * delta / math.pi
+    return math.floor(phase + 0.5) if sector == 1 else math.floor(phase)
+
+
 def sector_count(
     model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
 ) -> int:
-    """Number of eigenvalues below E in one sector of the N-truncated problem.
-
-    neg(M_s(E)) plus the poles of Lambda_0 below E: sqrt(E) delta =
-    pi/2 + k pi for the cosine of the even sector, k pi (k >= 1) for
-    the sine of the odd sector.
-    """
+    """Number of eigenvalues below E in one sector of the N-truncated problem:
+    neg(M_s(E)) plus the poles of Lambda_0 below E."""
     M = sector_matrix(model, geometry, N, E, sector)
     negative = int(np.count_nonzero(eigvalsh(M, check_finite=False) < 0.0))
-    phase = math.sqrt(E) * geometry.unit().delta / math.pi
-    poles = math.floor(phase + 0.5) if sector == 1 else math.floor(phase)
-    return negative + poles
+    return negative + _poles_below(geometry.unit().delta, E, sector)
 
 
 def count_states(model: ModelKind, geometry: Geometry, N: int, E: float) -> int:
@@ -184,21 +187,40 @@ def bisect_count(reached, lo: float, hi: float, tol: float) -> tuple[float, floa
 
 
 def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> list:
-    """Eigenvalues of one sector in the scan window, bisecting its count.
+    """Eigenvalues of one sector in the scan window.
 
-    Each root is refined to REFINE_FRAC * mu; the next one lies above
-    the lower end of the previous bracket.
+    The window is halved by count until each bracket holds one root and
+    no pole of Lambda_0.  M_s(E) decreases there, so with count c and p
+    poles at the lower end, eigenvalue j = c - p of M_s(E) falls from
+    >= 0 to < 0 and brentq finds its zero to REFINE_FRAC * mu.  A bracket
+    that reaches that width with several roots, or a root next to a
+    pole, gives its midpoint per root.
     """
-    mu = geometry.unit().mu
-    lo, hi = SCAN_LO_FRAC * mu, SCAN_HI_FRAC * mu
+    unit = geometry.unit()
+    tol = REFINE_FRAC * unit.mu
 
     def count(E: float) -> int:
-        return sector_count(model, geometry, N, E, sector)
+        return sector_count(model, unit, N, E, sector)
 
-    roots = []
-    for below in range(count(lo), count(hi)):
-        lo, b = bisect_count(lambda E: count(E) > below, lo, hi, REFINE_FRAC * mu)
-        roots.append(0.5 * (lo + b))
+    def crossing(E: float, j: int) -> float:
+        M = sector_matrix(model, unit, N, E, sector)
+        return eigvalsh(M, subset_by_index=[j, j], check_finite=False)[0]
+
+    lo, hi = SCAN_LO_FRAC * unit.mu, SCAN_HI_FRAC * unit.mu
+    roots, brackets = [], [(lo, count(lo), hi, count(hi))]
+    while brackets:
+        lo, c_lo, hi, c_hi = brackets.pop()
+        if c_hi == c_lo:
+            continue
+        poles = _poles_below(unit.delta, lo, sector)
+        if c_hi - c_lo == 1 and _poles_below(unit.delta, hi, sector) == poles:
+            roots.append(brentq(crossing, lo, hi, args=(c_lo - poles,), xtol=tol))
+        elif hi - lo <= tol:
+            roots += [0.5 * (lo + hi)] * (c_hi - c_lo)
+        else:
+            mid = 0.5 * (lo + hi)
+            c_mid = count(mid)
+            brackets += [(mid, c_mid, hi, c_hi), (lo, c_lo, mid, c_mid)]
     return roots
 
 

@@ -158,6 +158,15 @@ def test_overlap_sign_relation():
     np.testing.assert_allclose(D, sign * C, rtol=1e-14, atol=0.0)
 
 
+def test_overlap_memoised_read_only():
+    """Every call for one family and truncation shares one array, which
+    no caller can change."""
+    O = overlap_matrix(ProfileKind.DN_SINE, 8)
+    assert overlap_matrix(ProfileKind.DN_SINE, 8) is O
+    with pytest.raises(ValueError):
+        O[0, 0] = 0.0
+
+
 def test_overlap_rejects_bad_pairs():
     with pytest.raises(ValueError):
         overlap_matrix(ProfileKind.NN_COSINE, 4)  # center family is not a tail family

@@ -212,7 +212,7 @@ class TestCount:
                 assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_count_steps_by_one_across_each_root(self):
-        width = 1e-9 * MU
+        width = mm.REFINE_FRAC * MU
         for model, lam in ((ModelKind.A, 2.5), (ModelKind.B, 2.5), (ModelKind.A, 20.2)):
             geometry = Geometry.from_lambda(lam)
             spec = mm.scan_spectrum(model, geometry, N=32, check_stability=False)
@@ -268,6 +268,79 @@ class TestCount:
             field = mm.solve_coefficients(model, geometry, N, E)
             v = np.concatenate([field.a, field.b, field.alpha, field.beta])
             assert np.linalg.norm(A @ v) < 1e-6 * np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------------------
+# root refinement: isolation by count, then Brent
+# ---------------------------------------------------------------------------
+
+
+def _bisected_sector_roots(model, geometry, N, sector):
+    """Reference: each root of the sector as the midpoint of a count
+    bracket halved to REFINE_FRAC * mu, the next search starting from the
+    lower end of the previous bracket."""
+    tol = mm.REFINE_FRAC * MU
+    lo, hi = mm.SCAN_LO_FRAC * MU, mm.SCAN_HI_FRAC * MU
+
+    def count(E):
+        return mm.sector_count(model, geometry, N, E, sector)
+
+    roots = []
+    for below in range(count(lo), count(hi)):
+        top = hi
+        while top - lo > tol:
+            mid = 0.5 * (lo + top)
+            if count(mid) > below:
+                top = mid
+            else:
+                lo = mid
+        roots.append(0.5 * (lo + top))
+    return roots
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("model,lam,budget", [
+        (ModelKind.A, 0.5, 16),
+        (ModelKind.B, 2.5, 45),
+        (ModelKind.A, 20.2, 300),
+    ])
+    def test_evaluation_budget(self, monkeypatch, model, lam, budget):
+        """Sector-matrix evaluations of one ungated scan at N=64 (the
+        count bisection took 39, 109 and 690)."""
+        calls = []
+        original = mm.sector_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mm, "sector_matrix", counted)
+        mm.scan_spectrum(model, Geometry.from_lambda(lam), N=64, check_stability=False)
+        assert 0 < len(calls) <= budget
+
+    @pytest.mark.parametrize("model,lam", [
+        (ModelKind.A, 1.0),
+        (ModelKind.A, 2.0),
+        (ModelKind.A, 20.0),
+        (ModelKind.B, 2.0),
+    ])
+    def test_roots_next_to_poles_match_count_bisection(self, model, lam):
+        """At integer lambda roots sit next to poles of Lambda_0; the
+        refined roots match the count bisection and carry the count
+        certificate at the refinement width."""
+        geometry = Geometry.from_lambda(lam)
+        width = mm.REFINE_FRAC * MU
+        refined = []
+        for sector in mm.SECTORS:
+            roots = sorted(mm._sector_roots(model, geometry, 64, sector))
+            reference = _bisected_sector_roots(model, geometry, 64, sector)
+            assert len(roots) == len(reference)
+            assert np.max(np.abs(np.subtract(roots, reference)), initial=0.0) <= width
+            refined += roots
+        assert refined
+        for i, E in enumerate(sorted(refined)):
+            assert mm.count_states(model, geometry, 64, E - width) == i
+            assert mm.count_states(model, geometry, 64, E + width) == i + 1
 
 
 # ---------------------------------------------------------------------------
