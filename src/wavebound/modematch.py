@@ -33,7 +33,9 @@ negative eigenvalues of M_s(E) plus the number of poles of Lambda_0
 below E (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263).
 The count is exact for the truncated problem and isolates each
 eigenvalue in a pole-free bracket, where Brent's method converges on the
-one eigenvalue of M_s(E) that crosses zero there.
+one eigenvalue of M_s(E) that crosses zero there.  Each eigenvalue keeps
+the sector it was found in (``Spectrum.sectors``), and its eigenfield is
+solved in that sector.
 
 All computations are done in nondimensional units d = 1; reported
 eigenvalues are the dimensionless ratios E/mu.
@@ -70,8 +72,6 @@ __all__ = [
     "solve_coefficients",
     "evaluate_field",
     "solve_field",
-    "convergence_study",
-    "ConvergenceStudy",
 ]
 
 #: scan window margins, in units of mu
@@ -85,6 +85,9 @@ NEAR_THRESHOLD_FRAC = 1e-6
 
 #: truncation bump used by the stability check
 STABILITY_BUMP = 8
+
+#: largest truncation N per region
+MAX_MODES = 256
 
 #: parity sectors under the model's reflection: even (+1) and odd (-1)
 SECTORS = (1, -1)
@@ -133,15 +136,15 @@ def sector_matrix(
     E is the absolute energy of the nondimensional problem (d = 1), so
     it must lie strictly inside (0, pi^2/4).
     """
-    mu = math.pi**2 / 4.0
-    if not (0.0 < E < mu):
-        raise ValueError(f"energy must lie in (0, mu)=(0, {mu}), got {E}")
-    if not (4 <= N <= 256):
-        raise ValueError(f"truncation N must lie in [4, 256], got {N}")
+    unit = geometry.unit()
+    if not (0.0 < E < unit.mu):
+        raise ValueError(f"energy must lie in (0, mu)=(0, {unit.mu}), got {E}")
+    if not (4 <= N <= MAX_MODES):
+        raise ValueError(f"truncation N must lie in [4, {MAX_MODES}], got {N}")
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}, got {sector}")
     O = overlap_matrix(region_profile(model, Region.I), N)
-    f, df = _center_at_interface(
-        _center_is_cos(model, sector, N), geometry.unit().delta, E
-    )
+    f, df = _center_at_interface(_center_is_cos(model, sector, N), unit.delta, E)
     return np.diag(_kappa(N, E)) - (O * (df / f)) @ O.T
 
 
@@ -225,13 +228,16 @@ def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> 
 
 
 def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:
-    """True when the sector at N + STABILITY_BUMP has a root within
-    STABLE_DRIFT_FRAC * mu of E (inside the scan window)."""
+    """True when the sector at N + STABILITY_BUMP (N - STABILITY_BUMP
+    above MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of E
+    (inside the scan window)."""
     mu = geometry.unit().mu
     drift = STABLE_DRIFT_FRAC * mu
     lo = max(E - drift, SCAN_LO_FRAC * mu)
     hi = min(E + drift, SCAN_HI_FRAC * mu)
     bumped = N + STABILITY_BUMP
+    if bumped > MAX_MODES:
+        bumped = N - STABILITY_BUMP
     return sector_count(model, geometry, bumped, hi, sector) > sector_count(
         model, geometry, bumped, lo, sector
     )
@@ -239,7 +245,8 @@ def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int)
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Discrete eigenvalues (as E/mu) with residuals and stability flags.
+    """Discrete eigenvalues (as E/mu) with their parity sectors, residuals
+    and stability flags.
 
     ``near_threshold`` lists candidate roots within NEAR_THRESHOLD_FRAC *
     mu of the threshold; they are reported as unresolved rather than as
@@ -250,12 +257,10 @@ class Spectrum:
     geometry: Geometry
     N: int
     eigenvalues: tuple  # E/mu, sorted, strictly inside (0, 1)
+    sectors: tuple  # per-eigenvalue parity sector, +1 even or -1 odd
     residuals: tuple  # min |eig M_s| at each refined root
     stable: tuple  # per-eigenvalue bool
     near_threshold: tuple = ()
-
-    def stable_eigenvalues(self) -> tuple:
-        return tuple(e for e, s in zip(self.eigenvalues, self.stable) if s)
 
 
 def scan_spectrum(
@@ -264,13 +269,14 @@ def scan_spectrum(
     N: int = 64,
     check_stability: bool = True,
 ) -> Spectrum:
-    """All discrete eigenvalues in the scan window, from the sector counts.
+    """All discrete eigenvalues in the scan window, from the sector counts,
+    each with the parity sector it was found in.
 
     Roots within NEAR_THRESHOLD_FRAC * mu of the threshold are reported
     in ``near_threshold`` instead of ``eigenvalues``.  When
     ``check_stability`` is set, each root is flagged stable when its
-    sector at truncation N + STABILITY_BUMP has a root within
-    STABLE_DRIFT_FRAC * mu of it.
+    sector at truncation N + STABILITY_BUMP (N - STABILITY_BUMP above
+    MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it.
     """
     unit = geometry.unit()
     mu = unit.mu
@@ -279,12 +285,13 @@ def scan_spectrum(
         for sector in SECTORS
         for root in _sector_roots(model, unit, N, sector)
     )
-    eigenvalues, residuals, flags, near = [], [], [], []
+    eigenvalues, sectors, residuals, flags, near = [], [], [], [], []
     for root, sector in roots:
         if mu - root <= NEAR_THRESHOLD_FRAC * mu:
             near.append(root / mu)
             continue
         eigenvalues.append(root / mu)
+        sectors.append(sector)
         residuals.append(_residual(model, unit, N, root, sector))
         flags.append(not check_stability or _stable(model, unit, N, root, sector))
     return Spectrum(
@@ -292,6 +299,7 @@ def scan_spectrum(
         geometry=unit,
         N=N,
         eigenvalues=tuple(eigenvalues),
+        sectors=tuple(sectors),
         residuals=tuple(residuals),
         stable=tuple(flags),
         near_threshold=tuple(near),
@@ -321,8 +329,6 @@ class EigenField:
     b: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    residual: float  # min |eig M_s| of the sector at E
-    possible_multiplicity: bool = False
 
     @property
     def kappa(self) -> np.ndarray:
@@ -361,33 +367,32 @@ def _center_factors(field: EigenField, x: np.ndarray) -> np.ndarray:
 
 
 def solve_coefficients(
-    model: ModelKind, geometry: Geometry, N: int, E: float
+    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
 ) -> EigenField:
-    """Eigenfield at a root E from the null vector of its sector matrix.
+    """Eigenfield at a root E of the given parity sector (+1 or -1, as
+    recorded in ``Spectrum.sectors``) from the null vector of its matrix.
 
-    E is a root when a sector's count steps within REFINE_FRAC * mu of
-    it (the width the roots are refined to); a step in both sectors, or
-    by more than one, flags possible multiplicity.  The eigenvector of
-    M_s(E) closest to zero gives a, the reflection gives b, and value
-    continuity the center amplitudes (O^T a)_m / f_m(-delta); where
-    f_0(-delta) is small (near a pole of Lambda_0) the m = 0 amplitude
-    comes from derivative continuity instead.  The field is scaled to
-    unit L^2(Omega) norm with the largest-magnitude coefficient
-    positive.
+    E must be a root of that sector: its count steps within
+    REFINE_FRAC * mu of E (the width the roots are refined to), else
+    ValueError.  The eigenvector of M_s(E) closest to zero gives a, the
+    reflection gives b, and value continuity the center amplitudes
+    (O^T a)_m / f_m(-delta); where f_0(-delta) is small (near a pole of
+    Lambda_0) the m = 0 amplitude comes from derivative continuity
+    instead.  The field is scaled to unit L^2(Omega) norm with the
+    largest-magnitude coefficient positive.
     """
     unit = geometry.unit()
     delta = unit.delta
     tol = REFINE_FRAC * unit.mu
-    steps = [
-        sector_count(model, unit, N, E + tol, s) - sector_count(model, unit, N, E - tol, s)
-        for s in SECTORS
-    ]
-    if not any(steps):
-        raise ValueError(f"E={E} is not a root: no sector count steps within {tol:.3g}")
-    sector = SECTORS[0] if steps[0] else SECTORS[1]
+    if sector_count(model, unit, N, E + tol, sector) == sector_count(
+        model, unit, N, E - tol, sector
+    ):
+        raise ValueError(
+            f"E={E} is not a root of sector {sector}: its count does not step "
+            f"within {tol:.3g}"
+        )
     w, V = eigh(sector_matrix(model, unit, N, E, sector), check_finite=False)
-    nearest = int(np.argmin(np.abs(w)))
-    a = V[:, nearest]
+    a = V[:, np.argmin(np.abs(w))]
 
     O = overlap_matrix(region_profile(model, Region.I), N)
     is_cos = _center_is_cos(model, sector, N)
@@ -416,8 +421,6 @@ def solve_coefficients(
         b=b / scale,
         alpha=alpha / scale,
         beta=beta / scale,
-        residual=float(abs(w[nearest])),
-        possible_multiplicity=sum(steps) > 1,
     )
 
 
@@ -492,52 +495,4 @@ def solve_field(
         )
     unit = geometry.unit()
     E = spectrum.eigenvalues[branch - 1] * unit.mu
-    return solve_coefficients(model, unit, N, E)
-
-
-# ---------------------------------------------------------------------------
-# Convergence study
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    """Eigenvalue estimates per truncation and the fitted algebraic order."""
-
-    rows: tuple  # (N, E/mu) pairs
-    order: float
-
-
-def convergence_study(
-    model: ModelKind,
-    geometry: Geometry,
-    N_list,
-    branch: int = 1,
-) -> ConvergenceStudy:
-    """Track one eigenvalue branch across truncations and fit its order.
-
-    The empirical order p comes from a log-log least-squares fit of the
-    successive differences |E(N_i) - E(N_{i+1})| against N_i.
-    """
-    N_list = sorted(N_list)
-    if len(N_list) < 3:
-        raise ValueError("need at least three truncation orders")
-    rows = []
-    for N in N_list:
-        spec = scan_spectrum(model, geometry, N=N, check_stability=False)
-        if len(spec.eigenvalues) >= branch:
-            rows.append((N, spec.eigenvalues[branch - 1]))
-    if len(rows) < 2:
-        raise RuntimeError("fewer than two resolved eigenvalue estimates")
-    diffs = []
-    for (N1, e1), (_, e2) in zip(rows[:-1], rows[1:]):
-        d = abs(e1 - e2)
-        if d > 0.0:
-            diffs.append((N1, d))
-    if len(diffs) < 2:
-        # differences at rounding level: effectively converged
-        return ConvergenceStudy(rows=tuple(rows), order=math.inf)
-    logN = np.log([n for n, _ in diffs])
-    logd = np.log([d for _, d in diffs])
-    slope = np.polyfit(logN, logd, 1)[0]
-    return ConvergenceStudy(rows=tuple(rows), order=float(-slope))
+    return solve_coefficients(model, unit, N, E, spectrum.sectors[branch - 1])

@@ -31,9 +31,7 @@ def sweep_b():
 
 @pytest.fixture(scope="module")
 def field_a_half():
-    geometry = Geometry.from_lambda(0.5)
-    spec = mm.scan_spectrum(ModelKind.A, geometry, N=32, check_stability=False)
-    return mm.solve_coefficients(ModelKind.A, geometry, 32, spec.eigenvalues[0] * MU)
+    return mm.solve_field(ModelKind.A, Geometry.from_lambda(0.5), branch=1, N=32)
 
 
 class TestSweep:

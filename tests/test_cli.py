@@ -136,6 +136,18 @@ class TestSpectrumCommand:
         assert abs(float(rows[0]["eigenvalue_over_mu"]) - 0.8396) < 1e-3
         assert float(rows[0]["residual"]) < 1e-6
 
+    def test_largest_truncation_is_gated(self, tmp_path):
+        """At N=256 the stability gate cannot go to N + 8 and compares
+        with N - 8 instead."""
+        out = tmp_path / "n256.csv"
+        assert run(
+            ["spectrum", "--model", "A", "--lambda", "0.5", "--modes", "256",
+             "--out", str(out)]
+        ) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1
+        assert rows[0]["stable"] == "true"
+
     def test_json_schema(self, tmp_path):
         out = tmp_path / "one.json"
         assert run(

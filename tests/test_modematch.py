@@ -101,7 +101,9 @@ def spectrum_a_half():
 @pytest.fixture(scope="module")
 def field_a_half(spectrum_a_half):
     E = spectrum_a_half.eigenvalues[0] * MU
-    return mm.solve_coefficients(ModelKind.A, Geometry.from_lambda(0.5), 32, E)
+    return mm.solve_coefficients(
+        ModelKind.A, Geometry.from_lambda(0.5), 32, E, spectrum_a_half.sectors[0]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +112,9 @@ def field_b_half():
         ModelKind.B, Geometry.from_lambda(0.5), N=32, check_stability=False
     )
     E = spec.eigenvalues[0] * MU
-    return mm.solve_coefficients(ModelKind.B, Geometry.from_lambda(0.5), 32, E)
+    return mm.solve_coefficients(
+        ModelKind.B, Geometry.from_lambda(0.5), 32, E, spec.sectors[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,18 @@ class TestAssemble:
             mm.sector_matrix(ModelKind.A, geometry, 3, 0.5 * MU, 1)
         with pytest.raises(ValueError):
             mm.sector_matrix(ModelKind.A, geometry, 257, 0.5 * MU, 1)
+
+    def test_unknown_sector_rejected(self):
+        """Only +1 and -1 name a sector; unchecked, any other value would
+        build the odd matrix and, at an odd root, a field with b = 0."""
+        geometry = Geometry.from_lambda(2.5)
+        spec = mm.scan_spectrum(ModelKind.B, geometry, N=16, check_stability=False)
+        assert spec.sectors[1] == -1
+        for sector in (0, 2):
+            with pytest.raises(ValueError):
+                mm.solve_coefficients(
+                    ModelKind.B, geometry, 16, spec.eigenvalues[1] * MU, sector
+                )
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
@@ -261,11 +277,11 @@ class TestCount:
     def test_roots_are_null_points_of_reference_matrix(self, lam, N, model):
         geometry = Geometry.from_lambda(lam)
         spec = mm.scan_spectrum(model, geometry, N=N, check_stability=False)
-        for value in spec.eigenvalues:
+        for value, sector in zip(spec.eigenvalues, spec.sectors):
             E = value * MU
             A = reference_matrix(model, lam, N, E)
             assert svdvals(A)[-1] < 1e-6
-            field = mm.solve_coefficients(model, geometry, N, E)
+            field = mm.solve_coefficients(model, geometry, N, E, sector)
             v = np.concatenate([field.a, field.b, field.alpha, field.beta])
             assert np.linalg.norm(A @ v) < 1e-6 * np.linalg.norm(v)
 
@@ -393,7 +409,50 @@ class TestScanSpectrum:
         spec = mm.scan_spectrum(ModelKind.A, Geometry.from_lambda(0.5), N=64)
         assert len(spec.eigenvalues) == 1
         assert spec.stable == (True,)
-        assert spec.stable_eigenvalues() == spec.eigenvalues
+
+
+# ---------------------------------------------------------------------------
+# the parity sector recorded per eigenvalue
+# ---------------------------------------------------------------------------
+
+
+class TestSectorRecord:
+    @pytest.mark.parametrize("model,lam", [
+        (ModelKind.A, 0.5),
+        (ModelKind.B, 2.5),
+        (ModelKind.A, 2.0),  # roots next to poles take the midpoint path
+        (ModelKind.A, 20.2),
+    ])
+    def test_each_eigenvalue_steps_its_own_sector_count(self, model, lam):
+        geometry = Geometry.from_lambda(lam)
+        spec = mm.scan_spectrum(model, geometry, N=64, check_stability=False)
+        width = mm.REFINE_FRAC * MU
+        assert len(spec.sectors) == len(spec.eigenvalues) >= 1
+        assert spec.sectors[0] == 1  # the ground state is even (Perron-Frobenius)
+        for value, sector in zip(spec.eigenvalues, spec.sectors):
+            assert sector in mm.SECTORS
+            E = value * MU
+            below = mm.sector_count(model, geometry, 64, E - width, sector)
+            assert mm.sector_count(model, geometry, 64, E + width, sector) == below + 1
+
+    def test_wrong_sector_rejected(self, spectrum_a_half):
+        E = spectrum_a_half.eigenvalues[0] * MU
+        with pytest.raises(ValueError):
+            mm.solve_coefficients(ModelKind.A, Geometry.from_lambda(0.5), 32, E, -1)
+
+    def test_field_costs_the_scan_plus_three_evaluations(self, monkeypatch):
+        """Two counts certify the root in its recorded sector and one
+        eigendecomposition gives the null vector."""
+        calls = []
+        original = mm.sector_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mm, "sector_matrix", counted)
+        mm.solve_field(ModelKind.A, Geometry.from_lambda(0.5), branch=1, N=64)
+        assert 0 < len(calls) <= 17
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +494,11 @@ class TestEigenField:
         assert abs(total - 1.0) < 1e-6
 
     def test_not_at_root_rejected(self):
-        with pytest.raises(ValueError):
-            mm.solve_coefficients(ModelKind.A, Geometry.from_lambda(0.5), 16, 0.5 * MU)
-
-    def test_no_multiplicity_flag_for_simple_root(self, field_a_half):
-        assert not field_a_half.possible_multiplicity
+        for sector in mm.SECTORS:
+            with pytest.raises(ValueError):
+                mm.solve_coefficients(
+                    ModelKind.A, Geometry.from_lambda(0.5), 16, 0.5 * MU, sector
+                )
 
     def test_dirichlet_side_exact_zero(self, field_a_half):
         xs = np.array([-0.6, -1.0, -3.0])
@@ -472,7 +531,7 @@ class TestEigenField:
 
         spec16 = mm.scan_spectrum(ModelKind.A, geometry, N=16, check_stability=False)
         field16 = mm.solve_coefficients(
-            ModelKind.A, geometry, 16, spec16.eigenvalues[0] * MU
+            ModelKind.A, geometry, 16, spec16.eigenvalues[0] * MU, spec16.sectors[0]
         )
         j16, j32 = jump(field16), jump(field_a_half)
         assert j32 < 1e-2
@@ -481,26 +540,3 @@ class TestEigenField:
     def test_solve_field_missing_branch(self):
         with pytest.raises(LookupError):
             mm.solve_field(ModelKind.A, Geometry.from_lambda(0.2), branch=1, N=16)
-
-
-# ---------------------------------------------------------------------------
-# convergence_study
-# ---------------------------------------------------------------------------
-
-
-class TestConvergence:
-    def test_drift_decreases_and_order_positive(self):
-        study = mm.convergence_study(
-            ModelKind.A, Geometry.from_lambda(0.5), [16, 24, 32]
-        )
-        rows = study.rows
-        assert len(rows) == 3
-        values = [e for _, e in rows]
-        d1 = abs(values[0] - values[1])
-        d2 = abs(values[1] - values[2])
-        assert d2 < d1
-        assert study.order > 0.5
-
-    def test_requires_three_truncations(self):
-        with pytest.raises(ValueError):
-            mm.convergence_study(ModelKind.A, Geometry.from_lambda(0.5), [16, 32])
