@@ -155,14 +155,22 @@ def _poles_below(delta: float, E: float, sector: int) -> int:
     return math.floor(phase + 0.5) if sector == 1 else math.floor(phase)
 
 
+def _count_and_eigenvalues(
+    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
+) -> tuple[int, np.ndarray]:
+    """Sector count at E, neg(M_s(E)) plus the poles of Lambda_0 below E,
+    with the eigenvalues of M_s(E) it was read from."""
+    w = eigvalsh(sector_matrix(model, geometry, N, E, sector), check_finite=False)
+    negative = int(np.count_nonzero(w < 0.0))
+    return negative + _poles_below(geometry.unit().delta, E, sector), w
+
+
 def sector_count(
     model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
 ) -> int:
     """Number of eigenvalues below E in one sector of the N-truncated problem:
     neg(M_s(E)) plus the poles of Lambda_0 below E."""
-    M = sector_matrix(model, geometry, N, E, sector)
-    negative = int(np.count_nonzero(eigvalsh(M, check_finite=False) < 0.0))
-    return negative + _poles_below(geometry.unit().delta, E, sector)
+    return _count_and_eigenvalues(model, geometry, N, E, sector)[0]
 
 
 def count_states(model: ModelKind, geometry: Geometry, N: int, E: float) -> int:
@@ -195,35 +203,39 @@ def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> 
     The window is halved by count until each bracket holds one root and
     no pole of Lambda_0.  M_s(E) decreases there, so with count c and p
     poles at the lower end, eigenvalue j = c - p of M_s(E) falls from
-    >= 0 to < 0 and brentq finds its zero to REFINE_FRAC * mu.  A bracket
-    that reaches that width with several roots, or a root next to a
-    pole, gives its midpoint per root.
+    >= 0 to < 0 and brentq finds its zero to REFINE_FRAC * mu, taking
+    the end values from the eigenvalues the counts there computed.  A
+    bracket that reaches that width with several roots, or a root next
+    to a pole, gives its midpoint per root.
     """
     unit = geometry.unit()
     tol = REFINE_FRAC * unit.mu
 
-    def count(E: float) -> int:
-        return sector_count(model, unit, N, E, sector)
+    def end(E: float) -> tuple:
+        return (E, *_count_and_eigenvalues(model, unit, N, E, sector))
 
-    def crossing(E: float, j: int) -> float:
+    def crossing(E: float, j: int, ends: tuple) -> float:
+        for at, _, w in ends:
+            if E == at:
+                return w[j]
         M = sector_matrix(model, unit, N, E, sector)
         return eigvalsh(M, subset_by_index=[j, j], check_finite=False)[0]
 
-    lo, hi = SCAN_LO_FRAC * unit.mu, SCAN_HI_FRAC * unit.mu
-    roots, brackets = [], [(lo, count(lo), hi, count(hi))]
+    roots = []
+    brackets = [(end(SCAN_LO_FRAC * unit.mu), end(SCAN_HI_FRAC * unit.mu))]
     while brackets:
-        lo, c_lo, hi, c_hi = brackets.pop()
+        ends = brackets.pop()
+        (lo, c_lo, _), (hi, c_hi, _) = ends
         if c_hi == c_lo:
             continue
         poles = _poles_below(unit.delta, lo, sector)
         if c_hi - c_lo == 1 and _poles_below(unit.delta, hi, sector) == poles:
-            roots.append(brentq(crossing, lo, hi, args=(c_lo - poles,), xtol=tol))
+            roots.append(brentq(crossing, lo, hi, args=(c_lo - poles, ends), xtol=tol))
         elif hi - lo <= tol:
             roots += [0.5 * (lo + hi)] * (c_hi - c_lo)
         else:
-            mid = 0.5 * (lo + hi)
-            c_mid = count(mid)
-            brackets += [(mid, c_mid, hi, c_hi), (lo, c_lo, mid, c_mid)]
+            mid = end(0.5 * (lo + hi))
+            brackets += [(mid, ends[1]), (ends[0], mid)]
     return roots
 
 

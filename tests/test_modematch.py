@@ -314,6 +314,20 @@ def _bisected_sector_roots(model, geometry, N, sector):
     return roots
 
 
+def _scan_evaluations(monkeypatch, model, lam):
+    """Sector-matrix evaluations of one ungated scan at N=64."""
+    calls = []
+    original = mm.sector_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mm, "sector_matrix", counted)
+    mm.scan_spectrum(model, Geometry.from_lambda(lam), N=64, check_stability=False)
+    return len(calls)
+
+
 class TestRefinement:
     @pytest.mark.parametrize("model,lam,budget", [
         (ModelKind.A, 0.5, 16),
@@ -321,18 +335,19 @@ class TestRefinement:
         (ModelKind.A, 20.2, 300),
     ])
     def test_evaluation_budget(self, monkeypatch, model, lam, budget):
-        """Sector-matrix evaluations of one ungated scan at N=64 (the
-        count bisection took 39, 109 and 690)."""
-        calls = []
-        original = mm.sector_matrix
+        """Brent refinement against the count bisection, which took 39,
+        109 and 690 evaluations."""
+        assert 0 < _scan_evaluations(monkeypatch, model, lam) <= budget
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(mm, "sector_matrix", counted)
-        mm.scan_spectrum(model, Geometry.from_lambda(lam), N=64, check_stability=False)
-        assert 0 < len(calls) <= budget
+    @pytest.mark.parametrize("model,lam,budget", [
+        (ModelKind.A, 0.5, 14),
+        (ModelKind.B, 2.5, 38),
+        (ModelKind.A, 20.2, 257),
+    ])
+    def test_bracket_ends_not_reevaluated(self, monkeypatch, model, lam, budget):
+        """Brent reuses the eigenvalues the count computed at each bracket
+        end; rebuilding M_s there took 14, 39 and 279 evaluations."""
+        assert 0 < _scan_evaluations(monkeypatch, model, lam) <= budget
 
     @pytest.mark.parametrize("model,lam", [
         (ModelKind.A, 1.0),
