@@ -16,7 +16,7 @@ Sub-modules:
 * ``bounds``      -- closed-form bracketing of state counts and eigenvalues
 * ``variational`` -- analytic window thresholds and the model-B certificate
 * ``modematch``   -- interface-matching eigenvalue solver (production path)
-* ``fdm_oracle``  -- finite-difference cross-check on a truncated strip
+* ``fdm_oracle``  -- finite-difference cross-check with transparent ends
 * ``analysis``    -- diagnostics: corner exponent, monotonicity, scaling
 * ``cli``         -- the ``wavebound`` command-line tool
 """

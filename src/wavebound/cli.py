@@ -328,7 +328,9 @@ def cmd_oracle(config: RunConfig, args: argparse.Namespace) -> int:
         except LookupError:
             if branch is not None:
                 raise
-            skipped.append(b)
+            # a branch some grid does not bind is dropped like one above mu
+            if b > fo.MAX_PAIRS:
+                skipped.append(b)
             continue
         if estimate / MU >= 1.0:
             if branch is not None:

@@ -1,49 +1,78 @@
 """Independent finite-difference verification of the strip eigenvalues.
 
-The negative Laplacian on the truncated strip [-L, L] x [0, d] is
-discretized on a vertex-centered grid by the quadratic form
+The negative Laplacian on the strip R x [0, d] is discretized on a
+vertex-centered grid by the quadratic form
 
     q(u) = sum_edges w_e (u_p - u_q)^2,      w_e = ell_perp / h_par,
 
 which reproduces the classical 5-point stencil with mirror-ghost
 Neumann rows after dividing by the lumped vertex masses
-m_v = ell_x(i) * ell_y(j) (half cells on boundary lines).  Dirichlet
-vertices are eliminated; the symmetrically scaled matrix
+m_v = hx * ell_y(j) (half cells on the walls y = 0, d).  The oracle's
+grid covers the window plus one cell, x in [-delta - hx, delta + hx];
+its end columns are full interior columns.  Dirichlet vertices are eliminated; the
+symmetrically scaled matrix
 
-    A = M^(-1/2) K M^(-1/2)
+    A0 = M^(-1/2) K M^(-1/2)
 
-is assembled entry-by-entry so that A == A^T holds exactly in floating
-point.  Its eigenvalues equal those of the generalized problem
-K u = E M u, i.e. of the ghost-point finite-difference operator.
+is assembled entry-by-entry so that A0 == A0^T holds exactly in floating
+point.
+
+Transparent ends.  Beyond each end column the grid repeats that column
+without end, and the exterior is eliminated exactly (the discrete
+Dirichlet-to-Neumann map of the 5-point stencil; Arnold, Ehrhardt &
+Sofronov, Commun. Math. Sci. 1 (2003) 501).  On the end column,
+S = Ly^(-1/2) Ty Ly^(-1/2) = Psi diag(t_j) Psi^T is the lumped-mass
+transverse operator, and its lowest eigenvalue t_0 = mu_h is the discrete
+threshold.  Below it the exterior's mode j falls by rho_j per column,
+
+    rho_j + 1/rho_j = 2 + hx^2 (t_j - E),      |rho_j| < 1,
+
+and the exterior's energy (form minus E times mass) is exactly
+(1 - rho_j)/hx per unit squared coefficient of mode j in Ly^(1/2) u on
+the end column; the scaled unknowns there are hx^(1/2) Ly^(1/2) u, so
+the eliminated tails add the dense block
+
+    D(E) = hx^-2 Psi diag(1 - rho_j(E)) Psi^T
+
+to the end column's block: A(E) = A0 + D(E), and E is a bound state of
+the infinite grid exactly when E is an eigenvalue of A(E).  D(E), and
+with it every eigenvalue lambda_b(A(E)), decreases in E below mu_h, so
+the b-th bound state is the unique root of f(E) = lambda_b(A(E)) - E in
+(0, mu_h).  The root exists exactly when lambda_b(A(mu_h)) < mu_h (the
+grid binds at least b states), and then that value is a lower bound for
+it.  Newton's method refines the root with the Hellmann-Feynman slope
+
+    d lambda_b / dE = -sum_j c_j^2 rho_j^2 / (1 - rho_j^2),    c = Psi^T v_end,
+
+inside the bracket [lower bound, mu_h], bisecting when a step leaves it.
 
 Both models are symmetric under a reflection sigma of the grid that
 swaps the two tails: (i, j) -> (nx - i, ny - j) for model A (the point
 reflection (x, y) -> (-x, 1 - y)) and (i, j) -> (nx - i, j) for model B
-(x -> -x).  sigma maps the Dirichlet set and the masses onto themselves,
-so A commutes with it and splits into an even (s = +1) and an odd
-(s = -1) sector.  A sector's unknowns are the orbit representatives p
-(the vertex of {p, sigma p} that comes first in row-major order); its
-matrix is Q_s^T A Q_s with the orthonormal fold
+(x -> -x).  sigma maps the Dirichlet set, the masses and the two ends onto
+themselves, so A(E) commutes with it and splits into an even (s = +1)
+and an odd (s = -1) sector.  A sector's unknowns are the orbit
+representatives p (the vertex of {p, sigma p} that comes first in
+row-major order); its matrix is Q_s^T A(E) Q_s with the orthonormal fold
 
     Q_s e_p = (e_p + s e_{sigma p}) / sqrt(2),    Q_+ e_p = e_p if sigma p = p,
 
 and vertices fixed by sigma carry no odd unknown (an odd field vanishes
 there).  The sector matrix is assembled from the same edge form in fold
 coordinates, upper triangle once plus its transpose, so it is exactly
-symmetric too; the two spectra together are the spectrum of A, each on
-about half the unknowns.  A has nonpositive off-diagonals and a
-connected graph, so by Perron-Frobenius its ground state is simple and
-positive, hence even: the odd sector never holds the lowest state, and
-the b-th eigenvalue is among the b lowest even and b - 1 lowest odd ones.
-
-Truncation uses artificial Dirichlet walls at x = +-L (monotone upward
-bias).  Everything is in d = 1 units.
+symmetric too; the two spectra together are the spectrum of A(E), each
+on about half the unknowns.  A(E) has nonpositive off-diagonals (D(E) is
+a Schur complement of an M-matrix) and a connected graph, so by
+Perron-Frobenius its ground state is simple and positive, hence even:
+the odd sector never holds the lowest state, and the b-th bound state is
+among the b lowest even and b - 1 lowest odd ones.  Everything is in
+d = 1 units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,15 +83,14 @@ from .geometry import Geometry, ModelKind
 __all__ = [
     "FdmGrid",
     "FdmOperator",
+    "TransparentEnd",
     "dirichlet_mask",
     "build_operator",
     "build_from_mask",
     "lowest_eigenpairs",
+    "bound_states",
     "extrapolate",
 ]
-
-#: default half-length margin beyond the window, in units of d
-L_MARGIN = 12.0
 
 #: relative eigenpair residual contract
 RESIDUAL_TOL = 1e-10
@@ -73,14 +101,21 @@ MAX_PAIRS = 6
 #: reflection parity sectors, even then odd (as ``modematch.SECTORS``)
 SECTORS = (1, -1)
 
+#: a root is accepted, its last Newton step applied, once that step is
+#: below this fraction of it; the error left is of the step's square
+ROOT_TOL = 1e-9
+
+#: most eigensolves one bound state may take
+MAX_ROOT_STEPS = 60
+
 
 @dataclass(frozen=True)
 class FdmGrid:
     """Vertex-centered grid on [-L, L] x [0, 1].
 
     The switch points x = +-delta must fall exactly on grid columns;
-    ``from_spacing`` chooses hx accordingly (hx = delta / round(delta/hy),
-    L snapped up to a multiple of hx).
+    ``from_spacing`` chooses hx accordingly (hx = delta / round(delta/hy))
+    and adds one cell beyond each switch point.
     """
 
     L: float
@@ -116,36 +151,31 @@ class FdmGrid:
         return i
 
     @classmethod
-    def from_spacing(
-        cls, geometry: Geometry, hy: float, L: float | None = None
-    ) -> "FdmGrid":
-        """Grid with transverse spacing hy and switch-aligned columns."""
-        unit = geometry.unit()
-        delta = unit.delta
+    def from_spacing(cls, geometry: Geometry, hy: float) -> "FdmGrid":
+        """Window grid with transverse spacing hy, switch-aligned columns
+        and one cell beyond each switch point."""
+        delta = geometry.unit().delta
         ny = int(round(1.0 / hy))
         if abs(ny * hy - 1.0) > 1e-9:
             raise ValueError(f"hy = {hy} must divide the strip width")
         n_delta = max(1, int(round(delta / hy)))
         hx = delta / n_delta
-        target = delta + L_MARGIN if L is None else L
-        n_half = int(math.ceil(target / hx - 1e-12))
-        return cls(L=n_half * hx, nx=2 * n_half, ny=ny)
+        return cls(delta + hx, 2 * n_delta + 2, ny)
 
 
 def dirichlet_mask(model: ModelKind, geometry: Geometry, grid: FdmGrid) -> np.ndarray:
     """Boolean (nx+1, ny+1) array marking Dirichlet vertices.
 
-    The artificial ends x = +-L are Dirichlet.  The Dirichlet boundary
-    sets are open in x, so the switch vertices at x = +-delta stay on
-    the Neumann side (an O(h) local choice absorbed by extrapolation).
+    The Dirichlet boundary sets are open in x, so the switch vertices at
+    x = +-delta stay on the Neumann side (an O(h) local choice absorbed by
+    extrapolation).  The end columns carry the tails' pattern, which
+    their transparent exteriors continue.
     """
     unit = geometry.unit()
     delta = unit.delta
     i_minus = grid.column_of(-delta)
     i_plus = grid.column_of(delta)
     mask = np.zeros((grid.nx + 1, grid.ny + 1), dtype=bool)
-    mask[0, :] = True
-    mask[grid.nx, :] = True
     if model is ModelKind.A:
         mask[:i_minus, 0] = True  # bottom Dirichlet for x < -delta
         mask[i_plus + 1 :, grid.ny] = True  # top Dirichlet for x > +delta
@@ -155,13 +185,45 @@ def dirichlet_mask(model: ModelKind, geometry: Geometry, grid: FdmGrid) -> np.nd
     return mask
 
 
+def _decay(levels: np.ndarray, hx: float, energy: float) -> np.ndarray:
+    """q_j = 1/rho_j - 1 of each tail mode at ``energy`` <= its level.
+
+    With a = hx^2 (t_j - E), q = a/2 + sqrt(a + a^2/4); then
+    rho = 1/(1 + q), 1 - rho = q/(1 + q) and rho^2/(1 - rho^2) =
+    1/(q (2 + q)), all free of cancellation.
+    """
+    a = hx * hx * (levels - energy)
+    return 0.5 * a + np.sqrt(a + 0.25 * a * a)
+
+
+@dataclass(frozen=True)
+class TransparentEnd:
+    """An end column whose exterior, the column repeated without end,
+    is eliminated exactly.
+
+    ``modes`` diag(``levels``) ``modes``^T is the column's lumped-mass
+    transverse operator on its free vertices; the scaled value of free
+    vertex r is ``fold[r]`` * v[``unknowns[r]``] for an unknown vector v.
+    """
+
+    unknowns: np.ndarray
+    fold: np.ndarray
+    modes: np.ndarray
+    levels: np.ndarray
+
+    def coefficients(self, vector: np.ndarray) -> np.ndarray:
+        """Tail mode coefficients c = Psi^T v_end of an unknown vector."""
+        return self.modes.T @ (self.fold * vector[self.unknowns])
+
+
 @dataclass(frozen=True)
 class FdmOperator:
     """Assembled symmetric operator with its grid bookkeeping.
 
     ``matrix`` acts on vectors of unknowns scaled by sqrt-masses (fold
     coordinates for a parity sector); ``embed`` maps such a vector to
-    nodal field values on the full grid.
+    nodal field values on the grid.  ``matrix`` is A0; ``at(E)`` adds the
+    exterior of each transparent end in ``ends``.
     """
 
     grid: FdmGrid
@@ -169,10 +231,47 @@ class FdmOperator:
     matrix: sp.csr_matrix
     index: np.ndarray  # (nx+1, ny+1) unknown of each vertex, -1 where u = 0
     weight: np.ndarray  # (nx+1, ny+1) nodal value per unit of that unknown
+    ends: tuple[TransparentEnd, ...] = ()
 
     @property
     def n_unknowns(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def threshold(self) -> float:
+        """mu_h, the bottom of the ends' continuum (inf without ends)."""
+        return min((end.levels[0] for end in self.ends), default=math.inf)
+
+    def at(self, energy: float) -> "FdmOperator":
+        """A(E) = A0 + D(E): the exteriors eliminated at ``energy``, which
+        must not exceed the threshold.  The result has no ``ends``."""
+        if not self.ends:
+            return self
+        if energy > self.threshold:
+            raise ValueError(f"energy {energy} is above the threshold {self.threshold}")
+        hx = self.grid.hx
+        rows, cols, vals = [], [], []
+        for end in self.ends:
+            q = _decay(end.levels, hx, energy)
+            block = (end.modes * (q / (1.0 + q))) @ end.modes.T
+            block = 0.5 * (block + block.T) * np.outer(end.fold, end.fold) / (hx * hx)
+            rows.append(np.repeat(end.unknowns, end.unknowns.size))
+            cols.append(np.tile(end.unknowns, end.unknowns.size))
+            vals.append(block.ravel())
+        exterior = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=self.matrix.shape,
+        ).tocsr()
+        return replace(self, matrix=self.matrix + exterior, ends=())
+
+    def slope(self, energy: float, vector: np.ndarray) -> float:
+        """d lambda / dE of a simple eigenvalue of A(E) with unit eigenvector
+        ``vector`` (Hellmann-Feynman); ``energy`` lies below the threshold."""
+        total = 0.0
+        for end in self.ends:
+            q = _decay(end.levels, self.grid.hx, energy)
+            total += float(end.coefficients(vector) ** 2 @ (1.0 / (q * (2.0 + q))))
+        return -total
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
         """Nodal values on the (nx+1, ny+1) grid (zeros on Dirichlet;
@@ -183,19 +282,12 @@ class FdmOperator:
         return full
 
 
-def _cell_lengths(grid: FdmGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Lumped cell lengths per column and per row (half cells on the
-    boundary lines); the vertex masses are their outer product."""
-    lx = np.full(grid.nx + 1, grid.hx)
-    lx[0] = lx[grid.nx] = grid.hx / 2.0
+def _row_lengths(grid: FdmGrid) -> np.ndarray:
+    """Lumped cell length of each row (half cells on the walls); every
+    column's is hx, and the vertex masses are hx times these."""
     ly = np.full(grid.ny + 1, grid.hy)
     ly[0] = ly[grid.ny] = grid.hy / 2.0
-    return lx, ly
-
-
-def _inv_sqrt_mass(grid: FdmGrid) -> np.ndarray:
-    lx, ly = _cell_lengths(grid)
-    return 1.0 / np.sqrt(np.outer(lx, ly))
+    return ly
 
 
 def _assemble(grid: FdmGrid, index: np.ndarray, weight: np.ndarray) -> sp.csr_matrix:
@@ -209,7 +301,7 @@ def _assemble(grid: FdmGrid, index: np.ndarray, weight: np.ndarray) -> sp.csr_ma
     result is exactly symmetric.
     """
     nx, ny = grid.nx, grid.ny
-    lx, ly = _cell_lengths(grid)
+    ly = _row_lengths(grid)
     n = int(index.max()) + 1
     diag = np.zeros(n)
     rows, cols, vals = [], [], []
@@ -218,8 +310,7 @@ def _assemble(grid: FdmGrid, index: np.ndarray, weight: np.ndarray) -> sp.csr_ma
         (np.s_[:-1, :], np.s_[1:, :],
          np.broadcast_to((ly / grid.hx)[None, :], (nx, ny + 1))),
         # vertical edges (i, j) -- (i, j+1)
-        (np.s_[:, :-1], np.s_[:, 1:],
-         np.broadcast_to((lx / grid.hy)[:, None], (nx + 1, ny))),
+        (np.s_[:, :-1], np.s_[:, 1:], np.full((nx + 1, ny), grid.hx / grid.hy)),
     )
     for p, q, w in edges:
         p_idx, q_idx = index[p].ravel(), index[q].ravel()
@@ -244,8 +335,44 @@ def _assemble(grid: FdmGrid, index: np.ndarray, weight: np.ndarray) -> sp.csr_ma
     return (upper + upper.T + sp.diags(diag)).tocsr()
 
 
+def _ends(grid: FdmGrid, index: np.ndarray,
+          fold: np.ndarray) -> tuple[TransparentEnd, ...]:
+    """Transparent ends of the end columns that carry unknowns."""
+    ly = _row_lengths(grid)
+    # column stiffness Ty per unit cell length: vertical edges of weight 1/hy
+    w = np.full(grid.ny, 1.0 / grid.hy)
+    stiffness = np.diag(np.r_[w, 0.0] + np.r_[0.0, w]) - np.diag(w, 1) - np.diag(w, -1)
+    ends = []
+    for i in (0, grid.nx):
+        free = index[i] >= 0
+        if not free.any():
+            continue
+        scale = 1.0 / np.sqrt(ly[free])
+        levels, modes = np.linalg.eigh(
+            scale[:, None] * stiffness[np.ix_(free, free)] * scale[None, :]
+        )
+        ends.append(TransparentEnd(index[i, free], fold[i, free], modes, levels))
+    return tuple(ends)
+
+
+def _operator(grid: FdmGrid, mask: np.ndarray, index: np.ndarray,
+              fold: np.ndarray) -> FdmOperator:
+    """Operator on unknown vectors v that give vertex p the scaled value
+    fold[p] * v[index[p]] (fold is 0 where p carries no unknown)."""
+    weight = fold / np.sqrt(grid.hx * _row_lengths(grid))
+    return FdmOperator(
+        grid=grid,
+        mask=mask,
+        matrix=_assemble(grid, index, weight),
+        index=index,
+        weight=weight,
+        ends=_ends(grid, index, fold),
+    )
+
+
 def build_from_mask(grid: FdmGrid, mask: np.ndarray) -> FdmOperator:
-    """Assemble the full-grid scaled operator for an arbitrary Dirichlet mask."""
+    """Assemble the full-grid scaled operator for an arbitrary Dirichlet
+    mask; an end column with a free vertex becomes a transparent end."""
     if mask.shape != (grid.nx + 1, grid.ny + 1):
         raise ValueError("mask shape must be (nx+1, ny+1)")
     if not mask.any():
@@ -253,14 +380,7 @@ def build_from_mask(grid: FdmGrid, mask: np.ndarray) -> FdmOperator:
     free = ~mask
     index = np.full(mask.shape, -1, dtype=np.int64)
     index[free] = np.arange(int(free.sum()))
-    weight = np.where(free, _inv_sqrt_mass(grid), 0.0)
-    return FdmOperator(
-        grid=grid,
-        mask=mask.copy(),
-        matrix=_assemble(grid, index, weight),
-        index=index,
-        weight=weight,
-    )
+    return _operator(grid, mask.copy(), index, free.astype(float))
 
 
 def build_operator(
@@ -269,7 +389,7 @@ def build_operator(
     """Assemble one parity sector (+1 even, -1 odd) of a model's operator.
 
     The unknowns are the orbit representatives of the model's grid
-    reflection, and the matrix is Q_s^T A Q_s (see the module docstring).
+    reflection, and the matrix is Q_s^T A0 Q_s (see the module docstring).
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}")
@@ -283,14 +403,7 @@ def build_operator(
     orbit[flat[carried & first]] = np.arange(int((carried & first).sum()))
     index = np.where(carried, orbit[np.minimum(flat, mirror)], -1)
     fold = np.where(fixed, 1.0, np.where(first, 1.0, float(sector)) * math.sqrt(0.5))
-    weight = np.where(carried, fold * _inv_sqrt_mass(grid), 0.0)
-    return FdmOperator(
-        grid=grid,
-        mask=mask,
-        matrix=_assemble(grid, index, weight),
-        index=index,
-        weight=weight,
-    )
+    return _operator(grid, mask, index, np.where(carried, fold, 0.0))
 
 
 def lowest_eigenpairs(operator: FdmOperator, k: int):
@@ -350,11 +463,53 @@ def lowest_eigenpairs(operator: FdmOperator, k: int):
     return pairs
 
 
+def bound_states(operator: FdmOperator, k: int, guesses=()) -> list[float]:
+    """The bound states among the k lowest states of an operator with
+    transparent ends, ascending.
+
+    One solve at the threshold mu_h certifies how many of them the grid
+    binds and bounds each from below; each is then refined by Newton's
+    method from its entry in ``guesses`` (the same state on a coarser
+    grid) where that lies in its bracket, else from its lower bound.
+    """
+    if not operator.ends:
+        raise ValueError("the operator has no transparent end")
+    mu_h = operator.threshold
+    lower = [value for value, _ in lowest_eigenpairs(operator.at(mu_h), k)]
+    roots = []
+    for b, bound in enumerate(lower, start=1):
+        if bound >= mu_h:
+            break
+        guess = guesses[b - 1] if b <= len(guesses) else bound
+        roots.append(_root(operator, b, bound, mu_h, guess))
+    return roots
+
+
+def _root(operator: FdmOperator, b: int, lo: float, hi: float, guess: float) -> float:
+    """The root of f(E) = lambda_b(A(E)) - E, which is decreasing, in the
+    bracket [lo, hi): Newton steps that stay inside the bracket, bisection
+    otherwise."""
+    energy = guess if lo < guess < hi else lo
+    for _ in range(MAX_ROOT_STEPS):
+        value, vector = lowest_eigenpairs(operator.at(energy), b)[b - 1]
+        excess = value - energy
+        if excess > 0.0:
+            lo = energy
+        else:
+            hi = energy
+        step = excess / (1.0 - operator.slope(energy, vector))
+        if abs(step) <= ROOT_TOL * energy:
+            return energy + step
+        energy += step
+        if not lo < energy < hi:
+            energy = 0.5 * (lo + hi)
+    raise RuntimeError(f"bound state {b} not converged in {MAX_ROOT_STEPS} solves")
+
+
 def extrapolate(
     model: ModelKind,
     geometry: Geometry,
     h_list=(1.0 / 40, 1.0 / 80, 1.0 / 160),
-    L: float | None = None,
     branch: int = 1,
 ) -> tuple[float, float]:
     """Richardson extrapolation of one eigenvalue branch over grids.
@@ -364,10 +519,12 @@ def extrapolate(
     (extrapolated eigenvalue, p).  The corner singularity typically
     gives 1 < p < 2; smooth harnesses give p close to 2.
 
-    On each grid the even sector yields its ``branch`` lowest pairs and
-    the odd sector its ``branch - 1`` lowest (the ground state is even),
-    so branch 1 is one half-size solve.  A branch above ``MAX_PAIRS``
-    raises ``LookupError`` before any grid is built.
+    On each grid the even sector yields its bound states among its
+    ``branch`` lowest and the odd sector among its ``branch - 1`` lowest
+    (the ground state is even), so branch 1 is one half-size sector; each
+    state is warm-started from the coarser grid's.  A branch above
+    ``MAX_PAIRS`` raises ``LookupError`` before any grid is built, and
+    one that a grid does not bind raises ``LookupError`` naming h.
     """
     if branch < 1:
         raise ValueError("branch must be at least 1")
@@ -387,14 +544,18 @@ def extrapolate(
         raise ValueError("grid spacings must decrease")
 
     energies = []
+    guesses = {}
     for hy in hs:
-        grid = FdmGrid.from_spacing(geometry, hy, L=L)
-        values = []
+        grid = FdmGrid.from_spacing(geometry, hy)
+        found = []
         for sector, k in zip(SECTORS, (branch, branch - 1)):
             if k:
                 op = build_operator(model, geometry, grid, sector)
-                values += [value for value, _ in lowest_eigenpairs(op, k)]
-        energies.append(sorted(values)[branch - 1])
+                guesses[sector] = bound_states(op, k, guesses.get(sector, ()))
+                found += guesses[sector]
+        if len(found) < branch:
+            raise LookupError(f"branch {branch} is not bound on the grid h = {hy:g}")
+        energies.append(sorted(found)[branch - 1])
 
     e1, e2, e3 = energies[-3], energies[-2], energies[-1]
     d1, d2 = e1 - e2, e2 - e3

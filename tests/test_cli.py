@@ -386,6 +386,25 @@ class TestOracleCommand:
         _, rows = read_csv(out)
         assert [int(r["branch_index"]) for r in rows] == list(range(1, 7))
 
+    def test_unbound_branch_dropped_silently(self, tmp_path, monkeypatch, capsys):
+        """A branch that a grid does not bind is left out like one above
+        mu: no stderr line, and only the bound branch's row is written.
+        Asked for with --branch, it exits 4."""
+        def stub(model, geometry, branch):
+            if branch > 1:
+                raise LookupError(f"branch {branch} is unbound on the grid h = 0.025")
+            return 0.9 * MU, 1.0
+
+        monkeypatch.setattr(cli.fo, "extrapolate", stub)
+        argv = ["oracle", "--model", "B", "--lambda", "1.5"]
+        assert cli.bd.state_count_bounds(1.5)[1] >= 2
+        out = tmp_path / "oracle.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert [int(r["branch_index"]) for r in rows] == [1]
+        assert run(argv + ["--branch", "2"]) == 4
+
     @pytest.mark.slow
     def test_agrees_with_spectrum(self, tmp_path):
         o_out = tmp_path / "oracle.csv"
