@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import critical_lambda_window
 from .geometry import Geometry, ModelKind
-from .modematch import EigenField, Spectrum, bisect_count, count_states
+from .modematch import EigenField, Spectrum, count_states
 from .modematch import evaluate_field, scan_spectrum
 
 __all__ = [
@@ -268,5 +268,10 @@ def find_emergence(
         raise ValueError(f"branch {m} already present at lo={lo}")
     if not exists(hi):
         raise RuntimeError(f"branch {m} absent at hi={hi}; bad bracket")
-    lo, hi = bisect_count(exists, lo, hi, tol)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if exists(mid):
+            hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)

@@ -205,8 +205,8 @@ SPECTRUM_COLUMNS = ("lambda", "branch_index", "eigenvalue_over_mu",
 
 
 def _spectrum_rows(lam: float, spectrum: mm.Spectrum) -> list:
-    gate = all(spectrum.stable) and not spectrum.near_threshold
-    violations = bd.check_spectrum(lam, spectrum.eigenvalues, all_stable=gate)
+    violations = bd.check_spectrum(lam, spectrum.eigenvalues,
+                                   all_stable=all(spectrum.stable))
     if violations:
         raise InvariantViolation("; ".join(violations))
     return [
@@ -317,34 +317,28 @@ def cmd_thresholds(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_oracle(config: RunConfig, args: argparse.Namespace) -> int:
     branch = args.branch
     lam = config.geometry.lam
-    n_min, n_max = bd.state_count_bounds(lam)
-    branches = [branch] if branch is not None else list(range(1, n_max + 1))
+    n_max = bd.state_count_bounds(lam)[1]
+    count = min(n_max, fo.MAX_PAIRS) if branch is None else branch
+    hs, spectra = [], []
+    for h, states in fo.bound_spectra(config.model, config.geometry, fo.SPACINGS, count):
+        if branch is not None and len(states) < branch:
+            raise LookupError(f"branch {branch} is not bound on the grid h = {h:g}")
+        hs.append(h)
+        spectra.append(states)
     columns = ("lambda", "branch_index", "eigenvalue_over_mu", "order")
     rows = []
-    skipped = []
-    for b in branches:
-        try:
-            estimate, order = fo.extrapolate(config.model, config.geometry, branch=b)
-        except LookupError:
-            if branch is not None:
-                raise
-            # a branch some grid does not bind is dropped like one above mu
-            if b > fo.MAX_PAIRS:
-                skipped.append(b)
-            continue
+    # a branch some grid does not bind is dropped like one above mu
+    for b in range(branch or 1, min(map(len, spectra)) + 1):
+        estimate, order = fo.richardson(hs, [states[b - 1] for states in spectra])
         if estimate / MU >= 1.0:
             if branch is not None:
-                raise LookupError(
-                    f"branch {b} lies above the threshold at lambda={lam}"
-                )
+                raise LookupError(f"branch {b} lies above the threshold at lambda={lam}")
             continue
         rows.append(dict(zip(columns, (lam, b, estimate / MU, order))))
-    if skipped:
-        print(
-            f"warning: oracle skipped branches {', '.join(map(str, skipped))}: "
-            f"it resolves at most {fo.MAX_PAIRS} branches",
-            file=sys.stderr,
-        )
+    if branch is None and n_max > fo.MAX_PAIRS:
+        skipped = ", ".join(map(str, range(fo.MAX_PAIRS + 1, n_max + 1)))
+        print(f"warning: oracle skipped branches {skipped}: it resolves at most "
+              f"{fo.MAX_PAIRS} branches", file=sys.stderr)
     _emit(config, "csv", columns, rows, _config_dict(config))
     return EXIT_OK
 
@@ -482,9 +476,5 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENCE
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

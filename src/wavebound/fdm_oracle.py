@@ -89,6 +89,8 @@ __all__ = [
     "build_from_mask",
     "lowest_eigenpairs",
     "bound_states",
+    "bound_spectra",
+    "richardson",
     "extrapolate",
 ]
 
@@ -107,6 +109,9 @@ ROOT_TOL = 1e-9
 
 #: most eigensolves one bound state may take
 MAX_ROOT_STEPS = 60
+
+#: default grid spacings, coarsest first
+SPACINGS = (1.0 / 40, 1.0 / 80, 1.0 / 160)
 
 
 @dataclass(frozen=True)
@@ -506,31 +511,19 @@ def _root(operator: FdmOperator, b: int, lo: float, hi: float, guess: float) -> 
     raise RuntimeError(f"bound state {b} not converged in {MAX_ROOT_STEPS} solves")
 
 
-def extrapolate(
-    model: ModelKind,
-    geometry: Geometry,
-    h_list=(1.0 / 40, 1.0 / 80, 1.0 / 160),
-    branch: int = 1,
-) -> tuple[float, float]:
-    """Richardson extrapolation of one eigenvalue branch over grids.
-
-    Requires at least three spacings in a fixed ratio; fits the
-    empirical order p from the last three (finest) grids and returns
-    (extrapolated eigenvalue, p).  The corner singularity typically
-    gives 1 < p < 2; smooth harnesses give p close to 2.
-
-    On each grid the even sector yields its bound states among its
-    ``branch`` lowest and the odd sector among its ``branch - 1`` lowest
-    (the ground state is even), so branch 1 is one half-size sector; each
-    state is warm-started from the coarser grid's.  A branch above
-    ``MAX_PAIRS`` raises ``LookupError`` before any grid is built, and
-    one that a grid does not bind raises ``LookupError`` naming h.
+def bound_spectra(model: ModelKind, geometry: Geometry, h_list, count: int):
+    """Yield (h, states) for each grid, coarsest first: the bound states,
+    ascending, among the ``count`` lowest, from the even sector's
+    ``count`` and the odd sector's ``count - 1`` lowest (the ground state
+    is even), each warm-started from the coarser grid's.  A count above
+    ``MAX_PAIRS``, or fewer than three spacings or ones not in a fixed
+    decreasing ratio, raise before any grid is built.
     """
-    if branch < 1:
+    if count < 1:
         raise ValueError("branch must be at least 1")
-    if branch > MAX_PAIRS:
+    if count > MAX_PAIRS:
         raise LookupError(
-            f"branch {branch} not available: the oracle resolves at most "
+            f"branch {count} not available: the oracle resolves at most "
             f"{MAX_PAIRS} branches"
         )
     hs = sorted(h_list, reverse=True)
@@ -539,31 +532,47 @@ def extrapolate(
     ratios = [hs[i] / hs[i + 1] for i in range(len(hs) - 1)]
     if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ValueError("grid spacings must be in a fixed ratio")
-    r = ratios[0]
-    if r <= 1.0:
+    if ratios[0] <= 1.0:
         raise ValueError("grid spacings must decrease")
 
-    energies = []
     guesses = {}
     for hy in hs:
         grid = FdmGrid.from_spacing(geometry, hy)
         found = []
-        for sector, k in zip(SECTORS, (branch, branch - 1)):
+        for sector, k in zip(SECTORS, (count, count - 1)):
             if k:
                 op = build_operator(model, geometry, grid, sector)
                 guesses[sector] = bound_states(op, k, guesses.get(sector, ()))
                 found += guesses[sector]
-        if len(found) < branch:
-            raise LookupError(f"branch {branch} is not bound on the grid h = {hy:g}")
-        energies.append(sorted(found)[branch - 1])
+        yield hy, sorted(found)[:count]
 
-    e1, e2, e3 = energies[-3], energies[-2], energies[-1]
+
+def richardson(spacings, values) -> tuple[float, float]:
+    """Richardson extrapolation of ``values`` on ``spacings`` in a fixed
+    ratio, coarsest first: the empirical order p fitted to the last three
+    and (extrapolated value, p).  A sequence that is not monotone with
+    shrinking steps raises RuntimeError."""
+    e1, e2, e3 = values[-3:]
     d1, d2 = e1 - e2, e2 - e3
     if d1 * d2 <= 0.0 or abs(d1) <= abs(d2):
         raise RuntimeError(
             "non-monotone eigenvalue sequence; grid too coarse for extrapolation"
         )
     ratio = d1 / d2
-    p = math.log(ratio) / math.log(r)
-    estimate = e3 - d2 / (ratio - 1.0)
-    return estimate, p
+    p = math.log(ratio) / math.log(spacings[0] / spacings[1])
+    return e3 - d2 / (ratio - 1.0), p
+
+
+def extrapolate(model: ModelKind, geometry: Geometry, h_list=SPACINGS,
+                branch: int = 1) -> tuple[float, float]:
+    """Richardson estimate (value, order p) of one eigenvalue branch on the
+    grids of ``bound_spectra`` with count ``branch``; a grid that does not
+    bind the branch raises LookupError naming h.  The corner singularity
+    typically gives 1 < p < 2; smooth harnesses give p close to 2."""
+    hs, energies = [], []
+    for hy, states in bound_spectra(model, geometry, h_list, branch):
+        if len(states) < branch:
+            raise LookupError(f"branch {branch} is not bound on the grid h = {hy:g}")
+        hs.append(hy)
+        energies.append(states[branch - 1])
+    return richardson(hs, energies)

@@ -67,7 +67,6 @@ __all__ = [
     "sector_matrix",
     "sector_count",
     "count_states",
-    "bisect_count",
     "scan_spectrum",
     "solve_coefficients",
     "evaluate_field",
@@ -81,7 +80,6 @@ SCAN_HI_FRAC = 1.0 - 1e-6
 #: refinement width and stability drift tolerances
 REFINE_FRAC = 1e-10
 STABLE_DRIFT_FRAC = 1e-4
-NEAR_THRESHOLD_FRAC = 1e-6
 
 #: truncation bump used by the stability check
 STABILITY_BUMP = 8
@@ -180,21 +178,8 @@ def count_states(model: ModelKind, geometry: Geometry, N: int, E: float) -> int:
 
 def _residual(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
     """min |eig M_s(E)|: zero at a root of the sector."""
-    M = sector_matrix(model, geometry, N, E, sector)
-    return float(np.min(np.abs(eigvalsh(M, check_finite=False))))
-
-
-def bisect_count(reached, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] until it is at most tol wide, keeping reached(lo)
-    false and reached(hi) true; reached(x) is a count crossing its
-    target, so it is monotone in x.  Returns the final bracket."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    w = _count_and_eigenvalues(model, geometry, N, E, sector)[1]
+    return float(np.min(np.abs(w)))
 
 
 def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> list:
@@ -260,9 +245,9 @@ class Spectrum:
     """Discrete eigenvalues (as E/mu) with their parity sectors, residuals
     and stability flags.
 
-    ``near_threshold`` lists candidate roots within NEAR_THRESHOLD_FRAC *
-    mu of the threshold; they are reported as unresolved rather than as
-    eigenvalues because the leading tail decay rate vanishes there.
+    Every root of the scan window (1e-8, 1 - 1e-6) mu is an eigenvalue;
+    a state closer to the threshold lies above the window and is not
+    listed.
     """
 
     model: ModelKind
@@ -272,7 +257,6 @@ class Spectrum:
     sectors: tuple  # per-eigenvalue parity sector, +1 even or -1 odd
     residuals: tuple  # min |eig M_s| at each refined root
     stable: tuple  # per-eigenvalue bool
-    near_threshold: tuple = ()
 
 
 def scan_spectrum(
@@ -284,25 +268,20 @@ def scan_spectrum(
     """All discrete eigenvalues in the scan window, from the sector counts,
     each with the parity sector it was found in.
 
-    Roots within NEAR_THRESHOLD_FRAC * mu of the threshold are reported
-    in ``near_threshold`` instead of ``eigenvalues``.  When
+    The window is (SCAN_LO_FRAC, SCAN_HI_FRAC) * mu.  When
     ``check_stability`` is set, each root is flagged stable when its
     sector at truncation N + STABILITY_BUMP (N - STABILITY_BUMP above
     MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it.
     """
     unit = geometry.unit()
-    mu = unit.mu
     roots = sorted(
         (root, sector)
         for sector in SECTORS
         for root in _sector_roots(model, unit, N, sector)
     )
-    eigenvalues, sectors, residuals, flags, near = [], [], [], [], []
+    eigenvalues, sectors, residuals, flags = [], [], [], []
     for root, sector in roots:
-        if mu - root <= NEAR_THRESHOLD_FRAC * mu:
-            near.append(root / mu)
-            continue
-        eigenvalues.append(root / mu)
+        eigenvalues.append(root / unit.mu)
         sectors.append(sector)
         residuals.append(_residual(model, unit, N, root, sector))
         flags.append(not check_stability or _stable(model, unit, N, root, sector))
@@ -314,7 +293,6 @@ def scan_spectrum(
         sectors=tuple(sectors),
         residuals=tuple(residuals),
         stable=tuple(flags),
-        near_threshold=tuple(near),
     )
 
 

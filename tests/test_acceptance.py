@@ -130,7 +130,10 @@ def test_criterion_05_single_state_matches_oracle(spectrum_a_half, oracle_a_half
     (estimate, order), oracle_time = oracle_a_half
     assert len(spectrum_a_half.eigenvalues) == 1
     assert spectrum_a_half.stable == (True,)
-    assert not spectrum_a_half.near_threshold
+    # no state between the scan window and mu is left unreported
+    below_mu = mm.count_states(ModelKind.A, Geometry.from_lambda(0.5),
+                               spectrum_a_half.N, (1.0 - 1e-9) * MU)
+    assert below_mu == len(spectrum_a_half.eigenvalues)
     matched = spectrum_a_half.eigenvalues[0]
     diff = abs(matched - estimate / MU)
     assert diff < 1e-3

@@ -61,8 +61,7 @@ class TestSweep:
         for sweep_result in (sweep_a, sweep_b):
             for lam, spec in zip(sweep_result.lambdas, sweep_result.spectra):
                 n_min, n_max = state_count_bounds(lam)
-                count = len(spec.eigenvalues) + len(spec.near_threshold)
-                assert n_min <= count <= n_max
+                assert n_min <= len(spec.eigenvalues) <= n_max
 
 
 class TestCornerExponent:

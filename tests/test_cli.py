@@ -360,18 +360,22 @@ class TestAnalyzeCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def synthetic_spectra(counts):
+    """A stand-in for ``fo.bound_spectra`` whose grid i binds ``counts[i]``
+    states; branch b converges as E_b + h with E_b = (1 - 0.01 b) mu."""
+    def spectra(model, geometry, h_list, count):
+        hs = sorted(h_list, reverse=True)
+        for h, bound in zip(hs, counts):
+            branches = range(1, min(bound, count) + 1)
+            yield h, [(1.0 - 0.01 * b) * MU + h for b in branches]
+    return spectra
+
+
 class TestOracleCommand:
     def test_skipped_branches_named_on_stderr(self, tmp_path, monkeypatch, capsys):
         """At lambda = 20 branches 7-20 are beyond the oracle's pair limit:
         one stderr line names them and the CSV is unchanged by it."""
-        real = cli.fo.extrapolate
-
-        def quick(model, geometry, branch):
-            if branch > cli.fo.MAX_PAIRS:
-                return real(model, geometry, branch=branch)
-            return (1.0 - 0.01 * branch) * MU, 1.0
-
-        monkeypatch.setattr(cli.fo, "extrapolate", quick)
+        monkeypatch.setattr(cli.fo, "bound_spectra", synthetic_spectra([20] * 3))
         argv = ["oracle", "--model", "A", "--lambda", "20"]
         assert run(argv) == 0
         captured = capsys.readouterr()
@@ -389,13 +393,8 @@ class TestOracleCommand:
     def test_unbound_branch_dropped_silently(self, tmp_path, monkeypatch, capsys):
         """A branch that a grid does not bind is left out like one above
         mu: no stderr line, and only the bound branch's row is written.
-        Asked for with --branch, it exits 4."""
-        def stub(model, geometry, branch):
-            if branch > 1:
-                raise LookupError(f"branch {branch} is unbound on the grid h = 0.025")
-            return 0.9 * MU, 1.0
-
-        monkeypatch.setattr(cli.fo, "extrapolate", stub)
+        Asked for with --branch, it exits 4 naming that grid."""
+        monkeypatch.setattr(cli.fo, "bound_spectra", synthetic_spectra([1, 2, 2]))
         argv = ["oracle", "--model", "B", "--lambda", "1.5"]
         assert cli.bd.state_count_bounds(1.5)[1] >= 2
         out = tmp_path / "oracle.csv"
@@ -404,6 +403,33 @@ class TestOracleCommand:
         _, rows = read_csv(out)
         assert [int(r["branch_index"]) for r in rows] == [1]
         assert run(argv + ["--branch", "2"]) == 4
+        assert "not bound on the grid h = 0.025" in capsys.readouterr().err
+
+    def test_branch_writes_one_row(self, tmp_path, monkeypatch):
+        """--branch 2 writes branch 2 alone, although the pass that
+        solves it at lambda = 2.5 also binds model A's odd state."""
+        monkeypatch.setattr(cli.fo, "SPACINGS", (1.0 / 8, 1.0 / 16, 1.0 / 32))
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle", "--model", "A", "--lambda", "2.5", "--branch", "2"]
+        assert run(argv + ["--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [int(r["branch_index"]) for r in rows] == [2]
+
+    @pytest.mark.slow
+    def test_one_pass_for_all_branches(self, monkeypatch):
+        """Without --branch each default grid is solved once for both of
+        B's branches at lambda = 1.5 (measured 27 eigensolves; solving
+        the grids again for branch 2 took 40)."""
+        calls = []
+        real = cli.fo.lowest_eigenpairs
+
+        def counted(operator, k):
+            calls.append(k)
+            return real(operator, k)
+
+        monkeypatch.setattr(cli.fo, "lowest_eigenpairs", counted)
+        assert run(["oracle", "--model", "B", "--lambda", "1.5"]) == 0
+        assert len(calls) <= 32
 
     @pytest.mark.slow
     def test_agrees_with_spectrum(self, tmp_path):

@@ -450,6 +450,35 @@ class TestExtrapolate:
         fo.extrapolate(model, Geometry.from_lambda(lam), h_list=BENCH_H, branch=branch)
         assert len(calls) <= budget
 
+    @pytest.mark.parametrize("model,lam,branches", [
+        (ModelKind.B, 1.5, 2),
+        (ModelKind.A, 2.5, 3),
+    ])
+    def test_one_pass_matches_per_branch(self, model, lam, branches):
+        """One pass that solves each grid for all branches gives every
+        branch's per-branch extrapolation (measured bitwise)."""
+        geometry = Geometry.from_lambda(lam)
+        grids = list(fo.bound_spectra(model, geometry, BENCH_H, branches))
+        hs = [h for h, _ in grids]
+        assert [len(states) for _, states in grids] == [branches] * len(BENCH_H)
+        for b in range(1, branches + 1):
+            estimate, order = fo.richardson(hs, [states[b - 1] for _, states in grids])
+            expected, expected_order = fo.extrapolate(model, geometry, h_list=BENCH_H,
+                                                      branch=b)
+            assert estimate == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert order == pytest.approx(expected_order, rel=0.0, abs=1e-9)
+
+    def test_spectra_capped_at_count(self):
+        """A pass with count 2 yields the two lowest states on each grid,
+        although at lambda = 2.5 it also binds model A's third (odd)
+        state."""
+        geometry = Geometry.from_lambda(2.5)
+        two = list(fo.bound_spectra(ModelKind.A, geometry, BENCH_H, 2))
+        three = list(fo.bound_spectra(ModelKind.A, geometry, BENCH_H, 3))
+        assert [len(states) for _, states in two] == [2] * len(BENCH_H)
+        for (_, lowest), (_, states) in zip(two, three):
+            assert lowest == pytest.approx(states[:2], rel=1e-12, abs=0.0)
+
     def test_spacing_validation(self):
         geometry = Geometry.from_lambda(0.5)
         with pytest.raises(ValueError):

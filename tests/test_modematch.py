@@ -264,7 +264,7 @@ class TestCount:
                                     check_stability=False)
             top = mm.count_states(model, Geometry.from_lambda(lam), 32,
                                   mm.SCAN_HI_FRAC * MU)
-            assert top == len(spec.eigenvalues) + len(spec.near_threshold)
+            assert top == len(spec.eigenvalues)
             if model is ModelKind.A:
                 assert n_min <= top <= n_max
 
@@ -382,7 +382,10 @@ class TestRefinement:
 class TestScanSpectrum:
     def test_model_a_half_exactly_one(self, spectrum_a_half):
         assert len(spectrum_a_half.eigenvalues) == 1
-        assert spectrum_a_half.near_threshold == ()
+        # no state between the scan window and mu is left unreported
+        below_mu = mm.count_states(ModelKind.A, Geometry.from_lambda(0.5),
+                                   spectrum_a_half.N, (1.0 - 1e-9) * MU)
+        assert below_mu == len(spectrum_a_half.eigenvalues)
 
     def test_model_a_twenty_percent_empty(self):
         spec = mm.scan_spectrum(
@@ -417,8 +420,7 @@ class TestScanSpectrum:
                 ModelKind.A, Geometry.from_lambda(lam), N=32, check_stability=False
             )
             n_min, n_max = state_count_bounds(lam)
-            count = len(spec.eigenvalues) + len(spec.near_threshold)
-            assert n_min <= count <= n_max
+            assert n_min <= len(spec.eigenvalues) <= n_max
 
     def test_stability_flag_at_production_truncation(self):
         spec = mm.scan_spectrum(ModelKind.A, Geometry.from_lambda(0.5), N=64)
