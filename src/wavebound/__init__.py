@@ -15,10 +15,22 @@ Sub-modules:
 * ``geometry``    -- models, transverse mode bases, overlap integrals
 * ``bounds``      -- closed-form bracketing of state counts and eigenvalues
 * ``variational`` -- analytic window thresholds and the model-B certificate
+* ``roots``       -- eigenvalues of a decreasing matrix family by count and Brent
 * ``modematch``   -- interface-matching eigenvalue solver (production path)
-* ``fdm_oracle``  -- finite-difference cross-check with transparent ends
+* ``fdm_oracle``  -- finite-difference cross-check, reduced to its end columns
 * ``analysis``    -- diagnostics: corner exponent, monotonicity, scaling
 * ``cli``         -- the ``wavebound`` command-line tool
+
+Importing the package defaults OpenBLAS and OpenMP to one thread: every
+dense kernel here is small, and more threads only contend for the cores
+(the sweep's worker pool most of all).  A value already set in the
+environment wins, and the default has no effect when numpy was imported
+before this package.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -318,7 +318,7 @@ def cmd_oracle(config: RunConfig, args: argparse.Namespace) -> int:
     branch = args.branch
     lam = config.geometry.lam
     n_max = bd.state_count_bounds(lam)[1]
-    count = min(n_max, fo.MAX_PAIRS) if branch is None else branch
+    count = n_max if branch is None else branch
     hs, spectra = [], []
     for h, states in fo.bound_spectra(config.model, config.geometry, fo.SPACINGS, count):
         if branch is not None and len(states) < branch:
@@ -335,10 +335,6 @@ def cmd_oracle(config: RunConfig, args: argparse.Namespace) -> int:
                 raise LookupError(f"branch {b} lies above the threshold at lambda={lam}")
             continue
         rows.append(dict(zip(columns, (lam, b, estimate / MU, order))))
-    if branch is None and n_max > fo.MAX_PAIRS:
-        skipped = ", ".join(map(str, range(fo.MAX_PAIRS + 1, n_max + 1)))
-        print(f"warning: oracle skipped branches {skipped}: it resolves at most "
-              f"{fo.MAX_PAIRS} branches", file=sys.stderr)
     _emit(config, "csv", columns, rows, _config_dict(config))
     return EXIT_OK
 

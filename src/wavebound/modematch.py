@@ -48,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
-from scipy.optimize import brentq
 
 from .geometry import (
     Geometry,
@@ -59,6 +58,7 @@ from .geometry import (
     profile_values,
     region_profile,
 )
+from .roots import count_roots
 
 __all__ = [
     "SECTORS",
@@ -183,45 +183,14 @@ def _residual(model: ModelKind, geometry: Geometry, N: int, E: float, sector: in
 
 
 def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> list:
-    """Eigenvalues of one sector in the scan window.
-
-    The window is halved by count until each bracket holds one root and
-    no pole of Lambda_0.  M_s(E) decreases there, so with count c and p
-    poles at the lower end, eigenvalue j = c - p of M_s(E) falls from
-    >= 0 to < 0 and brentq finds its zero to REFINE_FRAC * mu, taking
-    the end values from the eigenvalues the counts there computed.  A
-    bracket that reaches that width with several roots, or a root next
-    to a pole, gives its midpoint per root.
-    """
+    """Eigenvalues of one sector in the scan window, isolated by count
+    and refined to REFINE_FRAC * mu (``roots.count_roots``)."""
     unit = geometry.unit()
-    tol = REFINE_FRAC * unit.mu
-
-    def end(E: float) -> tuple:
-        return (E, *_count_and_eigenvalues(model, unit, N, E, sector))
-
-    def crossing(E: float, j: int, ends: tuple) -> float:
-        for at, _, w in ends:
-            if E == at:
-                return w[j]
-        M = sector_matrix(model, unit, N, E, sector)
-        return eigvalsh(M, subset_by_index=[j, j], check_finite=False)[0]
-
-    roots = []
-    brackets = [(end(SCAN_LO_FRAC * unit.mu), end(SCAN_HI_FRAC * unit.mu))]
-    while brackets:
-        ends = brackets.pop()
-        (lo, c_lo, _), (hi, c_hi, _) = ends
-        if c_hi == c_lo:
-            continue
-        poles = _poles_below(unit.delta, lo, sector)
-        if c_hi - c_lo == 1 and _poles_below(unit.delta, hi, sector) == poles:
-            roots.append(brentq(crossing, lo, hi, args=(c_lo - poles, ends), xtol=tol))
-        elif hi - lo <= tol:
-            roots += [0.5 * (lo + hi)] * (c_hi - c_lo)
-        else:
-            mid = end(0.5 * (lo + hi))
-            brackets += [(mid, ends[1]), (ends[0], mid)]
-    return roots
+    return list(count_roots(
+        lambda E: sector_matrix(model, unit, N, E, sector),
+        lambda E: _poles_below(unit.delta, E, sector),
+        SCAN_LO_FRAC * unit.mu, SCAN_HI_FRAC * unit.mu, REFINE_FRAC * unit.mu,
+    ))
 
 
 def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:

@@ -1,0 +1,172 @@
+"""Full-grid sparse finite-difference operator: the reference that the
+oracle's reduction to its end columns must match.
+
+The whole grid is assembled from the edge form of ``fdm_oracle``'s
+module docstring in the scaled unknowns hx^(1/2) Ly^(1/2) u, entry by
+entry, so that A0 == A0^T holds exactly in floating point.  An end
+column with a free vertex is a transparent end: ``at(E)`` adds its
+exterior block D(E) = hx^-2 Psi diag(1 - rho_j(E)) Psi^T.  Eigenpairs
+come from shift-invert Lanczos with no polish, and the count of states
+below E is neg(A(E) - E), read from the eigenvalues of A(E).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
+
+from wavebound.fdm_oracle import FdmGrid, _decay, _row_lengths, dirichlet_mask
+
+
+@dataclass(frozen=True)
+class TransparentEnd:
+    """An end column whose exterior, the column repeated without end, is
+    eliminated exactly: ``modes`` diag(``levels``) ``modes``^T is its
+    transverse operator on the free vertices, the unknowns ``unknowns``."""
+
+    unknowns: np.ndarray
+    modes: np.ndarray
+    levels: np.ndarray
+
+    def coefficients(self, vector: np.ndarray) -> np.ndarray:
+        """Tail mode coefficients c = Psi^T v_end of an unknown vector."""
+        return self.modes.T @ vector[self.unknowns]
+
+
+@dataclass(frozen=True)
+class FdmOperator:
+    """``matrix`` (A0, or A(E) once ``at`` eliminated the ``ends``) on
+    the unknowns ``index`` numbers (-1 on Dirichlet vertices); ``embed``
+    maps an unknown vector to nodal values."""
+
+    grid: FdmGrid
+    mask: np.ndarray
+    matrix: sp.csr_matrix
+    index: np.ndarray
+    ends: tuple[TransparentEnd, ...] = ()
+
+    @property
+    def threshold(self) -> float:
+        """mu_h, the bottom of the ends' continuum (inf without ends)."""
+        return min((end.levels[0] for end in self.ends), default=math.inf)
+
+    def at(self, energy: float) -> "FdmOperator":
+        """A(E) = A0 + D(E); ``energy`` must not exceed the threshold."""
+        if not self.ends:
+            return self
+        if energy > self.threshold:
+            raise ValueError(f"energy {energy} is above the threshold {self.threshold}")
+        hx = self.grid.hx
+        rows, cols, vals = [], [], []
+        for end in self.ends:
+            q = _decay(end.levels, hx, energy)
+            block = (end.modes * (q / (1.0 + q))) @ end.modes.T
+            block = 0.5 * (block + block.T) / (hx * hx)
+            rows.append(np.repeat(end.unknowns, end.unknowns.size))
+            cols.append(np.tile(end.unknowns, end.unknowns.size))
+            vals.append(block.ravel())
+        exterior = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=self.matrix.shape,
+        ).tocsr()
+        return replace(self, matrix=self.matrix + exterior, ends=())
+
+    def embed(self, vec: np.ndarray) -> np.ndarray:
+        """Nodal values on the (nx+1, ny+1) grid, zero on Dirichlet."""
+        full = np.where(self.index >= 0, vec[self.index], 0.0)
+        return full / np.sqrt(self.grid.hx * _row_lengths(self.grid))
+
+
+def _assemble(grid: FdmGrid, index: np.ndarray) -> sp.csr_matrix:
+    """Scaled matrix of the edge form: each edge (p, q) of weight w adds
+    w g_p^2 and w g_q^2 to the diagonal and -w g_p g_q to the entry pair,
+    with g = (hx ell_y)^(-1/2).  The upper triangle is summed once and
+    added to its transpose, so the result is exactly symmetric."""
+    nx, ny = grid.nx, grid.ny
+    ly = _row_lengths(grid)
+    g = np.broadcast_to(1.0 / np.sqrt(grid.hx * ly)[None, :], index.shape)
+    n = int(index.max()) + 1
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    edges = (
+        # horizontal edges (i, j) -- (i+1, j)
+        (np.s_[:-1, :], np.s_[1:, :],
+         np.broadcast_to((ly / grid.hx)[None, :], (nx, ny + 1))),
+        # vertical edges (i, j) -- (i, j+1)
+        (np.s_[:, :-1], np.s_[:, 1:], np.full((nx + 1, ny), grid.hx / grid.hy)),
+    )
+    for p, q, w in edges:
+        p_idx, q_idx = index[p].ravel(), index[q].ravel()
+        p_g, q_g = g[p].ravel(), g[q].ravel()
+        w = w.ravel()
+        p_free, q_free = p_idx >= 0, q_idx >= 0
+        np.add.at(diag, p_idx[p_free], w[p_free] * p_g[p_free] ** 2)
+        np.add.at(diag, q_idx[q_free], w[q_free] * q_g[q_free] ** 2)
+        both = p_free & q_free
+        rows.append(np.minimum(p_idx, q_idx)[both])
+        cols.append(np.maximum(p_idx, q_idx)[both])
+        vals.append(-w[both] * p_g[both] * q_g[both])
+    upper = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    return (upper + upper.T + sp.diags(diag)).tocsr()
+
+
+def _ends(grid: FdmGrid, index: np.ndarray) -> tuple[TransparentEnd, ...]:
+    """Transparent ends of the end columns that carry unknowns."""
+    ly = _row_lengths(grid)
+    w = np.full(grid.ny, 1.0 / grid.hy)
+    stiffness = np.diag(np.r_[w, 0.0] + np.r_[0.0, w]) - np.diag(w, 1) - np.diag(w, -1)
+    ends = []
+    for i in (0, grid.nx):
+        free = index[i] >= 0
+        if not free.any():
+            continue
+        scale = 1.0 / np.sqrt(ly[free])
+        levels, modes = np.linalg.eigh(
+            scale[:, None] * stiffness[np.ix_(free, free)] * scale[None, :]
+        )
+        ends.append(TransparentEnd(index[i, free], modes, levels))
+    return tuple(ends)
+
+
+def build_from_mask(grid: FdmGrid, mask: np.ndarray) -> FdmOperator:
+    """The full-grid operator for an arbitrary Dirichlet mask; an end
+    column with a free vertex becomes a transparent end."""
+    if mask.shape != (grid.nx + 1, grid.ny + 1):
+        raise ValueError("mask shape must be (nx+1, ny+1)")
+    if not mask.any():
+        raise ValueError("at least one Dirichlet vertex is required")
+    free = ~mask
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[free] = np.arange(int(free.sum()))
+    return FdmOperator(grid, mask.copy(), _assemble(grid, index), index, _ends(grid, index))
+
+
+def build(model, geometry, grid: FdmGrid) -> FdmOperator:
+    """A model's full-grid operator."""
+    return build_from_mask(grid, dirichlet_mask(model, geometry, grid))
+
+
+def lowest_eigenpairs(operator: FdmOperator, k: int):
+    """The k smallest (value, unit vector) pairs, ascending, by
+    shift-invert Lanczos at zero."""
+    vals, vecs = eigsh(operator.matrix, k=k, sigma=0.0, which="LM")
+    order = np.argsort(vals)
+    return [(float(vals[j]), vecs[:, j] / np.linalg.norm(vecs[:, j])) for j in order]
+
+
+def count_below(operator: FdmOperator, energy: float) -> int:
+    """neg(A(E) - E): the grid's states below ``energy``."""
+    A = operator.at(energy)
+    k = 4
+    while True:
+        values = [v for v, _ in lowest_eigenpairs(A, k)]
+        if values[-1] >= energy:
+            return sum(v < energy for v in values)
+        k *= 2

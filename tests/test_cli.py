@@ -372,23 +372,18 @@ def synthetic_spectra(counts):
 
 
 class TestOracleCommand:
-    def test_skipped_branches_named_on_stderr(self, tmp_path, monkeypatch, capsys):
-        """At lambda = 20 branches 7-20 are beyond the oracle's pair limit:
-        one stderr line names them and the CSV is unchanged by it."""
-        monkeypatch.setattr(cli.fo, "bound_spectra", synthetic_spectra([20] * 3))
-        argv = ["oracle", "--model", "A", "--lambda", "20"]
-        assert run(argv) == 0
-        captured = capsys.readouterr()
-        skipped = ", ".join(str(b) for b in range(7, 21))
-        assert captured.err.splitlines() == [
-            f"warning: oracle skipped branches {skipped}: "
-            f"it resolves at most {cli.fo.MAX_PAIRS} branches"
-        ]
+    def test_every_branch_at_lambda_20(self, tmp_path, capsys):
+        """At lambda = 20 the oracle reports all 20 branches the count
+        certifies, each inside its closed-form window, and warns of
+        nothing."""
         out = tmp_path / "oracle.csv"
-        assert run(argv + ["--out", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == captured.out
+        assert run(["oracle", "--model", "A", "--lambda", "20", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         _, rows = read_csv(out)
-        assert [int(r["branch_index"]) for r in rows] == list(range(1, 7))
+        assert [int(r["branch_index"]) for r in rows] == list(range(1, 21))
+        for r in rows:
+            lower, upper = cli.bd.eigenvalue_window(int(r["branch_index"]), 20.0)
+            assert lower <= float(r["eigenvalue_over_mu"]) <= upper
 
     def test_unbound_branch_dropped_silently(self, tmp_path, monkeypatch, capsys):
         """A branch that a grid does not bind is left out like one above
@@ -415,21 +410,20 @@ class TestOracleCommand:
         _, rows = read_csv(out)
         assert [int(r["branch_index"]) for r in rows] == [2]
 
-    @pytest.mark.slow
     def test_one_pass_for_all_branches(self, monkeypatch):
         """Without --branch each default grid is solved once for both of
-        B's branches at lambda = 1.5 (measured 27 eigensolves; solving
-        the grids again for branch 2 took 40)."""
+        B's branches at lambda = 1.5 (measured 71 sector-matrix builds;
+        the budget leaves about 20%)."""
         calls = []
-        real = cli.fo.lowest_eigenpairs
+        real = cli.fo.EndColumns.matrix
 
-        def counted(operator, k):
-            calls.append(k)
-            return real(operator, k)
+        def counted(ends, energy, sector):
+            calls.append(energy)
+            return real(ends, energy, sector)
 
-        monkeypatch.setattr(cli.fo, "lowest_eigenpairs", counted)
+        monkeypatch.setattr(cli.fo.EndColumns, "matrix", counted)
         assert run(["oracle", "--model", "B", "--lambda", "1.5"]) == 0
-        assert len(calls) <= 32
+        assert 0 < len(calls) <= 85
 
     @pytest.mark.slow
     def test_agrees_with_spectrum(self, tmp_path):

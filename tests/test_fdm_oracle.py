@@ -1,17 +1,20 @@
 """Tests for the finite-difference oracle.
 
 Analytic harnesses (rectangle, strip section) pin the discretization
-order; wider margins and a long Dirichlet box pin the transparent ends;
-the full-grid operator is the reference for the parity sectors; the
-model runs cross-validate the mode-matching solver.
+order of the full-grid reference operator (``fdm_reference``); the
+oracle's reduction to its end columns must reproduce that operator's
+state count and bound states; wider margins and a long Dirichlet box
+pin the transparent ends; the model runs cross-validate the
+mode-matching solver.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.linalg import eigvalsh
 
+import fdm_reference as ref
 from wavebound import fdm_oracle as fo
 from wavebound import modematch as mm
 from wavebound.geometry import Geometry, ModelKind
@@ -28,17 +31,18 @@ BENCH_H = (1.0 / 8, 1.0 / 16, 1.0 / 32)
 #: every spacing used here)
 E_FIXED = 0.9 * MU
 
+#: a reduced bound state E_b and the b-th eigenvalue of the reference's
+#: A(E_b) agree to this relative width; as every eigenvalue of A(E) - E
+#: falls with slope <= -1, E_b is then as close to the reference's root
+ROOT_REL = 1e-10
 
-def all_dirichlet_square(n: int) -> fo.FdmOperator:
+
+def all_dirichlet_square(n: int) -> ref.FdmOperator:
     grid = fo.FdmGrid(L=0.5, nx=n, ny=n)
     mask = np.zeros((n + 1, n + 1), dtype=bool)
     mask[0, :] = mask[-1, :] = True
     mask[:, 0] = mask[:, -1] = True
-    return fo.build_from_mask(grid, mask)
-
-
-def full_operator(model, geometry, grid) -> fo.FdmOperator:
-    return fo.build_from_mask(grid, fo.dirichlet_mask(model, geometry, grid))
+    return ref.build_from_mask(grid, mask)
 
 
 def margin_grid(lam, ny, cells):
@@ -49,11 +53,46 @@ def margin_grid(lam, ny, cells):
     return fo.FdmGrid(L=lam + cells * hx, nx=2 * (n_delta + cells), ny=ny)
 
 
-def sector_states(model, lam, grid, k=2):
-    """Bound states among each sector's k lowest on ``grid``."""
-    geometry = Geometry.from_lambda(lam)
-    return {s: fo.bound_states(fo.build_operator(model, geometry, grid, s), k)
-            for s in fo.SECTORS}
+def reduced(model, lam, grid) -> fo.EndColumns:
+    return fo.EndColumns.build(model, Geometry.from_lambda(lam), grid)
+
+
+def sector_states(model, lam, grid):
+    """Each sector's bound states on ``grid``, from the reduction."""
+    ends = reduced(model, lam, grid)
+    return {s: list(ends.states(s)) for s in fo.SECTORS}
+
+
+def sector_count(ends, energy, sector):
+    """neg(T_s(E)) plus the sector's chain poles below E."""
+    negative = int(np.count_nonzero(eigvalsh(ends.matrix(energy, sector)) < 0.0))
+    return negative + ends.poles(energy, sector)
+
+
+def assert_counts_match(ends, full):
+    """At 0.3, 0.7, 0.95 and 1 times mu_h the sector counts add up to
+    the reference's neg(A(E) - E).  mu_h is the lower of the two
+    assemblies' thresholds, which differ by rounding (the reference
+    takes the lower of its two end columns')."""
+    mu_h = min(ends.threshold, full.threshold)
+    for frac in (0.3, 0.7, 0.95, 1.0):
+        energy = frac * mu_h
+        counts = [sector_count(ends, energy, s) for s in fo.SECTORS]
+        assert sum(counts) == ref.count_below(full, energy)
+
+
+def assert_roots_of(full, states, rel=ROOT_REL):
+    """Each of the ascending ``states`` E_b is the b-th eigenvalue of the
+    reference's A(E_b), to ``rel``."""
+    for b, energy in enumerate(states, start=1):
+        values = [v for v, _ in ref.lowest_eigenpairs(full.at(energy), b)]
+        assert abs(values[-1] - energy) <= rel * energy
+
+
+def state_vector(full, energy):
+    """The reference's eigenvector of A(E) whose eigenvalue is E."""
+    pairs = ref.lowest_eigenpairs(full.at(energy), 3)
+    return min(pairs, key=lambda pair: abs(pair[0] - energy))[1]
 
 
 def reflect(model, field):
@@ -63,15 +102,15 @@ def reflect(model, field):
 
 @pytest.fixture(scope="module")
 def op_a_half():
+    """Model A's reference operator at lambda = 0.5, h = 1/40."""
     geometry = Geometry.from_lambda(0.5)
-    grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 40)
-    return fo.build_operator(ModelKind.A, geometry, grid, 1)
+    return ref.build(ModelKind.A, geometry, fo.FdmGrid.from_spacing(geometry, 1.0 / 40))
 
 
 @pytest.fixture(scope="module")
 def state_a_half(op_a_half):
-    """The even sector's bound state E and A(E)."""
-    (energy,) = fo.bound_states(op_a_half, 1)
+    """The reduction's one bound state E there (even) and the reference's A(E)."""
+    (energy,) = sector_states(ModelKind.A, 0.5, op_a_half.grid)[1]
     return energy, op_a_half.at(energy)
 
 
@@ -82,25 +121,16 @@ def state_a_half(op_a_half):
     ids=lambda p: f"{p[0].name}-{p[1]}-ny{p[2]}",
 )
 def split(request):
-    """The 4 lowest pairs of the full grid's A(E) and of each sector's,
-    h = 1/ny, at E = ``E_FIXED``.
+    """The reference full-grid operator at h = 1/ny, the reduction and
+    its states per sector.
 
     ny = 21 gives model A no fixed vertex and one edge joining a vertex
     to its mirror image."""
     model, lam, ny = request.param
-    geometry = Geometry.from_lambda(lam)
-    grid = fo.FdmGrid.from_spacing(geometry, 1.0 / ny)
-    full = fo.lowest_eigenpairs(full_operator(model, geometry, grid).at(E_FIXED), 4)
-    sectors = {}
-    for s in fo.SECTORS:
-        op = fo.build_operator(model, geometry, grid, s).at(E_FIXED)
-        sectors[s] = (op, fo.lowest_eigenpairs(op, 4))
-    return model, full, sectors
-
-
-@pytest.fixture(scope="module")
-def pairs_a_half(state_a_half):
-    return fo.lowest_eigenpairs(state_a_half[1], 3)
+    grid = fo.FdmGrid.from_spacing(Geometry.from_lambda(lam), 1.0 / ny)
+    ends = reduced(model, lam, grid)
+    states = {s: list(ends.states(s)) for s in fo.SECTORS}
+    return model, ref.build(model, Geometry.from_lambda(lam), grid), ends, states
 
 
 class TestGrid:
@@ -129,7 +159,7 @@ class TestHarnesses:
     def test_all_dirichlet_square_second_order(self):
         """Smooth eigenfunction: classical O(h^2), limit 2*pi^2."""
         exact = 2.0 * math.pi**2
-        values = [fo.lowest_eigenpairs(all_dirichlet_square(n), 1)[0][0]
+        values = [ref.lowest_eigenpairs(all_dirichlet_square(n), 1)[0][0]
                   for n in (20, 40, 80)]
         d1, d2 = values[0] - values[1], values[1] - values[2]
         p = math.log2(d1 / d2)
@@ -146,17 +176,15 @@ class TestHarnesses:
         mask = np.zeros((nx + 1, ny + 1), dtype=bool)
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = True
-        op = fo.build_from_mask(grid, mask)
-        value = fo.lowest_eigenpairs(op, 1)[0][0]
+        op = ref.build_from_mask(grid, mask)
+        value = ref.lowest_eigenpairs(op, 1)[0][0]
         exact = math.pi**2 / 4.0 + (math.pi / (2 * L)) ** 2
         assert abs(value - exact) < 1e-3
 
     def test_matrix_exactly_symmetric(self, op_a_half):
         geometry = Geometry.from_lambda(0.5)
         grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 20)
-        ops = [fo.build_operator(m, geometry, grid, s)
-               for m in (ModelKind.A, ModelKind.B) for s in fo.SECTORS]
-        ops += [full_operator(m, geometry, grid) for m in (ModelKind.A, ModelKind.B)]
+        ops = [ref.build(m, geometry, grid) for m in (ModelKind.A, ModelKind.B)]
         matrices = [op.matrix for op in ops] + [op.at(E_FIXED).matrix for op in ops]
         for A in [op_a_half.matrix, all_dirichlet_square(16).matrix] + matrices:
             diff = A - A.T
@@ -164,28 +192,23 @@ class TestHarnesses:
 
 
 class TestEigenpairs:
-    def test_residual_contract(self, state_a_half, pairs_a_half):
-        A = state_a_half[1].matrix
-        for value, vector in pairs_a_half:
-            res = np.linalg.norm(A @ vector - value * vector)
-            res /= np.linalg.norm(vector)
-            assert res < 1e-10
+    def test_residual_contract(self, state_a_half):
+        """The reduction's bound state E is an eigenvalue of the
+        reference's A(E): its eigenpair there has residual below 1e-10
+        against E itself."""
+        energy, A = state_a_half
+        vector = state_vector(A, energy)
+        res = np.linalg.norm(A.matrix @ vector - energy * vector)
+        assert res < 1e-10 * energy
 
     def test_exactly_one_below_threshold(self):
-        """The certificate at mu_h counts one bound state over both sectors."""
+        """The count at mu_h finds one bound state over both sectors."""
         grid = fo.FdmGrid.from_spacing(Geometry.from_lambda(0.5), 1.0 / 80)
-        states = sector_states(ModelKind.A, 0.5, grid, k=3)
+        states = sector_states(ModelKind.A, 0.5, grid)
         assert [len(states[s]) for s in fo.SECTORS] == [1, 0]
         assert states[1][0] < MU
 
-    def test_k_out_of_range(self, op_a_half):
-        with pytest.raises(ValueError):
-            fo.lowest_eigenpairs(op_a_half, 7)
-        with pytest.raises(ValueError):
-            fo.lowest_eigenpairs(op_a_half, 0)
-
-    def test_tail_slice_projects_on_transverse_family(self, op_a_half, state_a_half,
-                                                      pairs_a_half):
+    def test_tail_slice_projects_on_transverse_family(self, op_a_half, state_a_half):
         """In the tails the eigenvector is a combination of the region's
         transverse modes; the first 8 carry >= 0.999 of a slice's norm.
         The slice at |x| = 2 is the end column's, continued outward by
@@ -193,7 +216,7 @@ class TestEigenpairs:
         from wavebound.geometry import ProfileKind, profile_values
 
         energy, op = state_a_half
-        vector = pairs_a_half[0][1]
+        vector = state_vector(op, energy)
         grid = op_a_half.grid
         y = grid.y()
         weights = np.full(grid.ny + 1, grid.hy)
@@ -216,45 +239,72 @@ class TestEigenpairs:
 
 class TestParitySplit:
     def test_sectors_merge_to_full_spectrum(self, split):
-        _, full, sectors = split
-        merged = sorted(v for _, pairs in sectors.values() for v, _ in pairs)
-        for reference, value in zip((v for v, _ in full), merged[:4]):
-            assert abs(value - reference) <= 1e-12 * reference
+        """The sector counts add up to the reference's neg(A(E) - E),
+        and the merged sector states are the reference's bound states."""
+        _, full, ends, states = split
+        assert_counts_match(ends, full)
+        assert_roots_of(full, sorted(states[1] + states[-1]))
 
     def test_ground_state_is_even(self, split):
-        _, full, sectors = split
-        lowest = full[0][0]
-        assert abs(sectors[1][1][0][0] - lowest) <= 1e-12 * lowest
-        assert sectors[-1][1][0][0] > lowest
+        """A(E) has nonpositive off-diagonals and a connected graph, so
+        by Perron-Frobenius its lowest state is simple, positive, even."""
+        _, full, _, states = split
+        lowest = states[1][0]
+        assert all(lowest < odd for odd in states[-1])
+        assert_roots_of(full, [lowest])
 
     def test_embedded_vectors_reflect_with_sector_sign(self, split):
-        model, _, sectors = split
-        for s, (op, pairs) in sectors.items():
-            for _, vector in pairs:
-                field = op.embed(vector)
-                assert np.array_equal(reflect(model, field), s * field)
-                assert not field[op.mask].any()
-                assert np.abs(field).max() > 0.0
+        """The reference's eigenvector at each state of sector s is even
+        (s = 1) or odd (s = -1) under the model's grid reflection."""
+        model, full, _, states = split
+        for s, energies in states.items():
+            for energy in energies:
+                field = full.embed(state_vector(full, energy))
+                scale = np.abs(field).max()
+                assert scale > 0.0
+                assert not field[full.mask].any()
+                assert np.abs(reflect(model, field) - s * field).max() <= 1e-8 * scale
 
     def test_model_b_second_branch_is_odd(self):
         """B at lambda = 1.5 binds an even and an odd state; the odd one
-        is branch 2, and the odd sector finds it by construction: at its
-        energy E it is the full grid's second eigenvalue of A(E)."""
+        is branch 2: at its energy E it is the reference's second
+        eigenvalue of A(E)."""
         geometry = Geometry.from_lambda(1.5)
         grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 20)
         states = sector_states(ModelKind.B, 1.5, grid)
         (even,), (odd,) = states[1], states[-1]
         assert even < odd < MU
-        full_at_odd = full_operator(ModelKind.B, geometry, grid).at(odd)
-        full = fo.lowest_eigenpairs(full_at_odd, 2)
+        full = ref.lowest_eigenpairs(ref.build(ModelKind.B, geometry, grid).at(odd), 2)
         assert full[0][0] < odd
-        assert abs(full[1][0] - odd) <= 1e-12 * odd
+        assert abs(full[1][0] - odd) <= ROOT_REL * odd
 
     def test_sector_validation(self):
         geometry = Geometry.from_lambda(0.5)
-        grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 8)
+        ends = reduced(ModelKind.A, 0.5, fo.FdmGrid.from_spacing(geometry, 1.0 / 8))
         with pytest.raises(ValueError):
-            fo.build_operator(ModelKind.A, geometry, grid, 0)
+            ends.matrix(0.5 * MU, 0)
+        with pytest.raises(ValueError):
+            ends.poles(0.5 * MU, 0)
+
+
+class TestReduction:
+    """Stop rule of the reduction: its count equals the reference's on
+    every tested grid and energy, and its states are the reference's."""
+
+    @pytest.mark.parametrize("model,lam", [
+        (ModelKind.A, 0.3), (ModelKind.A, 0.5), (ModelKind.A, 1.25),
+        (ModelKind.A, 2.5), (ModelKind.B, 1.5), (ModelKind.B, 2.5),
+    ], ids=lambda p: getattr(p, "name", str(p)))
+    def test_count_matches_full_grid(self, model, lam):
+        geometry = Geometry.from_lambda(lam)
+        for hy in BENCH_H:
+            grid = fo.FdmGrid.from_spacing(geometry, hy)
+            ends = fo.EndColumns.build(model, geometry, grid)
+            full = ref.build(model, geometry, grid)
+            assert_counts_match(ends, full)
+            states = sorted(E for s in fo.SECTORS for E in ends.states(s))
+            assert len(states) == ref.count_below(full, full.threshold)
+            assert_roots_of(full, states)
 
 
 class TestTransparentEnds:
@@ -268,16 +318,17 @@ class TestTransparentEnds:
     @pytest.mark.parametrize("model,lam,ny", CASES,
                              ids=lambda p: getattr(p, "name", str(p)))
     def test_margin_independent(self, model, lam, ny):
-        """1, 2 and 4 cells beyond the window agree within 1e-12."""
-        reference = sector_states(model, lam, margin_grid(lam, ny, 1))
-        assert len(reference[1]) == 1
-        assert len(reference[-1]) == (1 if model is ModelKind.B else 0)
+        """The states of the window plus one cell are the reference's on
+        grids reaching 2 and 4 cells beyond it, within 1e-12."""
+        states = sector_states(model, lam, margin_grid(lam, ny, 1))
+        assert len(states[1]) == 1
+        assert len(states[-1]) == (1 if model is ModelKind.B else 0)
+        merged = sorted(states[1] + states[-1])
         for cells in (2, 4):
-            states = sector_states(model, lam, margin_grid(lam, ny, cells))
-            for s in fo.SECTORS:
-                assert len(states[s]) == len(reference[s])
-                for value, ref in zip(states[s], reference[s]):
-                    assert abs(value - ref) <= 1e-12 * ref
+            grid = margin_grid(lam, ny, cells)
+            full = ref.build(model, Geometry.from_lambda(lam), grid)
+            assert ref.count_below(full, full.threshold) == len(merged)
+            assert_roots_of(full, merged, rel=1e-12)
 
     @pytest.mark.parametrize("model,lam,ny", CASES,
                              ids=lambda p: getattr(p, "name", str(p)))
@@ -289,94 +340,41 @@ class TestTransparentEnds:
         grid = margin_grid(lam, ny, math.ceil(30 * ny))
         mask = fo.dirichlet_mask(model, Geometry.from_lambda(lam), grid)
         mask[0, :] = mask[-1, :] = True
-        box = fo.build_from_mask(grid, mask)
+        box = ref.build_from_mask(grid, mask)
         assert box.ends == ()
-        values = [v for v, _ in fo.lowest_eigenpairs(box, len(merged))]
-        for value, ref in zip(merged, values):
-            assert abs(value - ref) <= 1e-11 * ref
+        values = [v for v, _ in ref.lowest_eigenpairs(box, len(merged))]
+        for value, expected in zip(merged, values):
+            assert abs(value - expected) <= 1e-11 * expected
 
     @pytest.mark.parametrize("ny", [8, 21, 80])
     def test_tail_levels_closed_form(self, ny):
         """A tail column's lumped-mass transverse spectrum is the 1-D
         Dirichlet-Neumann one, t_j = 4/hy^2 sin^2((2j+1) pi hy/4), so the
-        threshold is mu_h = 4/hy^2 sin^2(pi hy/4) < mu."""
+        threshold is mu_h = 4/hy^2 sin^2(pi hy/4) < mu; an interior
+        column's is the Neumann-Neumann one, 4/hy^2 sin^2(m pi hy/2)."""
         hy = 1.0 / ny
         exact = 4.0 / hy**2 * np.sin((2 * np.arange(ny) + 1) * math.pi * hy / 4) ** 2
+        chain = 4.0 / hy**2 * np.sin(np.arange(ny + 1) * math.pi * hy / 2) ** 2
         for model, lam in ((ModelKind.A, 0.5), (ModelKind.B, 1.5)):
-            geometry = Geometry.from_lambda(lam)
-            grid = fo.FdmGrid.from_spacing(geometry, hy)
-            op = full_operator(model, geometry, grid)
-            assert len(op.ends) == 2
-            for end in op.ends:
-                assert np.allclose(end.levels, exact, rtol=1e-12, atol=0.0)
-            assert op.threshold == min(end.levels[0] for end in op.ends) < MU
+            ends = reduced(model, lam, fo.FdmGrid.from_spacing(Geometry.from_lambda(lam), hy))
+            assert np.allclose(ends.levels, exact, rtol=1e-12, atol=0.0)
+            assert np.allclose(ends.chain_levels, chain, rtol=1e-12, atol=1e-9)
+            assert ends.threshold == ends.levels[0] < MU
 
-    def test_energy_above_threshold_rejected(self, op_a_half):
+    def test_energy_above_threshold_rejected(self):
+        ends = reduced(ModelKind.A, 0.5,
+                       fo.FdmGrid.from_spacing(Geometry.from_lambda(0.5), 1.0 / 40))
         with pytest.raises(ValueError):
-            op_a_half.at(op_a_half.threshold * (1.0 + 1e-9))
-        with pytest.raises(ValueError):
-            fo.bound_states(all_dirichlet_square(8), 1)
+            ends.matrix(ends.threshold * (1.0 + 1e-9), 1)
 
-
-def default_ordering_pairs(A, k):
-    """Reference shift-invert at zero with splu's default (COLAMD column)
-    ordering, sorted and normalized as ``lowest_eigenpairs`` returns them."""
-    n = A.shape[0]
-    lu = splu(A.tocsc())
-    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    vals, vecs = eigsh(A, k=k, sigma=0.0, which="LM", OPinv=opinv, v0=v0)
-    order = np.argsort(vals)
-    return [(vals[j], vecs[:, j] / np.linalg.norm(vecs[:, j])) for j in order]
-
-
-def model_operators(model, lam, hy):
-    """Both sector operators and the full-grid operator at spacing hy,
-    at E = ``E_FIXED``."""
-    geometry = Geometry.from_lambda(lam)
-    grid = fo.FdmGrid.from_spacing(geometry, hy)
-    sectors = [fo.build_operator(model, geometry, grid, s).at(E_FIXED)
-               for s in fo.SECTORS]
-    return sectors, full_operator(model, geometry, grid).at(E_FIXED)
-
-
-class TestFactorOrdering:
-    """The shift-invert factor is ordered by minimum degree on A + A^T."""
-
-    @pytest.mark.parametrize("model,lam", [(ModelKind.A, 0.5), (ModelKind.B, 1.5)])
-    def test_fill_budget(self, monkeypatch, model, lam):
-        """L + U of each sector's factor of A(E) at h = 1/32, dense end
-        blocks included, is at most 0.65 of the default ordering's
-        (measured 0.62-0.64 on the window grid; 0.57 on the former
-        12-d box)."""
-        factored = []
-
-        def recorded(A, **kwargs):
-            lu = splu(A, **kwargs)
-            factored.append((A, lu.L.nnz + lu.U.nnz))
-            return lu
-
-        monkeypatch.setattr(fo, "splu", recorded)
-        sectors, _ = model_operators(model, lam, 1.0 / 32)
-        for op in sectors:
-            fo.lowest_eigenpairs(op, 1)
-        assert len(factored) == len(sectors)
-        for A, fill in factored:
-            default = splu(A)
-            assert fill <= 0.65 * (default.L.nnz + default.U.nnz)
-
-    @pytest.mark.parametrize("model,lam", [(ModelKind.A, 0.5), (ModelKind.B, 1.5)])
-    def test_pairs_match_default_ordering(self, model, lam):
-        """Eigenvalues agree to 1e-12 relative and vectors, up to sign,
-        to 1e-10 (rounding over the gaps of the full grid's near pairs)."""
-        sectors, full = model_operators(model, lam, 1.0 / 20)
-        for op, k in [(op, 3) for op in sectors] + [(full, 4)]:
-            pairs = fo.lowest_eigenpairs(op, k)
-            reference = default_ordering_pairs(op.matrix, k)
-            for (value, vector), (ref_value, ref_vector) in zip(pairs, reference):
-                assert abs(value - ref_value) <= 1e-12 * ref_value
-                sign = math.copysign(1.0, vector @ ref_vector)
-                assert np.linalg.norm(vector - sign * ref_vector) <= 1e-10
+    def test_unreducible_grid_rejected(self):
+        """A grid with Dirichlet vertices between its end columns has no
+        reduction to them, and one with hx^2 mu_h >= 4 has a chain mode
+        outside the closed forms."""
+        with pytest.raises(ValueError, match="between the end columns"):
+            reduced(ModelKind.A, 0.5, margin_grid(0.5, 8, 2))
+        with pytest.raises(ValueError, match="too coarse"):
+            reduced(ModelKind.B, 1.5, fo.FdmGrid(L=3.0, nx=4, ny=2))
 
 
 class TestExtrapolate:
@@ -430,25 +428,25 @@ class TestExtrapolate:
                            branch=2)
 
     @pytest.mark.parametrize("model,lam,branch,budget", [
-        (ModelKind.A, 0.5, 1, 19),
-        (ModelKind.B, 1.5, 1, 16),
-        (ModelKind.B, 1.5, 2, 35),
+        (ModelKind.A, 0.5, 1, 34),
+        (ModelKind.B, 1.5, 1, 38),
+        (ModelKind.B, 1.5, 2, 71),
     ])
     def test_evaluation_budget(self, monkeypatch, model, lam, branch, budget):
-        """Eigensolves per extrapolation of the benchmark's oracle
-        operations: per grid and state, one certificate at mu_h and a
-        few warm-started Newton steps (measured 16, 13 and 29; the
+        """Sector-matrix builds per extrapolation of the benchmark's
+        oracle operations: per grid and sector, the counts that isolate
+        each state and a few Brent steps (measured 28, 32 and 59; the
         budgets leave about 20%)."""
         calls = []
-        real = fo.lowest_eigenpairs
+        real = fo.EndColumns.matrix
 
-        def counted(operator, k):
-            calls.append(k)
-            return real(operator, k)
+        def counted(ends, energy, sector):
+            calls.append(energy)
+            return real(ends, energy, sector)
 
-        monkeypatch.setattr(fo, "lowest_eigenpairs", counted)
+        monkeypatch.setattr(fo.EndColumns, "matrix", counted)
         fo.extrapolate(model, Geometry.from_lambda(lam), h_list=BENCH_H, branch=branch)
-        assert len(calls) <= budget
+        assert 0 < len(calls) <= budget
 
     @pytest.mark.parametrize("model,lam,branches", [
         (ModelKind.B, 1.5, 2),
@@ -487,14 +485,11 @@ class TestExtrapolate:
             fo.extrapolate(ModelKind.A, geometry, h_list=(1 / 20, 1 / 50, 1 / 80))
 
     def test_branch_out_of_range_builds_no_grid(self, monkeypatch):
-        """A branch no sector solve can reach fails before any work."""
+        """A branch below 1 fails before any work."""
         def no_grid(*args, **kwargs):
             raise AssertionError("a grid was built")
 
         monkeypatch.setattr(fo.FdmGrid, "from_spacing", no_grid)
-        monkeypatch.setattr(fo, "build_operator", no_grid)
-        geometry = Geometry.from_lambda(20.0)
-        with pytest.raises(LookupError):
-            fo.extrapolate(ModelKind.A, geometry, branch=fo.MAX_PAIRS + 1)
+        monkeypatch.setattr(fo.EndColumns, "build", no_grid)
         with pytest.raises(ValueError):
-            fo.extrapolate(ModelKind.A, geometry, branch=0)
+            fo.extrapolate(ModelKind.A, Geometry.from_lambda(20.0), branch=0)
