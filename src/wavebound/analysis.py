@@ -98,8 +98,8 @@ def sweep(
 
 
 def switch_points(model: ModelKind, geometry: Geometry) -> tuple:
-    """The two boundary-condition switch points of the model (d = 1)."""
-    delta = geometry.unit().delta
+    """The two boundary-condition switch points of the model."""
+    delta = geometry.delta
     if model is ModelKind.A:
         return ((delta, 1.0), (-delta, 0.0))
     return ((-delta, 1.0), (delta, 1.0))

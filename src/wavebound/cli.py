@@ -27,7 +27,7 @@ from . import bounds as bd
 from . import fdm_oracle as fo
 from . import modematch as mm
 from . import variational as va
-from .geometry import Geometry, ModelKind
+from .geometry import MU, Geometry, ModelKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,8 +36,6 @@ EXIT_MISSING_BRANCH = 4
 EXIT_INVARIANT = 5
 
 CSV_VERSION_LINE = "# wavebound-csv v2"
-
-MU = math.pi**2 / 4.0
 
 
 class ConfigError(Exception):
@@ -222,6 +220,9 @@ def _spectrum_rows(lam: float, spectrum: mm.Spectrum) -> list:
 
 
 def _lambda_grid(lam_min: float, lam_max: float, step: float) -> list:
+    if lam_max > lam_min and lam_max + step == lam_max:
+        raise ConfigError(f"--step {step:g} is below the float resolution of "
+                          f"lambda at {lam_max:g}")
     count = int(math.floor((lam_max - lam_min) / step + 1e-9)) + 1
     return [lam_min + i * step for i in range(count)]
 

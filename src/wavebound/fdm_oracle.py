@@ -1,13 +1,13 @@
 """Independent finite-difference verification of the strip eigenvalues.
 
-The negative Laplacian on the strip R x [0, d] is discretized on a
+The negative Laplacian on the strip R x [0, 1] is discretized on a
 vertex-centered grid by the quadratic form
 
     q(u) = sum_edges w_e (u_p - u_q)^2,      w_e = ell_perp / h_par,
 
 which reproduces the classical 5-point stencil with mirror-ghost
 Neumann rows after dividing by the lumped vertex masses
-m_v = hx * ell_y(j) (half cells on the walls y = 0, d).  In the scaled
+m_v = hx * ell_y(j) (half cells on the walls y = 0, 1).  In the scaled
 unknowns hx^(1/2) Ly^(1/2) u the operator is A0 = M^(-1/2) K M^(-1/2).
 The grid covers the window plus one cell, x in [-delta - hx, delta + hx],
 with Dirichlet vertices eliminated.  A column's lumped-mass transverse
@@ -64,7 +64,7 @@ chain eigenvalues sigma_m + (2 - 2 cos(k pi/(n+1)))/hx^2 with
 count of bound states below E is neg(T_s(E)) plus the number of those
 below E (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263),
 and ``roots.count_roots`` isolates and refines each state, as mode
-matching does with its M_s(E).  Everything is in d = 1 units.
+matching does with its M_s(E).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from itertools import islice
 
 import numpy as np
 
-from .geometry import Geometry, ModelKind
+from .geometry import SECTORS, Geometry, ModelKind
 from .roots import count_roots
 
 __all__ = [
@@ -86,9 +86,6 @@ __all__ = [
     "richardson",
     "extrapolate",
 ]
-
-#: reflection parity sectors, even then odd (as ``modematch.SECTORS``)
-SECTORS = (1, -1)
 
 #: the states are sought in (WINDOW_LO_FRAC * mu_h, mu_h] and refined to
 #: ROOT_FRAC * mu_h
@@ -144,7 +141,7 @@ class FdmGrid:
     def from_spacing(cls, geometry: Geometry, hy: float) -> "FdmGrid":
         """Window grid with transverse spacing hy, switch-aligned columns
         and one cell beyond each switch point."""
-        delta = geometry.unit().delta
+        delta = geometry.delta
         ny = int(round(1.0 / hy))
         if abs(ny * hy - 1.0) > 1e-9:
             raise ValueError(f"hy = {hy} must divide the strip width")
@@ -161,8 +158,7 @@ def dirichlet_mask(model: ModelKind, geometry: Geometry, grid: FdmGrid) -> np.nd
     extrapolation).  The end columns carry the tails' pattern, which
     their transparent exteriors continue.
     """
-    unit = geometry.unit()
-    delta = unit.delta
+    delta = geometry.delta
     i_minus = grid.column_of(-delta)
     i_plus = grid.column_of(delta)
     mask = np.zeros((grid.nx + 1, grid.ny + 1), dtype=bool)

@@ -38,6 +38,8 @@ from scipy.integrate import quad
 
 __all__ = [
     "ModelKind",
+    "SECTORS",
+    "MU",
     "Region",
     "ProfileKind",
     "Geometry",
@@ -67,6 +69,14 @@ class ProfileKind(enum.Enum):
     NN_COSINE = "NN_cosine"
 
 
+#: parity sectors under the model's reflection, which swaps the two
+#: tails: even (+1) and odd (-1)
+SECTORS = (1, -1)
+
+#: essential-spectrum threshold pi^2/(4 d^2) at d = 1
+MU = math.pi**2 / 4.0
+
+
 #: cross-section mode family of each region, per model
 _REGION_PROFILES = {
     ModelKind.A: {
@@ -89,41 +99,33 @@ def region_profile(model: ModelKind, region: Region) -> ProfileKind:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Strip width d and half window delta; both strictly positive.
+    """The window lam = delta/d, strictly positive and finite.
 
-    ``lam = delta/d`` is the dimensionless window parameter and
-    ``mu = pi^2/(4 d^2)`` the essential-spectrum threshold.  All spectral
-    computations are done internally with d = 1; d enters only at the
-    input/output boundary.
+    By scaling, E/mu depends on the window only through lam, so every
+    computation runs on the strip of width d = 1: there the half window
+    delta equals lam and the essential-spectrum threshold is MU.
     """
 
-    d: float = 1.0
-    delta: float = 0.5
+    lam: float
 
     def __post_init__(self):
-        if not (self.d > 0.0) or not math.isfinite(self.d):
-            raise ValueError(f"strip width d must be positive, got {self.d}")
-        if not (self.delta > 0.0) or not math.isfinite(self.delta):
-            raise ValueError(f"half window delta must be positive, got {self.delta}")
+        if not (self.lam > 0.0) or not math.isfinite(self.lam):
+            raise ValueError(f"half window delta must be positive, got {self.lam}")
 
     @classmethod
-    def from_lambda(cls, lam: float, d: float = 1.0) -> "Geometry":
+    def from_lambda(cls, lam: float) -> "Geometry":
         """Build a geometry from the dimensionless window lam = delta/d."""
-        return cls(d=d, delta=lam * d)
+        return cls(lam)
 
     @property
-    def lam(self) -> float:
-        """Dimensionless window parameter delta/d."""
-        return self.delta / self.d
+    def delta(self) -> float:
+        """Half window at d = 1, equal to lam."""
+        return self.lam
 
     @property
     def mu(self) -> float:
-        """Essential-spectrum threshold pi^2/(4 d^2)."""
-        return math.pi**2 / (4.0 * self.d**2)
-
-    def unit(self) -> "Geometry":
-        """The same window in nondimensional units (d = 1)."""
-        return Geometry(d=1.0, delta=self.lam)
+        """Essential-spectrum threshold at d = 1, MU = pi^2/4."""
+        return MU
 
 
 def profile_values(profile: ProfileKind, N: int, y: np.ndarray) -> np.ndarray:

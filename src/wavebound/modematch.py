@@ -37,8 +37,7 @@ one eigenvalue of M_s(E) that crosses zero there.  Each eigenvalue keeps
 the sector it was found in (``Spectrum.sectors``), and its eigenfield is
 solved in that sector.
 
-All computations are done in nondimensional units d = 1; reported
-eigenvalues are the dimensionless ratios E/mu.
+Reported eigenvalues are the dimensionless ratios E/mu.
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eigh
 
 from .geometry import (
+    SECTORS,
     Geometry,
     ModelKind,
     ProfileKind,
@@ -58,7 +58,7 @@ from .geometry import (
     profile_values,
     region_profile,
 )
-from .roots import count_roots
+from .roots import count, count_roots
 
 __all__ = [
     "SECTORS",
@@ -86,9 +86,6 @@ STABILITY_BUMP = 8
 
 #: largest truncation N per region
 MAX_MODES = 256
-
-#: parity sectors under the model's reflection: even (+1) and odd (-1)
-SECTORS = (1, -1)
 
 
 def _kappa(N: int, E: float) -> np.ndarray:
@@ -131,18 +128,17 @@ def sector_matrix(
 ) -> np.ndarray:
     """M_s(E) = diag(kappa) - O diag(Lambda) O^T of one parity sector.
 
-    E is the absolute energy of the nondimensional problem (d = 1), so
-    it must lie strictly inside (0, pi^2/4).
+    E is the absolute energy at d = 1, so it must lie strictly inside
+    (0, pi^2/4).
     """
-    unit = geometry.unit()
-    if not (0.0 < E < unit.mu):
-        raise ValueError(f"energy must lie in (0, mu)=(0, {unit.mu}), got {E}")
+    if not (0.0 < E < geometry.mu):
+        raise ValueError(f"energy must lie in (0, mu)=(0, {geometry.mu}), got {E}")
     if not (4 <= N <= MAX_MODES):
         raise ValueError(f"truncation N must lie in [4, {MAX_MODES}], got {N}")
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector}")
     O = overlap_matrix(region_profile(model, Region.I), N)
-    f, df = _center_at_interface(_center_is_cos(model, sector, N), unit.delta, E)
+    f, df = _center_at_interface(_center_is_cos(model, sector, N), geometry.delta, E)
     return np.diag(_kappa(N, E)) - (O * (df / f)) @ O.T
 
 
@@ -153,14 +149,11 @@ def _poles_below(delta: float, E: float, sector: int) -> int:
     return math.floor(phase + 0.5) if sector == 1 else math.floor(phase)
 
 
-def _count_and_eigenvalues(
-    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
-) -> tuple[int, np.ndarray]:
-    """Sector count at E, neg(M_s(E)) plus the poles of Lambda_0 below E,
-    with the eigenvalues of M_s(E) it was read from."""
-    w = eigvalsh(sector_matrix(model, geometry, N, E, sector), check_finite=False)
-    negative = int(np.count_nonzero(w < 0.0))
-    return negative + _poles_below(geometry.unit().delta, E, sector), w
+def _sector_problem(model: ModelKind, geometry: Geometry, N: int, sector: int):
+    """The sector's matrix family M_s(E) and its pole count, as the
+    arguments ``roots.count`` and ``roots.count_roots`` take."""
+    return (lambda E: sector_matrix(model, geometry, N, E, sector),
+            lambda E: _poles_below(geometry.delta, E, sector))
 
 
 def sector_count(
@@ -168,28 +161,27 @@ def sector_count(
 ) -> int:
     """Number of eigenvalues below E in one sector of the N-truncated problem:
     neg(M_s(E)) plus the poles of Lambda_0 below E."""
-    return _count_and_eigenvalues(model, geometry, N, E, sector)[0]
+    return count(*_sector_problem(model, geometry, N, sector), E)[0]
 
 
 def count_states(model: ModelKind, geometry: Geometry, N: int, E: float) -> int:
-    """Number of eigenvalues below E (d = 1 units) of the N-truncated problem."""
+    """Number of eigenvalues below E of the N-truncated problem."""
     return sum(sector_count(model, geometry, N, E, s) for s in SECTORS)
 
 
 def _residual(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
     """min |eig M_s(E)|: zero at a root of the sector."""
-    w = _count_and_eigenvalues(model, geometry, N, E, sector)[1]
+    w = count(*_sector_problem(model, geometry, N, sector), E)[1]
     return float(np.min(np.abs(w)))
 
 
 def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> list:
     """Eigenvalues of one sector in the scan window, isolated by count
     and refined to REFINE_FRAC * mu (``roots.count_roots``)."""
-    unit = geometry.unit()
+    mu = geometry.mu
     return list(count_roots(
-        lambda E: sector_matrix(model, unit, N, E, sector),
-        lambda E: _poles_below(unit.delta, E, sector),
-        SCAN_LO_FRAC * unit.mu, SCAN_HI_FRAC * unit.mu, REFINE_FRAC * unit.mu,
+        *_sector_problem(model, geometry, N, sector),
+        SCAN_LO_FRAC * mu, SCAN_HI_FRAC * mu, REFINE_FRAC * mu,
     ))
 
 
@@ -197,7 +189,7 @@ def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int)
     """True when the sector at N + STABILITY_BUMP (N - STABILITY_BUMP
     above MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of E
     (inside the scan window)."""
-    mu = geometry.unit().mu
+    mu = geometry.mu
     drift = STABLE_DRIFT_FRAC * mu
     lo = max(E - drift, SCAN_LO_FRAC * mu)
     hi = min(E + drift, SCAN_HI_FRAC * mu)
@@ -242,21 +234,20 @@ def scan_spectrum(
     sector at truncation N + STABILITY_BUMP (N - STABILITY_BUMP above
     MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it.
     """
-    unit = geometry.unit()
     roots = sorted(
         (root, sector)
         for sector in SECTORS
-        for root in _sector_roots(model, unit, N, sector)
+        for root in _sector_roots(model, geometry, N, sector)
     )
     eigenvalues, sectors, residuals, flags = [], [], [], []
     for root, sector in roots:
-        eigenvalues.append(root / unit.mu)
+        eigenvalues.append(root / geometry.mu)
         sectors.append(sector)
-        residuals.append(_residual(model, unit, N, root, sector))
-        flags.append(not check_stability or _stable(model, unit, N, root, sector))
+        residuals.append(_residual(model, geometry, N, root, sector))
+        flags.append(not check_stability or _stable(model, geometry, N, root, sector))
     return Spectrum(
         model=model,
-        geometry=unit,
+        geometry=geometry,
         N=N,
         eigenvalues=tuple(eigenvalues),
         sectors=tuple(sectors),
@@ -272,7 +263,7 @@ def scan_spectrum(
 
 @dataclass(frozen=True)
 class EigenField:
-    """Matched modal coefficients of one eigenfunction (d = 1 units).
+    """Matched modal coefficients of one eigenfunction.
 
     Normalized to unit L^2 norm over the full strip, in closed form:
     the transverse bases are orthonormal, the tail factors are pure
@@ -340,17 +331,16 @@ def solve_coefficients(
     instead.  The field is scaled to unit L^2(Omega) norm with the
     largest-magnitude coefficient positive.
     """
-    unit = geometry.unit()
-    delta = unit.delta
-    tol = REFINE_FRAC * unit.mu
-    if sector_count(model, unit, N, E + tol, sector) == sector_count(
-        model, unit, N, E - tol, sector
+    delta = geometry.delta
+    tol = REFINE_FRAC * geometry.mu
+    if sector_count(model, geometry, N, E + tol, sector) == sector_count(
+        model, geometry, N, E - tol, sector
     ):
         raise ValueError(
             f"E={E} is not a root of sector {sector}: its count does not step "
             f"within {tol:.3g}"
         )
-    w, V = eigh(sector_matrix(model, unit, N, E, sector), check_finite=False)
+    w, V = eigh(sector_matrix(model, geometry, N, E, sector), check_finite=False)
     a = V[:, np.argmin(np.abs(w))]
 
     O = overlap_matrix(region_profile(model, Region.I), N)
@@ -368,12 +358,12 @@ def solve_coefficients(
     beta = np.where(is_cos, 0.0, amplitude)
 
     v = np.concatenate([a, b, alpha, beta])
-    scale = math.sqrt(_field_norm_sq(unit, E, a, b, alpha, beta))
+    scale = math.sqrt(_field_norm_sq(geometry, E, a, b, alpha, beta))
     if v[np.argmax(np.abs(v))] < 0.0:
         scale = -scale
     return EigenField(
         model=model,
-        geometry=unit,
+        geometry=geometry,
         N=N,
         E=E,
         a=a / scale,
@@ -403,7 +393,7 @@ def _field_norm_sq(geometry: Geometry, E: float, a, b, alpha, beta) -> float:
 
 
 def evaluate_field(field: EigenField, x, y) -> np.ndarray:
-    """Eigenfunction value at points (x, y) of the strip (d = 1 units).
+    """Eigenfunction value at points (x, y) of the strip.
 
     Accepts scalars or broadcastable arrays; y must lie in [0, 1].
     """
@@ -452,6 +442,5 @@ def solve_field(
             f"branch {branch} absent: spectrum has {len(spectrum.eigenvalues)} "
             f"eigenvalue(s) at lam={geometry.lam}"
         )
-    unit = geometry.unit()
-    E = spectrum.eigenvalues[branch - 1] * unit.mu
-    return solve_coefficients(model, unit, N, E, spectrum.sectors[branch - 1])
+    E = spectrum.eigenvalues[branch - 1] * geometry.mu
+    return solve_coefficients(model, geometry, N, E, spectrum.sectors[branch - 1])

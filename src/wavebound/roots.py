@@ -14,7 +14,14 @@ import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.optimize import brentq
 
-__all__ = ["count_roots"]
+__all__ = ["count", "count_roots"]
+
+
+def count(matrix, poles, E: float) -> tuple[int, np.ndarray]:
+    """Number of eigenvalues below E, neg(``matrix(E)``) + ``poles(E)``,
+    with the eigenvalues of ``matrix(E)`` it was read from."""
+    w = eigvalsh(matrix(E), check_finite=False)
+    return int(np.count_nonzero(w < 0.0)) + poles(E), w
 
 
 def count_roots(matrix, poles, lo: float, hi: float, xtol: float):
@@ -31,8 +38,7 @@ def count_roots(matrix, poles, lo: float, hi: float, xtol: float):
     """
 
     def end(E: float) -> tuple:
-        w = eigvalsh(matrix(E), check_finite=False)
-        return E, int(np.count_nonzero(w < 0.0)) + poles(E), w
+        return E, *count(matrix, poles, E)
 
     def crossing(E: float, j: int, ends: tuple) -> float:
         for at, _, w in ends:

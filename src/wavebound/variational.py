@@ -29,6 +29,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from .geometry import MU
+
 __all__ = [
     "T1",
     "T2",
@@ -59,6 +61,14 @@ KONEC2_LHS = 1.0 - 2.0 / _PI
 #: upper end of the admissible kappa window (denominator sign change)
 KAPPA_MAX = (math.sqrt(129.0) - 1.0) / (8.0 * math.sqrt(2.0))
 
+#: rates of the four longitudinal trial components: the cosh component
+#: of phi/psi and eta, the sinh component of phi/psi and chi, the sinh
+#: component of chi and the cosine component of eta
+_A1 = _PI * T1
+_A2 = _PI * T2
+_A3 = math.sqrt(3.0) * _PI / 2.0
+_A4 = _PI / 2.0
+
 
 # ---------------------------------------------------------------------------
 # Trial profiles (closed-form Euler solutions) and the window functional
@@ -67,7 +77,8 @@ KAPPA_MAX = (math.sqrt(129.0) - 1.0) / (8.0 * math.sqrt(2.0))
 
 @dataclass(frozen=True)
 class TrialProfiles:
-    """Closed-form trial profiles chi, phi, psi, eta on [-delta, delta].
+    """Closed-form trial profiles chi, phi, psi, eta on [-delta, delta],
+    0 < delta < 1.
 
     They solve the coupled Euler system of the window functional with
     boundary values phi(-delta) = psi(delta) = 1, phi(delta) =
@@ -78,43 +89,23 @@ class TrialProfiles:
     """
 
     delta: float
-    d: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.delta < self.d):
-            raise ValueError(
-                f"window must satisfy 0 < delta < d, got delta={self.delta}, d={self.d}"
-            )
-
-    # rates of the three longitudinal components
-    @property
-    def _a1(self) -> float:  # cosh component of phi/psi and eta
-        return _PI * T1 / self.d
-
-    @property
-    def _a2(self) -> float:  # sinh component of phi/psi and chi
-        return _PI * T2 / self.d
-
-    @property
-    def _a3(self) -> float:  # sinh component of chi
-        return math.sqrt(3.0) * _PI / (2.0 * self.d)
-
-    @property
-    def _a4(self) -> float:  # cosine component of eta
-        return _PI / (2.0 * self.d)
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"window must satisfy 0 < delta < 1, got delta={self.delta}")
 
     # normalized component functions: value 1 at x = delta (cosh/cos: even)
     def _ch1(self, x):
-        return np.cosh(self._a1 * x) / math.cosh(self._a1 * self.delta)
+        return np.cosh(_A1 * x) / math.cosh(_A1 * self.delta)
 
     def _sh2(self, x):
-        return np.sinh(self._a2 * x) / math.sinh(self._a2 * self.delta)
+        return np.sinh(_A2 * x) / math.sinh(_A2 * self.delta)
 
     def _sh3(self, x):
-        return np.sinh(self._a3 * x) / math.sinh(self._a3 * self.delta)
+        return np.sinh(_A3 * x) / math.sinh(_A3 * self.delta)
 
     def _cs4(self, x):
-        return np.cos(self._a4 * x) / math.cos(self._a4 * self.delta)
+        return np.cos(_A4 * x) / math.cos(_A4 * self.delta)
 
     def chi(self, x):
         return (4.0 / (3.0 * _PI)) * (self._sh3(x) - self._sh2(x))
@@ -130,16 +121,16 @@ class TrialProfiles:
 
     # first derivatives
     def _dch1(self, x):
-        return self._a1 * np.sinh(self._a1 * x) / math.cosh(self._a1 * self.delta)
+        return _A1 * np.sinh(_A1 * x) / math.cosh(_A1 * self.delta)
 
     def _dsh2(self, x):
-        return self._a2 * np.cosh(self._a2 * x) / math.sinh(self._a2 * self.delta)
+        return _A2 * np.cosh(_A2 * x) / math.sinh(_A2 * self.delta)
 
     def _dsh3(self, x):
-        return self._a3 * np.cosh(self._a3 * x) / math.sinh(self._a3 * self.delta)
+        return _A3 * np.cosh(_A3 * x) / math.sinh(_A3 * self.delta)
 
     def _dcs4(self, x):
-        return -self._a4 * np.sin(self._a4 * x) / math.cos(self._a4 * self.delta)
+        return -_A4 * np.sin(_A4 * x) / math.cos(_A4 * self.delta)
 
     def dchi(self, x):
         return (4.0 / (3.0 * _PI)) * (self._dsh3(x) - self._dsh2(x))
@@ -156,36 +147,35 @@ class TrialProfiles:
     # second derivatives (cosh/sinh reproduce with rate^2, cos with -rate^2)
     def d2chi(self, x):
         return (4.0 / (3.0 * _PI)) * (
-            self._a3**2 * self._sh3(x) - self._a2**2 * self._sh2(x)
+            _A3**2 * self._sh3(x) - _A2**2 * self._sh2(x)
         )
 
     def d2phi(self, x):
-        return 0.5 * (self._a1**2 * self._ch1(x) - self._a2**2 * self._sh2(x))
+        return 0.5 * (_A1**2 * self._ch1(x) - _A2**2 * self._sh2(x))
 
     def d2psi(self, x):
-        return 0.5 * (self._a1**2 * self._ch1(x) + self._a2**2 * self._sh2(x))
+        return 0.5 * (_A1**2 * self._ch1(x) + _A2**2 * self._sh2(x))
 
     def d2eta(self, x):
-        return (2.0 / _PI) * (-self._a4**2 * self._cs4(x) - self._a1**2 * self._ch1(x))
+        return (2.0 / _PI) * (-_A4**2 * self._cs4(x) - _A1**2 * self._ch1(x))
 
     def functional_integrand(self, x):
         """Quadratic density of the reduced window functional."""
-        d = self.d
         phi, psi = self.phi(x), self.psi(x)
         chi, eta = self.chi(x), self.eta(x)
         dphi, dpsi = self.dphi(x), self.dpsi(x)
         dchi, deta = self.dchi(x), self.deta(x)
         return (
-            (d / 2.0) * (dphi**2 + dpsi**2 + dchi**2)
-            + d * deta**2
-            + (2.0 * d / _PI) * dphi * dpsi
-            + (4.0 * d / (3.0 * _PI)) * dchi * (dpsi - dphi)
-            + (4.0 * d / _PI) * deta * (dphi + dpsi)
-            + (_PI / d) * chi * (psi - phi)
-            + (3.0 * _PI**2 / (8.0 * d)) * chi**2
-            - (_PI / d) * phi * psi
-            - (_PI**2 / (4.0 * d)) * eta**2
-            - (_PI / d) * eta * (psi + phi)
+            0.5 * (dphi**2 + dpsi**2 + dchi**2)
+            + deta**2
+            + (2.0 / _PI) * dphi * dpsi
+            + (4.0 / (3.0 * _PI)) * dchi * (dpsi - dphi)
+            + (4.0 / _PI) * deta * (dphi + dpsi)
+            + _PI * chi * (psi - phi)
+            + (3.0 * _PI**2 / 8.0) * chi**2
+            - _PI * phi * psi
+            - (_PI**2 / 4.0) * eta**2
+            - _PI * eta * (psi + phi)
         )
 
 
@@ -195,37 +185,36 @@ def euler_residuals(profiles: TrialProfiles, x) -> np.ndarray:
     Zero (to rounding) certifies that the closed-form profiles solve the
     stationarity system of the window functional.
     """
-    d = profiles.d
     x = np.atleast_1d(np.asarray(x, dtype=float))
     phi, psi = profiles.phi(x), profiles.psi(x)
     chi, eta = profiles.chi(x), profiles.eta(x)
     d2phi, d2psi = profiles.d2phi(x), profiles.d2psi(x)
     d2chi, d2eta = profiles.d2chi(x), profiles.d2eta(x)
     r1 = (
-        d * d2phi
-        + (2.0 * d / _PI) * d2psi
-        - (4.0 * d / (3.0 * _PI)) * d2chi
-        + (4.0 * d / _PI) * d2eta
-        + (_PI / d) * (psi + eta + chi)
+        d2phi
+        + (2.0 / _PI) * d2psi
+        - (4.0 / (3.0 * _PI)) * d2chi
+        + (4.0 / _PI) * d2eta
+        + _PI * (psi + eta + chi)
     )
     r2 = (
-        d * d2psi
-        + (2.0 * d / _PI) * d2phi
-        + (4.0 * d / (3.0 * _PI)) * d2chi
-        + (4.0 * d / _PI) * d2eta
-        + (_PI / d) * (phi + eta - chi)
+        d2psi
+        + (2.0 / _PI) * d2phi
+        + (4.0 / (3.0 * _PI)) * d2chi
+        + (4.0 / _PI) * d2eta
+        + _PI * (phi + eta - chi)
     )
     r3 = (
-        d * d2chi
-        + (4.0 * d / (3.0 * _PI)) * (d2psi - d2phi)
-        - (_PI / d) * (psi - phi)
-        - (3.0 * _PI**2 / (4.0 * d)) * chi
+        d2chi
+        + (4.0 / (3.0 * _PI)) * (d2psi - d2phi)
+        - _PI * (psi - phi)
+        - (3.0 * _PI**2 / 4.0) * chi
     )
     r4 = (
-        2.0 * d * d2eta
-        + (4.0 * d / _PI) * (d2psi + d2phi)
-        + (_PI / d) * (psi + phi)
-        + (_PI**2 / (2.0 * d)) * eta
+        2.0 * d2eta
+        + (4.0 / _PI) * (d2psi + d2phi)
+        + _PI * (psi + phi)
+        + (_PI**2 / 2.0) * eta
     )
     return np.stack([r1, r2, r3, r4])
 
@@ -239,29 +228,28 @@ _C3 = math.sqrt((3.0 * _PI - 8.0) * (9.0 * _PI**2 - 18.0 * _PI - 32.0)) / (
 _C4 = 4.0 / _PI
 
 
-def q2_closed(delta: float, d: float = 1.0) -> float:
+def q2_closed(delta: float) -> float:
     """Closed form of the reduced window functional at the Euler profiles.
 
     Diverges to +inf as delta -> 0+ (coth terms) and to -inf as
-    delta -> d- (tan term); its unique root defines lambda2.
+    delta -> 1- (tan term); its unique root defines lambda2.
     """
-    if not (0.0 < delta < d):
-        raise ValueError(f"window must satisfy 0 < delta < d, got delta={delta}, d={d}")
-    r = delta / d
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"window must satisfy 0 < delta < 1, got delta={delta}")
     return (
-        _C1 * math.tanh(_PI * r * T1)
-        + _C2 / math.tanh(math.sqrt(3.0) * _PI * r / 2.0)
-        + _C3 / math.tanh(_PI * r * T2)
-        - _C4 * math.tan(_PI * r / 2.0)
+        _C1 * math.tanh(_PI * delta * T1)
+        + _C2 / math.tanh(math.sqrt(3.0) * _PI * delta / 2.0)
+        + _C3 / math.tanh(_PI * delta * T2)
+        - _C4 * math.tan(_PI * delta / 2.0)
     )
 
 
-def q2_quadrature(delta: float, d: float = 1.0) -> float:
+def q2_quadrature(delta: float) -> float:
     """The same functional by adaptive quadrature of the ten-term density.
 
     This is the independent oracle for ``q2_closed``.
     """
-    profiles = TrialProfiles(delta=delta, d=d)
+    profiles = TrialProfiles(delta=delta)
     val, err = quad(
         lambda x: float(profiles.functional_integrand(x)),
         -delta,
@@ -345,27 +333,26 @@ def _bump_moments() -> tuple[float, float, float]:
     return tuple(moments)
 
 
-def certificate_norms(delta: float, d: float = 1.0) -> tuple[float, float, float]:
+def certificate_norms(delta: float) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of the certificate q = sigma A - eps B + eps^2 C.
 
-    A = ||phi'||^2 = sqrt(pi/2)/d for the plateau function (1 on
-    [-2 delta, 2 delta], Gaussian decay exp(-((|x| - 2 delta)/d)^2)
-    outside), B = (pi/d) sqrt(2/d) ||j||^2 for the bump localization
-    j(x) = g(x/delta), and C = 4 d ||j j'||^2 - d mu ||j^2||^2.  The
+    A = ||phi'||^2 = sqrt(pi/2) for the plateau function (1 on
+    [-2 delta, 2 delta], Gaussian decay exp(-(|x| - 2 delta)^2)
+    outside), B = pi sqrt(2) ||j||^2 for the bump localization
+    j(x) = g(x/delta), and C = 4 ||j j'||^2 - mu ||j^2||^2.  The
     bump norms scale exactly with the window: ||j||^2 = delta int g^2,
     ||j j'||^2 = int (g g')^2 / delta and ||j^2||^2 = delta int g^4.
     """
-    if not (delta > 0.0) or not (d > 0.0):
-        raise ValueError("delta and d must be positive")
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
     g2, ggp2, g4 = _bump_moments()
-    mu = _PI**2 / (4.0 * d * d)
-    A = math.sqrt(_PI / 2.0) / d
-    B = (_PI / d) * math.sqrt(2.0 / d) * delta * g2
-    C = 4.0 * d * ggp2 / delta - d * mu * delta * g4
+    A = math.sqrt(_PI / 2.0)
+    B = _PI * math.sqrt(2.0) * delta * g2
+    C = 4.0 * ggp2 / delta - MU * delta * g4
     return A, B, C
 
 
-def modelB_certificate(delta: float, d: float, sigma: float, epsilon: float) -> float:
+def modelB_certificate(delta: float, sigma: float, epsilon: float) -> float:
     """Trial-state energy excess q[Phi_{sigma, eps}] for model B.
 
     Negative values certify a bound state below the threshold.  The
@@ -374,13 +361,11 @@ def modelB_certificate(delta: float, d: float, sigma: float, epsilon: float) -> 
     """
     if sigma < 0.0 or epsilon < 0.0:
         raise ValueError("sigma and epsilon must be nonnegative")
-    A, B, C = certificate_norms(delta, d)
+    A, B, C = certificate_norms(delta)
     return sigma * A - epsilon * B + epsilon * epsilon * C
 
 
-def find_negative_certificate(
-    delta: float, d: float = 1.0
-) -> tuple[float, float, float]:
+def find_negative_certificate(delta: float) -> tuple[float, float, float]:
     """(sigma, epsilon, value) at the closed-form minimum of the certificate.
 
     q grows linearly in sigma, which therefore sits on a positive floor
@@ -389,7 +374,7 @@ def find_negative_certificate(
     windows) every epsilon > 0 makes -eps B + eps^2 C negative, and
     epsilon = 1 is taken.
     """
-    _, B, C = certificate_norms(delta, d)
+    _, B, C = certificate_norms(delta)
     sigma = 1e-12
     epsilon = B / (2.0 * C) if C > 0.0 else 1.0
-    return sigma, epsilon, modelB_certificate(delta, d, sigma, epsilon)
+    return sigma, epsilon, modelB_certificate(delta, sigma, epsilon)

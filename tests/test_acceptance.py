@@ -184,7 +184,7 @@ def test_criterion_08_functional_oracle_equivalence():
     assert worst < 1e-8
     xs = np.linspace(-0.45, 0.45, 101)
     residuals = np.abs(
-        va.euler_residuals(va.TrialProfiles(delta=0.5, d=1.0), xs)
+        va.euler_residuals(va.TrialProfiles(delta=0.5), xs)
     ).max()
     assert residuals < 1e-8
     print(f"CRITERION 8: PASS — quadrature vs closed form {worst:.2e} "

@@ -44,8 +44,15 @@ class TestConfigResolution:
     def test_missing_geometry(self, capsys):
         assert run(["spectrum", "--model", "A"]) == 2
 
-    def test_negative_lambda(self):
-        assert run(["spectrum", "--lambda", "-0.5"]) == 2
+    @pytest.mark.parametrize("lam,message", [
+        ("-0.5", "lambda must be positive"),
+        ("0", "lambda must be positive"),
+        ("nan", "half window delta must be positive, got nan"),
+        ("inf", "half window delta must be positive, got inf"),
+    ], ids=["-0.5", "0", "nan", "inf"])
+    def test_negative_lambda(self, lam, message, capsys):
+        assert run(["spectrum", "--lambda", lam]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_delta_with_width(self, tmp_path):
         """delta/d and lambda parameterizations give identical output."""
@@ -203,6 +210,14 @@ class TestSweepCommand:
     def test_bad_range(self):
         assert run(["sweep", "--model", "A", "--lambda-min", "1.0",
                     "--lambda-max", "0.5", "--step", "0.1"]) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "analyze"])
+    def test_step_below_lambda_resolution(self, command, capsys):
+        """A step that cannot move lambda is refused before any grid point
+        is built (the grid would hold ~1e299 copies of lambda-min)."""
+        assert run([command, "--model", "A", "--lambda-min", "0.1",
+                    "--lambda-max", "0.2", "--step", "1e-300"]) == 2
+        assert "--step" in capsys.readouterr().err
 
 
 class TestInvariantViolation:

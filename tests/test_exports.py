@@ -1,8 +1,12 @@
 """Every name a module lists in ``__all__`` exists, so that
-``from wavebound.<module> import *`` keeps working; importing the
-package defaults BLAS to one thread unless the caller chose a count."""
+``from wavebound.<module> import *`` keeps working; the names the
+benchmark in ``bench/`` reads keep their names and call shapes;
+importing the package defaults BLAS to one thread unless the caller
+chose a count."""
 
 import importlib
+import inspect
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import wavebound
+from wavebound import analysis, bounds, cli, fdm_oracle, geometry
+from wavebound.geometry import Geometry, ModelKind
 
 MODULES = ("geometry", "bounds", "variational", "roots", "modematch", "fdm_oracle",
            "analysis")
@@ -23,6 +29,19 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"wavebound.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_benchmark_names():
+    """A rename of any of these breaks every benchmark run."""
+    assert cli.MU == math.pi**2 / 4
+    assert cli.MU == geometry.MU
+    assert cli.CSV_VERSION_LINE == "# wavebound-csv v2"
+    assert cli.EXIT_OK == 0
+    assert Geometry.from_lambda(0.5).lam == 0.5
+    assert isinstance(bounds.FLOAT_SLACK, float)
+    inspect.signature(fdm_oracle.extrapolate).bind(
+        ModelKind.A, Geometry.from_lambda(0.5), h_list=fdm_oracle.SPACINGS, branch=1)
+    inspect.signature(analysis.find_emergence).bind(ModelKind.A, 1, N=32, tol=1e-4)
 
 
 @pytest.mark.parametrize("preset,expected", [

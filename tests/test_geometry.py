@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavebound.geometry import (
+    MU,
     Geometry,
     ModelKind,
     ProfileKind,
@@ -31,26 +32,24 @@ FAMILIES = [ProfileKind.DN_SINE, ProfileKind.ND_COSINE, ProfileKind.NN_COSINE]
 
 
 def test_geometry_derived_quantities():
-    g = Geometry(d=2.0, delta=1.0)
-    assert g.lam == 0.5
-    assert g.mu == pytest.approx(math.pi**2 / 16.0, rel=1e-15)
+    """At d = 1 the half window is lam and the threshold is pi^2/4."""
+    g = Geometry(0.5)
+    assert g.lam == g.delta == 0.5
+    assert g.mu == MU == math.pi**2 / 4.0
 
 
 def test_geometry_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Geometry(d=0.0, delta=0.5)
-    with pytest.raises(ValueError):
-        Geometry(d=1.0, delta=0.0)
-    with pytest.raises(ValueError):
-        Geometry(d=1.0, delta=-0.1)
+    for lam in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="half window delta must be positive"):
+            Geometry(lam)
 
 
-@given(lam=st.floats(0.01, 10.0), d=st.floats(0.1, 10.0))
+@given(lam=st.floats(0.01, 10.0))
 @settings(max_examples=50, deadline=None)
-def test_geometry_lambda_roundtrip(lam, d):
-    g = Geometry.from_lambda(lam, d=d)
-    assert g.lam == pytest.approx(lam, rel=1e-12)
-    assert g.mu == pytest.approx(math.pi**2 / (4 * d * d), rel=1e-14)
+def test_geometry_lambda_roundtrip(lam):
+    g = Geometry.from_lambda(lam)
+    assert g.lam == g.delta == lam
+    assert g.mu == MU
 
 
 def test_region_profiles():

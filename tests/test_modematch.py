@@ -178,7 +178,7 @@ class TestAssemble:
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
-            Geometry(d=1.0, delta=0.0)
+            Geometry(0.0)
 
     def test_no_rank_deficiency_away_from_roots(self):
         # lam=0.5, N=16, E=0.5*mu sits far from the only eigenvalue

@@ -104,16 +104,6 @@ def test_q2_rejects_out_of_range():
         V.q2_closed(0.0)
     with pytest.raises(ValueError):
         V.q2_closed(1.0)
-    with pytest.raises(ValueError):
-        V.q2_closed(0.5, d=0.4)
-
-
-def test_q2_scale_invariance():
-    """The functional depends only on delta/d."""
-    assert V.q2_closed(0.3, 1.0) == pytest.approx(V.q2_closed(0.6, 2.0), rel=1e-12)
-    assert V.q2_quadrature(0.3, 1.0) == pytest.approx(
-        V.q2_quadrature(0.6, 2.0), rel=1e-10
-    )
 
 
 def test_lambda2_value_and_root_contract():
@@ -177,17 +167,17 @@ def test_kappa0_and_lambda1():
 
 def test_certificate_eps_zero_is_positive():
     """At eps = 0 only the plateau kinetic term survives."""
-    A, _, _ = V.certificate_norms(0.1, 1.0)
-    val = V.modelB_certificate(0.1, 1.0, sigma=0.5, epsilon=0.0)
+    A, _, _ = V.certificate_norms(0.1)
+    val = V.modelB_certificate(0.1, sigma=0.5, epsilon=0.0)
     assert val == pytest.approx(0.5 * A, rel=1e-12)
     assert val > 0.0
 
 
 def test_certificate_affine_in_sigma():
     """For fixed eps the certificate is affine in sigma with slope A."""
-    A, _, _ = V.certificate_norms(0.2, 1.0)
-    q1 = V.modelB_certificate(0.2, 1.0, 0.1, 0.05)
-    q2 = V.modelB_certificate(0.2, 1.0, 0.7, 0.05)
+    A, _, _ = V.certificate_norms(0.2)
+    q1 = V.modelB_certificate(0.2, 0.1, 0.05)
+    q2 = V.modelB_certificate(0.2, 0.7, 0.05)
     assert (q2 - q1) / 0.6 == pytest.approx(A, rel=1e-10)
 
 
@@ -196,7 +186,7 @@ def test_negative_certificate_exists_for_every_window(delta):
     sigma, eps, val = V.find_negative_certificate(delta)
     assert val < 0.0
     assert sigma > 0.0 and eps > 0.0
-    assert V.modelB_certificate(delta, 1.0, sigma, eps) == pytest.approx(val, rel=1e-12)
+    assert V.modelB_certificate(delta, sigma, eps) == pytest.approx(val, rel=1e-12)
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.7, 2.0])
@@ -222,7 +212,7 @@ def test_certificate_norms_match_direct_quadrature(delta):
         math.pi * math.sqrt(2.0) * norm(lambda x: j(x) ** 2),
         4.0 * norm(lambda x: (j(x) * jp(x)) ** 2) - mu * norm(lambda x: j(x) ** 4),
     )
-    assert V.certificate_norms(delta, 1.0) == pytest.approx(expected, rel=1e-10)
+    assert V.certificate_norms(delta) == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.5, 1.0])
@@ -230,14 +220,14 @@ def test_negative_certificate_is_the_minimum_in_epsilon(delta):
     """Where C > 0 the returned epsilon minimizes the parabola in epsilon."""
     sigma, eps, val = V.find_negative_certificate(delta)
     for factor in (0.99, 1.01):
-        assert V.modelB_certificate(delta, 1.0, sigma, factor * eps) > val
+        assert V.modelB_certificate(delta, sigma, factor * eps) > val
 
 
 def test_certificate_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        V.modelB_certificate(0.1, 1.0, -1.0, 0.1)
+        V.modelB_certificate(0.1, -1.0, 0.1)
     with pytest.raises(ValueError):
-        V.modelB_certificate(-0.1, 1.0, 1.0, 0.1)
+        V.modelB_certificate(-0.1, 1.0, 0.1)
     with pytest.raises(ValueError):
         V.find_negative_certificate(0.0)
 
