@@ -98,11 +98,11 @@ def sweep(
 
 
 def switch_points(model: ModelKind, geometry: Geometry) -> tuple:
-    """The two boundary-condition switch points of the model."""
+    """The two boundary-condition switch points (x, y) of the model, where
+    its tails' Dirichlet walls end: top-wall points first, then by x."""
     delta = geometry.delta
-    if model is ModelKind.A:
-        return ((delta, 1.0), (-delta, 0.0))
-    return ((-delta, 1.0), (delta, 1.0))
+    left, right = model.value
+    return tuple(sorted(((-delta, left), (delta, right)), key=lambda p: (-p[1], p[0])))
 
 
 def corner_exponent(field, corner, radii=None) -> tuple[float, float]:

@@ -57,17 +57,16 @@ def critical_lambda_window(m: int) -> tuple[float, float]:
     return float(m - 1), float(m)
 
 
-def check_spectrum(lam: float, eigenvalues_over_mu, all_stable: bool = True) -> list[str]:
+def check_spectrum(lam: float, eigenvalues_over_mu) -> list[str]:
     """Validate a computed spectrum against the brackets.
 
     ``eigenvalues_over_mu`` is the sorted list of mu_m/mu values.  Returns
     a list of human-readable violation messages (empty = consistent).
-    The count bracket is only binding when every root is stable.
     """
     violations = []
     n_min, n_max = state_count_bounds(lam)
     count = len(eigenvalues_over_mu)
-    if all_stable and not (n_min <= count <= n_max):
+    if not (n_min <= count <= n_max):
         violations.append(
             f"state count {count} outside bracket [{n_min}, {n_max}] at lam={lam}"
         )

@@ -37,6 +37,13 @@ EXIT_INVARIANT = 5
 
 CSV_VERSION_LINE = "# wavebound-csv v2"
 
+#: largest window lambda accepted: every command's work grows with the
+#: number of states, ceil(lambda), and spectrum takes seconds at 1000
+MAX_LAMBDA = 1000.0
+
+#: most lambda values in one sweep or analyze grid
+MAX_GRID_POINTS = 10_000
+
 
 class ConfigError(Exception):
     """Invalid configuration (exit 2)."""
@@ -124,6 +131,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         lam = delta / d
     if lam is not None and lam <= 0:
         raise ConfigError("lambda must be positive")
+    if lam is not None and MAX_LAMBDA < lam < math.inf:  # Geometry rejects inf
+        raise ConfigError(f"lambda {lam:g} exceeds the largest window {MAX_LAMBDA:g}")
 
     modes = pick(args.modes, "modes", int, 64)
     out = pick(args.out, "out", str, None)
@@ -203,8 +212,7 @@ SPECTRUM_COLUMNS = ("lambda", "branch_index", "eigenvalue_over_mu",
 
 
 def _spectrum_rows(lam: float, spectrum: mm.Spectrum) -> list:
-    violations = bd.check_spectrum(lam, spectrum.eigenvalues,
-                                   all_stable=all(spectrum.stable))
+    violations = bd.check_spectrum(lam, spectrum.eigenvalues)
     if violations:
         raise InvariantViolation("; ".join(violations))
     return [
@@ -220,10 +228,18 @@ def _spectrum_rows(lam: float, spectrum: mm.Spectrum) -> list:
 
 
 def _lambda_grid(lam_min: float, lam_max: float, step: float) -> list:
+    """lam_min, lam_min + step, ... up to lam_max; the range and the
+    number of points are checked before any point is built."""
+    if lam_max > MAX_LAMBDA:
+        raise ConfigError(f"--lambda-max {lam_max:g} exceeds the largest "
+                          f"window {MAX_LAMBDA:g}")
     if lam_max > lam_min and lam_max + step == lam_max:
         raise ConfigError(f"--step {step:g} is below the float resolution of "
                           f"lambda at {lam_max:g}")
     count = int(math.floor((lam_max - lam_min) / step + 1e-9)) + 1
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"--step {step:g} gives {count} lambda values, more "
+                          f"than {MAX_GRID_POINTS}")
     return [lam_min + i * step for i in range(count)]
 
 

@@ -37,13 +37,14 @@ first and last cell, and it is eliminated exactly.  On an end column
 A(E) - E is hx^-2 Psi diag(1/rho_j) Psi^T, with 1/rho_j = 1 + q_j.
 
 Both models are symmetric under a reflection of the grid that swaps
-the two tails: (i, j) -> (nx - i, ny - j) for model A (the point
-reflection (x, y) -> (-x, 1 - y)) and (i, j) -> (nx - i, j) for model B
-(x -> -x).  Cosine mode m has parity p_m under it, (-1)^m for model A
-and +1 for model B, and chain eigenvector k (sin(k pi i / (n+1))) has
-parity (-1)^(k+1).  In the parity sector s (+1 even, -1 odd) the far end
-column is the mirror image of column 0 times s, and the problem reduces
-exactly to one symmetric matrix on the free vertices of column 0,
+the two tails: (i, j) -> (nx - i, ny - j) when their Dirichlet walls
+differ (model A, the point reflection (x, y) -> (-x, 1 - y)), else
+(i, j) -> (nx - i, j) (model B, x -> -x).  Cosine mode m has parity p_m
+under it (``ModelKind.parity``), (-1)^m for model A and +1 for model B,
+and chain eigenvector k (sin(k pi i / (n+1))) has parity (-1)^(k+1).
+In the parity sector s (+1 even, -1 odd) the far end column is the
+mirror image of column 0 times s, and the problem reduces exactly to
+one symmetric matrix on the free vertices of column 0,
 
     T_s(E) = hx^-2 [Psi diag(1 + q) Psi^T - P diag(r) P^T],
 
@@ -151,7 +152,8 @@ class FdmGrid:
 
 
 def dirichlet_mask(model: ModelKind, geometry: Geometry, grid: FdmGrid) -> np.ndarray:
-    """Boolean (nx+1, ny+1) array marking Dirichlet vertices.
+    """Boolean (nx+1, ny+1) array marking Dirichlet vertices: each tail's
+    Dirichlet wall (``ModelKind``) beyond its switch point.
 
     The Dirichlet boundary sets are open in x, so the switch vertices at
     x = +-delta stay on the Neumann side (an O(h) local choice absorbed by
@@ -161,13 +163,10 @@ def dirichlet_mask(model: ModelKind, geometry: Geometry, grid: FdmGrid) -> np.nd
     delta = geometry.delta
     i_minus = grid.column_of(-delta)
     i_plus = grid.column_of(delta)
+    left, right = model.value
     mask = np.zeros((grid.nx + 1, grid.ny + 1), dtype=bool)
-    if model is ModelKind.A:
-        mask[:i_minus, 0] = True  # bottom Dirichlet for x < -delta
-        mask[i_plus + 1 :, grid.ny] = True  # top Dirichlet for x > +delta
-    else:
-        mask[:i_minus, grid.ny] = True  # top Dirichlet for |x| > delta
-        mask[i_plus + 1 :, grid.ny] = True
+    mask[:i_minus, round(left * grid.ny)] = True
+    mask[i_plus + 1 :, round(right * grid.ny)] = True
     return mask
 
 
@@ -242,10 +241,8 @@ class EndColumns:
         if grid.hx**2 * levels[0] >= 4.0:
             raise ValueError(f"hx = {grid.hx} is too coarse for the threshold")
         chain_levels, chain_modes = _cosine_modes(grid)
-        m = np.arange(grid.ny + 1)
-        parity = (-1.0) ** m if model is ModelKind.A else np.ones(m.size)
         return cls(grid.hx, grid.nx - 1, modes, levels, chain_modes[free],
-                   chain_levels, parity)
+                   chain_levels, model.parity(grid.ny + 1))
 
     @property
     def threshold(self) -> float:

@@ -1,4 +1,4 @@
-"""Strip geometry, transverse mode bases, and cross-basis overlap integrals.
+"""Strip geometry, the two models, transverse mode bases and overlaps.
 
 The strip is Omega = R x (0, d).  Boundary conditions switch between
 Dirichlet and Neumann at x = -delta and x = +delta, which splits the
@@ -22,8 +22,7 @@ the half-integer families and (m pi / d)^2 for the Neumann-Neumann one.
 the units of every spectral computation.
 
 Overlap integrals between a tail family (DN_SINE or ND_COSINE) and the
-center family (NN_COSINE) have closed forms which are used at runtime;
-adaptive quadrature is provided as the verification oracle.
+center family (NN_COSINE) are used in closed form.
 """
 
 from __future__ import annotations
@@ -34,33 +33,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "ModelKind",
     "SECTORS",
     "MU",
-    "Region",
     "ProfileKind",
     "Geometry",
-    "region_profile",
     "profile_values",
     "overlap_matrix",
-    "overlap_quadrature",
 ]
-
-
-class ModelKind(enum.Enum):
-    """Which walls carry the Dirichlet condition outside the window."""
-
-    A = "A"  # Dirichlet: bottom for x < -delta, top for x > delta
-    B = "B"  # Dirichlet: top for |x| > delta
-
-
-class Region(enum.Enum):
-    I = "I"
-    II = "II"
-    III = "III"
 
 
 class ProfileKind(enum.Enum):
@@ -69,32 +51,32 @@ class ProfileKind(enum.Enum):
     NN_COSINE = "NN_cosine"
 
 
+class ModelKind(enum.Enum):
+    """A model is the pair of walls, y = 0 or 1, that are Dirichlet in its
+    left (x < -delta) and right (x > delta) tail; every other wall is
+    Neumann.  ``tails`` are the tails' mode families: DN_SINE under a
+    Dirichlet bottom, ND_COSINE under a Dirichlet top."""
+
+    A = (0.0, 1.0)  # Dirichlet: bottom for x < -delta, top for x > delta
+    B = (1.0, 1.0)  # Dirichlet: top for |x| > delta
+
+    def __init__(self, left: float, right: float):
+        self.tails = tuple(ProfileKind.ND_COSINE if y else ProfileKind.DN_SINE
+                           for y in (left, right))
+
+    def parity(self, n: int) -> np.ndarray:
+        """Parities p_m of cos(m pi y), m < n, under the reflection that swaps
+        the tails: (-1)^m when the walls differ (it flips y), else 1."""
+        left, right = self.value
+        return (-1.0) ** np.arange(n) if left != right else np.ones(n)
+
+
 #: parity sectors under the model's reflection, which swaps the two
 #: tails: even (+1) and odd (-1)
 SECTORS = (1, -1)
 
 #: essential-spectrum threshold pi^2/(4 d^2) at d = 1
 MU = math.pi**2 / 4.0
-
-
-#: cross-section mode family of each region, per model
-_REGION_PROFILES = {
-    ModelKind.A: {
-        Region.I: ProfileKind.DN_SINE,
-        Region.II: ProfileKind.NN_COSINE,
-        Region.III: ProfileKind.ND_COSINE,
-    },
-    ModelKind.B: {
-        Region.I: ProfileKind.ND_COSINE,
-        Region.II: ProfileKind.NN_COSINE,
-        Region.III: ProfileKind.ND_COSINE,
-    },
-}
-
-
-def region_profile(model: ModelKind, region: Region) -> ProfileKind:
-    """Mode family used on a region of the given model."""
-    return _REGION_PROFILES[model][region]
 
 
 @dataclass(frozen=True)
@@ -172,18 +154,3 @@ def overlap_matrix(tail_profile: ProfileKind, N: int) -> np.ndarray:
         c = c * (-1.0) ** (k + m)
     c.setflags(write=False)
     return c
-
-
-def overlap_quadrature(tail_profile: ProfileKind, k: int, m: int) -> float:
-    """Overlap of tail mode k with center mode m by adaptive quadrature (the oracle)."""
-    _check_tail(tail_profile)
-
-    def integrand(y):
-        tail = profile_values(tail_profile, k + 1, [y])[k, 0]
-        center = profile_values(ProfileKind.NN_COSINE, m + 1, [y])[m, 0]
-        return float(tail * center)
-
-    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    if err > 1e-12:
-        raise RuntimeError(f"overlap quadrature did not converge: err={err}")
-    return val

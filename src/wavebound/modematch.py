@@ -14,11 +14,12 @@ sin(sqrt(E) x); for m >= 1 c_m = cosh(gamma_m x)/cosh(gamma_m delta)
 and s_m = sinh(gamma_m x)/sinh(gamma_m delta).
 
 Both models are symmetric under a reflection that swaps the tails:
-model A under the point reflection (x, y) -> (-x, 1 - y), model B
-under x -> -x.  Every eigenfunction is even or odd under it (its
-parity sector), which fixes b from a and keeps one center function
-f_m per mode: in the even sector c_m for every m of model B and for
-even m of model A, s_m otherwise; the odd sector takes the other one.
+(x, y) -> (-x, 1 - y) when their Dirichlet walls differ (model A), else
+x -> -x (model B).  It maps center profile m to p_m times itself and
+left tail profile k to p_k times the right one, p_m = (-1)^m or 1
+(``ModelKind.parity``).  Every eigenfunction is even or odd under it
+(its parity sector s), which fixes b = s p_k a and keeps one center
+function f_m per mode: c_m where s p_m = +1, s_m where s p_m = -1.
 Matching at x = -delta then suffices.  Value continuity projected on
 the center modes gives the center amplitudes, (O^T a)_m = A_m
 f_m(-delta), and derivative continuity projected on the tail-I modes
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
@@ -53,10 +55,8 @@ from .geometry import (
     Geometry,
     ModelKind,
     ProfileKind,
-    Region,
     overlap_matrix,
     profile_values,
-    region_profile,
 )
 from .roots import count, count_roots
 
@@ -99,11 +99,12 @@ def _gamma(N: int, E: float) -> np.ndarray:
     return np.sqrt(np.abs((np.arange(N) * math.pi) ** 2 - E))
 
 
+@lru_cache(maxsize=64)
 def _center_is_cos(model: ModelKind, sector: int, N: int) -> np.ndarray:
-    """True where the sector's center function f_m is c_m, False for s_m."""
-    if model is ModelKind.A:
-        return (np.arange(N) % 2 == 0) == (sector == 1)
-    return np.full(N, sector == 1)
+    """Memoised read-only mask: True where f_m is c_m (s p_m = 1), False for s_m."""
+    is_cos = sector * model.parity(N) > 0
+    is_cos.setflags(write=False)
+    return is_cos
 
 
 def _center_at_interface(
@@ -137,7 +138,7 @@ def sector_matrix(
         raise ValueError(f"truncation N must lie in [4, {MAX_MODES}], got {N}")
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector}")
-    O = overlap_matrix(region_profile(model, Region.I), N)
+    O = overlap_matrix(model.tails[0], N)
     f, df = _center_at_interface(_center_is_cos(model, sector, N), geometry.delta, E)
     return np.diag(_kappa(N, E)) - (O * (df / f)) @ O.T
 
@@ -343,17 +344,14 @@ def solve_coefficients(
     w, V = eigh(sector_matrix(model, geometry, N, E, sector), check_finite=False)
     a = V[:, np.argmin(np.abs(w))]
 
-    O = overlap_matrix(region_profile(model, Region.I), N)
+    O = overlap_matrix(model.tails[0], N)
     is_cos = _center_is_cos(model, sector, N)
     f, df = _center_at_interface(is_cos, delta, E)
     amplitude = (O.T @ a) / f
     if abs(f[0]) * math.sqrt(E) < abs(df[0]):
         rest = _kappa(N, E) * a - O[:, 1:] @ (df[1:] * amplitude[1:])
         amplitude[0] = (O[:, 0] @ rest) / (O[:, 0] @ O[:, 0]) / df[0]
-    if model is ModelKind.A:
-        b = sector * (-1.0) ** np.arange(N) * a
-    else:
-        b = sector * a
+    b = sector * model.parity(N) * a
     alpha = np.where(is_cos, amplitude, 0.0)
     beta = np.where(is_cos, 0.0, amplitude)
 
@@ -413,12 +411,12 @@ def evaluate_field(field: EigenField, x, y) -> np.ndarray:
     if np.any(left):
         xl, yl = x[left], y[left]
         tails = np.exp(kappa[:, None] * (xl[None, :] + delta))  # decaying
-        prof = profile_values(region_profile(field.model, Region.I), field.N, yl)
+        prof = profile_values(field.model.tails[0], field.N, yl)
         out[left] = np.einsum("k,kp,kp->p", field.a, tails, prof)
     if np.any(right):
         xr, yr = x[right], y[right]
         tails = np.exp(-kappa[:, None] * (xr[None, :] - delta))
-        prof = profile_values(region_profile(field.model, Region.III), field.N, yr)
+        prof = profile_values(field.model.tails[1], field.N, yr)
         out[right] = np.einsum("k,kp,kp->p", field.b, tails, prof)
     if np.any(center):
         xc, yc = x[center], y[center]

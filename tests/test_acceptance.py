@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+import window_reference as W
 from wavebound import analysis as an
 from wavebound import bounds as bd
 from wavebound import fdm_oracle as fo
@@ -164,7 +165,7 @@ def test_criterion_07_bracketing_suite(sweep_a):
         assert n_min <= count <= n_max, (
             f"count {count} outside [{n_min}, {n_max}] at lam={lam}"
         )
-        violations = bd.check_spectrum(lam, spectrum.eigenvalues, all_stable=False)
+        violations = bd.check_spectrum(lam, spectrum.eigenvalues)
         assert not violations, f"lam={lam}: {violations}"
     emergences = {}
     for m in (2, 3):
@@ -180,11 +181,11 @@ def test_criterion_08_functional_oracle_equivalence():
     deltas = np.linspace(0.02, 0.95, 50)
     worst = 0.0
     for delta in deltas:
-        worst = max(worst, abs(va.q2_quadrature(delta) - va.q2_closed(delta)))
+        worst = max(worst, abs(W.q2_quadrature(delta) - va.q2_closed(delta)))
     assert worst < 1e-8
     xs = np.linspace(-0.45, 0.45, 101)
     residuals = np.abs(
-        va.euler_residuals(va.TrialProfiles(delta=0.5), xs)
+        W.euler_residuals(W.TrialProfiles(delta=0.5), xs)
     ).max()
     assert residuals < 1e-8
     print(f"CRITERION 8: PASS — quadrature vs closed form {worst:.2e} "
@@ -237,9 +238,7 @@ def test_criterion_11_qualitative_floor(sweep_a, sweep_b):
         if name == "B":
             assert min(counts) >= 1
             for lam, sp in zip(sw.lambdas, sw.spectra):
-                assert not bd.check_spectrum(
-                    lam, sp.eigenvalues, all_stable=False
-                )
+                assert not bd.check_spectrum(lam, sp.eigenvalues)
     elapsed = time.perf_counter() - _MODULE_T0
     assert elapsed < 900.0
     print(f"CRITERION 11: PASS — stepwise branch counts, model B never "

@@ -78,8 +78,6 @@ def test_check_spectrum_accepts_consistent():
 def test_check_spectrum_flags_count_violation():
     msgs = check_spectrum(2.5, [0.1])  # only one state: below n_min=2
     assert any("state count" in m for m in msgs)
-    # with unstable roots the count bracket is not binding
-    assert check_spectrum(2.5, [0.1], all_stable=False) == []
 
 
 def test_check_spectrum_flags_window_violation():

@@ -213,11 +213,21 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("command", ["sweep", "analyze"])
     def test_step_below_lambda_resolution(self, command, capsys):
-        """A step that cannot move lambda is refused before any grid point
-        is built (the grid would hold ~1e299 copies of lambda-min)."""
-        assert run([command, "--model", "A", "--lambda-min", "0.1",
-                    "--lambda-max", "0.2", "--step", "1e-300"]) == 2
-        assert "--step" in capsys.readouterr().err
+        """A step that cannot move lambda (~1e299 copies of lambda-min), or
+        that moves it but asks for 1e14 points, is refused before any grid
+        point is built."""
+        for step in ("1e-300", "1e-15"):
+            assert run([command, "--model", "A", "--lambda-min", "0.1",
+                        "--lambda-max", "0.2", "--step", step]) == 2
+            assert "--step" in capsys.readouterr().err
+
+    def test_grid_size_limit(self):
+        """MAX_GRID_POINTS lambda values are built, one more is refused."""
+        step = 1.0 / 1024
+        last = 1.0 + (cli.MAX_GRID_POINTS - 1) * step
+        assert len(cli._lambda_grid(1.0, last, step)) == cli.MAX_GRID_POINTS
+        with pytest.raises(cli.ConfigError, match=f"more than {cli.MAX_GRID_POINTS}"):
+            cli._lambda_grid(1.0, last + step, step)
 
 
 class TestInvariantViolation:
@@ -231,7 +241,7 @@ class TestInvariantViolation:
     def test_failed_bounds_check_exits_5(self, argv, tmp_path, monkeypatch, capsys):
         """A spectrum that contradicts the brackets is never written."""
         monkeypatch.setattr(cli.bd, "check_spectrum",
-                            lambda lam, eigenvalues, all_stable: ["forced"])
+                            lambda lam, eigenvalues: ["forced"])
         out = tmp_path / "out.csv"
         assert run(argv + ["--model", "A", "--modes", "16", "--out", str(out)]) == 5
         assert "internal invariant violation: forced" in capsys.readouterr().err
@@ -284,6 +294,26 @@ class TestFieldCommand:
                     "--x-halfwidth", "-1"]) == 2
         assert run(["field", "--model", "A", "--lambda", "0.5",
                     "--branch", "0"]) == 2
+
+
+class TestLambdaLimit:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--lambda", "1e300"],
+        ["spectrum", "--lambda", "1000.5"],
+        ["oracle", "--delta", "2001", "--d", "2"],
+        ["sweep", "--lambda-min", "0.5", "--lambda-max", "1e300", "--step", "0.5"],
+        ["analyze", "--lambda-min", "0.5", "--lambda-max", "1001"],
+    ], ids=["bounds", "spectrum", "oracle", "sweep", "analyze"])
+    def test_lambda_above_limit(self, argv, capsys):
+        """A window above MAX_LAMBDA exits 2 and names the limit."""
+        assert run(argv) == 2
+        assert "exceeds the largest window 1000" in capsys.readouterr().err
+
+    def test_largest_lambda_accepted(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--lambda", "1000", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1000
 
 
 class TestBoundsCommand:

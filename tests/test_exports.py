@@ -38,6 +38,7 @@ def test_benchmark_names():
     assert cli.CSV_VERSION_LINE == "# wavebound-csv v2"
     assert cli.EXIT_OK == 0
     assert Geometry.from_lambda(0.5).lam == 0.5
+    assert ModelKind["A"] is ModelKind.A and ModelKind["B"].name == "B"
     assert isinstance(bounds.FLOAT_SLACK, float)
     inspect.signature(fdm_oracle.extrapolate).bind(
         ModelKind.A, Geometry.from_lambda(0.5), h_list=fdm_oracle.SPACINGS, branch=1)

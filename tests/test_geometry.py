@@ -1,7 +1,9 @@
-"""Tests for the geometry layer: transverse bases, overlap integrals.
+"""Tests for the geometry layer: the models, transverse bases, overlap
+integrals.
 
 The closed-form overlaps are verified against adaptive quadrature (the
-independent oracle) before anything else relies on them.
+independent oracle, ``overlap_quadrature`` below) before anything else
+relies on them.
 """
 
 import math
@@ -10,20 +12,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from wavebound.analysis import switch_points
+from wavebound.fdm_oracle import FdmGrid, dirichlet_mask
 from wavebound.geometry import (
     MU,
     Geometry,
     ModelKind,
     ProfileKind,
-    Region,
+    _check_tail,
     overlap_matrix,
-    overlap_quadrature,
     profile_values,
-    region_profile,
 )
 
 FAMILIES = [ProfileKind.DN_SINE, ProfileKind.ND_COSINE, ProfileKind.NN_COSINE]
+
+
+def overlap_quadrature(tail_profile: ProfileKind, k: int, m: int) -> float:
+    """Overlap of tail mode k with center mode m by adaptive quadrature (the oracle)."""
+    _check_tail(tail_profile)
+
+    def integrand(y):
+        tail = profile_values(tail_profile, k + 1, [y])[k, 0]
+        center = profile_values(ProfileKind.NN_COSINE, m + 1, [y])[m, 0]
+        return float(tail * center)
+
+    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+    if err > 1e-12:
+        raise RuntimeError(f"overlap quadrature did not converge: err={err}")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +70,36 @@ def test_geometry_lambda_roundtrip(lam):
     assert g.mu == MU
 
 
-def test_region_profiles():
-    assert region_profile(ModelKind.A, Region.I) is ProfileKind.DN_SINE
-    assert region_profile(ModelKind.A, Region.II) is ProfileKind.NN_COSINE
-    assert region_profile(ModelKind.A, Region.III) is ProfileKind.ND_COSINE
-    assert region_profile(ModelKind.B, Region.I) is ProfileKind.ND_COSINE
-    assert region_profile(ModelKind.B, Region.II) is ProfileKind.NN_COSINE
-    assert region_profile(ModelKind.B, Region.III) is ProfileKind.ND_COSINE
+def _model_definition(model, tails, parity, corners, rows):
+    """What follows from a model's two Dirichlet walls at lam = 0.5: the
+    tail families, the parities of six cosines, the switch points in
+    their order (top wall first, then by x) and the mask's Dirichlet row
+    left of -delta and right of +delta on the h = 1/8 window grid."""
+    geometry = Geometry.from_lambda(0.5)
+    assert model.tails == tails
+    assert model.parity(6).tolist() == parity
+    assert switch_points(model, geometry) == corners
+    grid = FdmGrid.from_spacing(geometry, 1.0 / 8)
+    mask = dirichlet_mask(model, geometry, grid)
+    i_minus, i_plus = grid.column_of(-0.5), grid.column_of(0.5)
+    assert i_minus == 1 and i_plus == grid.nx - 1
+    for columns, row in zip((slice(0, i_minus), slice(i_plus + 1, None)), rows):
+        expected = np.zeros_like(mask[columns])
+        expected[:, row] = True
+        assert np.array_equal(mask[columns], expected)
+    assert not mask[i_minus : i_plus + 1].any()
+
+
+def test_model_a_definition():
+    """Model A: Dirichlet bottom on the left, Dirichlet top on the right."""
+    _model_definition(ModelKind.A, (ProfileKind.DN_SINE, ProfileKind.ND_COSINE),
+                      [1, -1, 1, -1, 1, -1], ((0.5, 1.0), (-0.5, 0.0)), (0, 8))
+
+
+def test_model_b_definition():
+    """Model B: Dirichlet top on both sides."""
+    _model_definition(ModelKind.B, (ProfileKind.ND_COSINE, ProfileKind.ND_COSINE),
+                      [1] * 6, ((-0.5, 1.0), (0.5, 1.0)), (8, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +112,6 @@ def test_region_profiles():
 def test_orthonormality_gram_matrix(profile, d):
     """Gram matrix of the first 8 modes equals identity within 1e-10; on
     a strip of width d the d = 1 profiles read u(y/d)/sqrt(d)."""
-    from scipy.integrate import quad
-
     def mode(k, y):
         return profile_values(profile, 8, [y / d])[k, 0] / math.sqrt(d)
 

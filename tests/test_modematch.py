@@ -22,9 +22,7 @@ from wavebound.geometry import (
     Geometry,
     ModelKind,
     ProfileKind,
-    Region,
     overlap_matrix,
-    region_profile,
 )
 
 MU = math.pi**2 / 4.0
@@ -85,9 +83,7 @@ def _assemble_general(profile_I, profile_III, delta, N, E):
 
 
 def reference_matrix(model, lam, N, E):
-    return _assemble_general(
-        region_profile(model, Region.I), region_profile(model, Region.III), lam, N, E
-    )
+    return _assemble_general(*model.tails, lam, N, E)
 
 
 @pytest.fixture(scope="module")
@@ -247,9 +243,8 @@ class TestCount:
                           for s in mm.SECTORS] for E in energies]
         swap = {ProfileKind.DN_SINE: ProfileKind.ND_COSINE,
                 ProfileKind.ND_COSINE: ProfileKind.DN_SINE}
-        original = mm.region_profile
-        monkeypatch.setattr(mm, "region_profile",
-                            lambda model, region: swap[original(model, region)])
+        swapped_tails = tuple(swap[t] for t in ModelKind.A.tails)
+        monkeypatch.setattr(ModelKind.A, "tails", swapped_tails)
         swapped = [[mm.sector_count(ModelKind.A, geometry, 16, float(E), s)
                     for s in mm.SECTORS] for E in energies]
         assert swapped == sector_counts

@@ -1,8 +1,9 @@
 """Tests for the variational threshold machinery.
 
-Oracle structure: the quadrature functional independently verifies the
-closed form; analytic derivatives are verified against central finite
-differences; the Euler residuals certify the profiles.
+Oracle structure: the quadrature functional of ``window_reference``
+independently verifies the closed form; analytic derivatives are
+verified against central finite differences; the Euler residuals
+certify the profiles.
 """
 
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import window_reference as W
 from wavebound import variational as V
 
 
@@ -22,7 +24,7 @@ from wavebound import variational as V
 
 @pytest.mark.parametrize("delta", [0.1, 0.34, 0.5, 0.9])
 def test_profile_boundary_conditions(delta):
-    p = V.TrialProfiles(delta=delta)
+    p = W.TrialProfiles(delta=delta)
     assert abs(p.phi(-delta) - 1.0) < 1e-10
     assert abs(p.phi(delta)) < 1e-10
     assert abs(p.psi(delta) - 1.0) < 1e-10
@@ -35,7 +37,7 @@ def test_profile_boundary_conditions(delta):
 @settings(max_examples=100, deadline=None)
 def test_profile_symmetries(delta, frac):
     """phi(x) = psi(-x), chi odd, eta even, pointwise within 1e-12."""
-    p = V.TrialProfiles(delta=delta)
+    p = W.TrialProfiles(delta=delta)
     x = frac * delta
     assert abs(p.phi(x) - p.psi(-x)) < 1e-12
     assert abs(p.chi(-x) + p.chi(x)) < 1e-12
@@ -45,7 +47,7 @@ def test_profile_symmetries(delta, frac):
 @pytest.mark.parametrize("delta", [0.2, 0.34, 0.7])
 def test_analytic_derivatives_vs_finite_differences(delta):
     """Hand-derived derivatives agree with central differences (h=1e-5)."""
-    p = V.TrialProfiles(delta=delta)
+    p = W.TrialProfiles(delta=delta)
     h = 1e-5
     x = np.linspace(-0.9 * delta, 0.9 * delta, 17)
     for f, df in [(p.chi, p.dchi), (p.phi, p.dphi), (p.psi, p.dpsi), (p.eta, p.deta)]:
@@ -59,19 +61,19 @@ def test_analytic_derivatives_vs_finite_differences(delta):
 @pytest.mark.parametrize("delta", [0.1, 0.34, 0.6, 0.9])
 def test_euler_residuals_vanish(delta):
     """The four Euler equations hold pointwise to < 1e-8 on a grid."""
-    p = V.TrialProfiles(delta=delta)
+    p = W.TrialProfiles(delta=delta)
     x = np.linspace(-delta, delta, 101)
-    res = V.euler_residuals(p, x)
+    res = W.euler_residuals(p, x)
     assert np.max(np.abs(res)) < 1e-8
 
 
 def test_profiles_reject_bad_window():
     with pytest.raises(ValueError):
-        V.TrialProfiles(delta=0.0)
+        W.TrialProfiles(delta=0.0)
     with pytest.raises(ValueError):
-        V.TrialProfiles(delta=1.0)  # tan/cos singular at delta = d
+        W.TrialProfiles(delta=1.0)  # tan/cos singular at delta = d
     with pytest.raises(ValueError):
-        V.TrialProfiles(delta=1.5)
+        W.TrialProfiles(delta=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +85,12 @@ def test_q2_closed_matches_quadrature_on_grid():
     """|q2_quadrature - q2_closed| < 1e-8 on a 50-point window grid."""
     grid = np.linspace(0.05, 0.95, 50)
     for r in grid:
-        assert abs(V.q2_quadrature(float(r)) - V.q2_closed(float(r))) < 1e-8
+        assert abs(W.q2_quadrature(float(r)) - V.q2_closed(float(r))) < 1e-8
 
 
 def test_q2_anchor_values():
-    assert V.q2_quadrature(0.1) > 0.0
-    assert V.q2_quadrature(0.9) < 0.0
+    assert W.q2_quadrature(0.1) > 0.0
+    assert W.q2_quadrature(0.9) < 0.0
     # small negative just above the root (the root sits just below 0.34)
     val = V.q2_closed(0.34)
     assert -0.02 < val < 0.0
