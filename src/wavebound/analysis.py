@@ -6,9 +6,10 @@ Three families of checks:
   perpendicular to the boundary at a Dirichlet/Neumann switch point;
 * monotonicity of each eigenvalue branch in the window half-length
   (branches are nonincreasing in lambda);
-* the scaling sandwich mu(lambda)/rho^2 <= mu(lambda*rho) <= mu(lambda)
-  for rho > 1 (dilating the window cannot raise an eigenvalue, and
-  shrinking coordinates scales it by rho^-2);
+* the scaling sandwich E(lambda)/r^2 <= E(lambda*r) <= E(lambda) for
+  r > 1, checked between computed grid points only (dilating the window
+  cannot raise an eigenvalue, and shrinking coordinates scales it by
+  r^-2, so lambda^2 E is nondecreasing);
 
 plus bisection for the emergence point of the m-th branch.
 """
@@ -149,6 +150,14 @@ def corner_exponent(field, corner, radii=None) -> tuple[float, float]:
     return float(slope), r_squared
 
 
+def _branches(sweep_result: SweepResult):
+    """(m, lambda array, E/mu array) for every branch m of the sweep."""
+    count = max((len(s.eigenvalues) for s in sweep_result.spectra), default=0)
+    for m in range(1, count + 1):
+        lams, values = np.array(sweep_result.branch(m)).T
+        yield m, lams, values
+
+
 def monotonicity_check(sweep_result: SweepResult) -> tuple[bool, list]:
     """Each branch must be nonincreasing in lambda (within BRANCH_TOL).
 
@@ -157,78 +166,41 @@ def monotonicity_check(sweep_result: SweepResult) -> tuple[bool, list]:
     """
     if len(sweep_result.lambdas) < 5:
         raise ValueError("need at least 5 grid points")
-    violations = []
-    max_branch = max(
-        (len(s.eigenvalues) for s in sweep_result.spectra), default=0
-    )
-    for m in range(1, max_branch + 1):
-        pairs = sweep_result.branch(m)
-        for i in range(len(pairs) - 1):
-            (lam_a, e_a), (lam_b, e_b) = pairs[i], pairs[i + 1]
-            if e_b > e_a + BRANCH_TOL:
-                violations.append(
-                    {
-                        "branch": m,
-                        "index": i,
-                        "lambda_low": lam_a,
-                        "lambda_high": lam_b,
-                        "increase": e_b - e_a,
-                    }
-                )
+    violations = [
+        {"branch": m, "index": int(i), "lambda_low": float(lams[i]),
+         "lambda_high": float(lams[i + 1]), "increase": float(e[i + 1] - e[i])}
+        for m, lams, e in _branches(sweep_result)
+        for i in np.flatnonzero(e[1:] > e[:-1] + BRANCH_TOL)
+    ]
     return (not violations), violations
 
 
 def scaling_check(sweep_result: SweepResult, rho: float) -> tuple[bool, float]:
-    """Two-sided dilation bound per branch: E(lam)/rho^2 <= E(lam*rho) <= E(lam).
+    """Two-sided dilation bound per branch: E(lam)/r^2 <= E(lam*r) <= E(lam).
 
-    Pairs (lam, lam*rho) are taken from the grid; when lam*rho falls
-    between grid points the value is linearly interpolated and the
-    tolerance widened by the bracketing drop.  Returns (ok, worst
-    margin) with positive margins meaning satisfied (E/mu units).
+    Checked on the computed points only: every pair lam_i < lam_j on a
+    branch with r = lam_j/lam_i <= rho (rho is the largest dilation
+    checked).  The upper half is monotonicity, the lower half says that
+    lam^2 E is nondecreasing.  Returns (ok, worst margin) with positive
+    margins meaning satisfied (E/mu units, BRANCH_TOL included).
     """
-    if rho <= 1.0:
+    if not rho > 1.0:
         raise ValueError("rho must exceed 1")
-    lams = np.asarray(sweep_result.lambdas)
+    lams = sweep_result.lambdas
     if lams[0] * rho > lams[-1] + 1e-12:
         raise ValueError("lambda * rho falls outside the sweep grid")
-
-    worst = math.inf
-    ok = True
-    checked = 0
-    max_branch = max(
-        (len(s.eigenvalues) for s in sweep_result.spectra), default=0
-    )
-    for m in range(1, max_branch + 1):
-        pairs = dict(sweep_result.branch(m))
-        grid = sorted(pairs)
-        for lam in grid:
-            target = lam * rho
-            if target > lams[-1] + 1e-12:
-                continue
-            # locate target on the branch grid, exactly or bracketed
-            exact = [g for g in grid if abs(g - target) < 1e-9]
-            if exact:
-                e_target = pairs[exact[0]]
-                allowance = BRANCH_TOL
-            else:
-                left = [g for g in grid if g < target]
-                right = [g for g in grid if g > target]
-                if not left or not right:
-                    continue
-                gl, gr = left[-1], right[0]
-                t = (target - gl) / (gr - gl)
-                e_target = (1 - t) * pairs[gl] + t * pairs[gr]
-                allowance = BRANCH_TOL + abs(pairs[gl] - pairs[gr])
-            e_lam = pairs[lam]
-            lower_margin = e_target - (e_lam / rho**2 - allowance)
-            upper_margin = (e_lam + allowance) - e_target
-            worst = min(worst, lower_margin, upper_margin)
-            checked += 1
-            if lower_margin < 0.0 or upper_margin < 0.0:
-                ok = False
-    if checked == 0:
+    worst = math.inf  # a running minimum over pairs keeps memory O(n)
+    for _, lam, e in _branches(sweep_result):
+        ends = np.searchsorted(lam, lam * rho + 1e-9, "right")
+        for i, end in enumerate(ends):
+            lam_j, e_j = lam[i + 1:end], e[i + 1:end]
+            if e_j.size:
+                lower = e_j - (lam[i] / lam_j) ** 2 * e[i]
+                worst = min(worst, e[i] - e_j.max(), lower.min())
+    worst = float(worst + BRANCH_TOL)
+    if worst == math.inf:
         raise ValueError("no (lambda, lambda*rho) pair available on the grid")
-    return ok, worst
+    return worst >= 0.0, worst
 
 
 def find_emergence(

@@ -35,7 +35,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_MISSING_BRANCH = 4
 EXIT_INVARIANT = 5
 
-CSV_VERSION_LINE = "# wavebound-csv v2"
+CSV_VERSION_LINE = "# wavebound-csv v3"
 
 #: largest window lambda accepted: every command's work grows with the
 #: number of states, ceil(lambda), and spectrum takes seconds at 1000
@@ -43,6 +43,9 @@ MAX_LAMBDA = 1000.0
 
 #: most lambda values in one sweep or analyze grid
 MAX_GRID_POINTS = 10_000
+
+#: most (x, y) points in one field grid, --nx times --ny
+MAX_FIELD_POINTS = 100_000
 
 
 class ConfigError(Exception):
@@ -253,8 +256,8 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
     lam_min, lam_max, step = args.lam_min, args.lam_max, args.step
-    if not (0 < lam_min <= lam_max) or step <= 0:
-        raise ConfigError("sweep requires 0 < lambda-min <= lambda-max, step > 0")
+    if not (0 < lam_min <= lam_max) or not step > 0:
+        raise ConfigError("sweep requires 0 < lambda-min <= lambda-max, --step > 0")
     result = an.sweep(config.model, _lambda_grid(lam_min, lam_max, step),
                       N=config.modes, jobs=config.jobs)
     rows = [
@@ -272,10 +275,11 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
     branch, nx, ny, x_halfwidth = args.branch, args.nx, args.ny, args.x_halfwidth
-    if branch < 1:
-        raise ConfigError("branch must be >= 1")
-    if nx < 2 or ny < 2 or x_halfwidth <= 0:
-        raise ConfigError("field grid requires nx, ny >= 2 and x-halfwidth > 0")
+    if nx < 2 or ny < 2 or not 0 < x_halfwidth < math.inf:
+        raise ConfigError("field grid requires --nx, --ny >= 2 and a positive "
+                          "finite --x-halfwidth")
+    if nx * ny > MAX_FIELD_POINTS:
+        raise ConfigError(f"--nx {nx} times --ny {ny} exceeds {MAX_FIELD_POINTS} points")
     field = mm.solve_field(config.model, config.geometry, branch, N=config.modes)
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
     ys = np.linspace(0.0, 1.0, ny)
@@ -359,21 +363,18 @@ def cmd_oracle(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
     lam_min, lam_max, step = args.lam_min, args.lam_max, args.step
     rho, branch = args.rho, args.branch
-    if not (0 < lam_min < lam_max) or step <= 0:
-        raise ConfigError("analyze requires 0 < lambda-min < lambda-max, step > 0")
-    sweep_result = an.sweep(
-        config.model,
-        _lambda_grid(lam_min, lam_max, step),
-        N=config.modes,
-        check_stability=False,
-        jobs=config.jobs,
-    )
+    if not (0 < lam_min < lam_max) or not step > 0:
+        raise ConfigError("analyze requires 0 < lambda-min < lambda-max, --step > 0")
+    grid = _lambda_grid(lam_min, lam_max, step)
+    # the field first: a bad or missing --branch stops before the sweep
+    lam = config.lam if config.lam is not None else 0.5
+    field = mm.solve_field(config.model, Geometry.from_lambda(lam), branch, N=config.modes)
+    sweep_result = an.sweep(config.model, grid, N=config.modes,
+                            check_stability=False, jobs=config.jobs)
     mono_ok, violations = an.monotonicity_check(sweep_result)
     scale_ok, worst = an.scaling_check(sweep_result, rho)
 
     corners = {}
-    lam = config.lam if config.lam is not None else 0.5
-    field = mm.solve_field(config.model, Geometry.from_lambda(lam), branch, N=config.modes)
     for i, corner in enumerate(an.switch_points(config.model, field.geometry), 1):
         exponent, quality = an.corner_exponent(field, corner)
         corners[f"P{i}"] = {
@@ -466,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", dest="lam_min", type=float, default=0.3)
     p.add_argument("--lambda-max", dest="lam_max", type=float, default=0.9)
     p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--rho", type=float, default=1.5)
+    p.add_argument("--rho", type=float, default=1.5,
+                   help="largest dilation ratio checked between grid points")
     p.add_argument("--branch", type=int, default=1)
     return parser
 

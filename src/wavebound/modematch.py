@@ -434,8 +434,10 @@ def solve_field(
     N: int = 64,
 ) -> EigenField:
     """Spectrum plus coefficient solve for the given branch (1-based)."""
+    if branch < 1:
+        raise ValueError("branch must be >= 1")
     spectrum = scan_spectrum(model, geometry, N=N, check_stability=False)
-    if branch < 1 or branch > len(spectrum.eigenvalues):
+    if branch > len(spectrum.eigenvalues):
         raise LookupError(
             f"branch {branch} absent: spectrum has {len(spectrum.eigenvalues)} "
             f"eigenvalue(s) at lam={geometry.lam}"

@@ -146,6 +146,17 @@ class TestMonotonicity:
         assert any(v["index"] == 1 for v in violations)  # rise into point 2
 
 
+def with_branch_value(sweep_result, index, branch, value):
+    """The sweep with branch ``branch`` at grid point ``index`` set to ``value``."""
+    from dataclasses import replace
+
+    spectra = list(sweep_result.spectra)
+    values = list(spectra[index].eigenvalues)
+    values[branch - 1] = value
+    spectra[index] = replace(spectra[index], eigenvalues=tuple(values))
+    return replace(sweep_result, spectra=tuple(spectra))
+
+
 class TestScaling:
     def test_model_a_rho_15(self, sweep_a):
         ok, worst = an.scaling_check(sweep_a, 1.5)
@@ -161,6 +172,29 @@ class TestScaling:
             an.scaling_check(sweep_a, 1.0)
         with pytest.raises(ValueError):
             an.scaling_check(sweep_a, 10.0)
+        with pytest.raises(ValueError, match="rho must exceed 1"):
+            an.scaling_check(sweep_a, math.nan)
+
+    def test_close_pair_lambda2_e_drop_detected(self):
+        """Branch 1 lowered at lambda = 5 halfway toward its value at 5.25
+        stays nonincreasing, but lambda^2 E falls from an earlier grid point
+        to lambda = 5.  The only pair exactly a factor 1.5 apart is (4, 6),
+        so a check at the ratio rho alone passes this sweep."""
+        grid = [4.0 + 0.25 * i for i in range(9)]
+        sw = an.sweep(ModelKind.A, grid, N=32, check_stability=False)
+        assert an.scaling_check(sw, 1.5)[0]
+        e = dict(sw.branch(1))
+        lowered = with_branch_value(sw, 4, 1, 0.5 * (e[5.0] + e[5.25]))
+        assert an.monotonicity_check(lowered)[0]
+        ok, worst = an.scaling_check(lowered, 1.5)
+        assert not ok and worst < 0.0
+
+    def test_raised_point_detected(self, sweep_a):
+        """E(0.5) raised 0.01 above E(0.44) breaks the upper half there."""
+        raised = with_branch_value(sweep_a, 2, 1, sweep_a.branch(1)[1][1] + 0.01)
+        ok, worst = an.scaling_check(raised, 1.5)
+        assert not ok
+        assert worst == pytest.approx(an.BRANCH_TOL - 0.01, abs=1e-12)
 
 
 class TestEmergence:

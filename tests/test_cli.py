@@ -30,7 +30,7 @@ def run(argv, capsys=None):
 
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# wavebound-csv v2"
+    assert lines[0] == "# wavebound-csv v3"
     header = lines[1].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     return header, rows
@@ -207,9 +207,17 @@ class TestSweepCommand:
         assert run(base + ["--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_bad_range(self):
+    def test_bad_range(self, capsys):
         assert run(["sweep", "--model", "A", "--lambda-min", "1.0",
                     "--lambda-max", "0.5", "--step", "0.1"]) == 2
+        for command in ("sweep", "analyze"):
+            for flags in (["--lambda-min", "nan", "--lambda-max", "0.5"],
+                          ["--lambda-min", "0.1", "--lambda-max", "inf"]):
+                assert run([command, *flags, "--step", "0.1"]) == 2
+            capsys.readouterr()
+            assert run([command, "--lambda-min", "0.1", "--lambda-max", "0.5",
+                        "--step", "nan"]) == 2
+            assert "--step > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "analyze"])
     def test_step_below_lambda_resolution(self, command, capsys):
@@ -288,12 +296,25 @@ class TestFieldCommand:
         )
         assert abs(box + tail - 1.0) < 1e-4
 
-    def test_bad_grid_args(self):
+    def test_bad_grid_args(self, capsys):
         assert run(["field", "--model", "A", "--lambda", "0.5", "--nx", "1"]) == 2
-        assert run(["field", "--model", "A", "--lambda", "0.5",
-                    "--x-halfwidth", "-1"]) == 2
+        for width in ("-1", "nan", "inf"):
+            assert run(["field", "--model", "A", "--lambda", "0.5",
+                        "--x-halfwidth", width]) == 2
+            assert "--x-halfwidth" in capsys.readouterr().err
         assert run(["field", "--model", "A", "--lambda", "0.5",
                     "--branch", "0"]) == 2
+
+    def test_grid_size_limit(self, monkeypatch, capsys):
+        """A grid above MAX_FIELD_POINTS is refused before any solve."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_field called")
+
+        monkeypatch.setattr(cli.mm, "solve_field", no_solve)
+        assert run(["field", "--model", "A", "--lambda", "0.5", "--nx", "1000",
+                    "--ny", str(cli.MAX_FIELD_POINTS // 1000 + 1)]) == 2
+        err = capsys.readouterr().err
+        assert "--nx" in err and "--ny" in err and str(cli.MAX_FIELD_POINTS) in err
 
 
 class TestLambdaLimit:
@@ -395,6 +416,18 @@ class TestAnalyzeCommand:
         assert [r["name"] for r in rows] == [
             "monotonicity_ok", "scaling_ok", "scaling_worst_margin",
             "P1_exponent", "P1_r_squared", "P2_exponent", "P2_r_squared"]
+
+    def test_branch_zero(self, monkeypatch, capsys):
+        """analyze and field refuse branch 0 alike (exit 2, one message),
+        analyze before its sweep."""
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep called")
+
+        monkeypatch.setattr(cli.an, "sweep", no_sweep)
+        for command in ("analyze", "field"):
+            assert run([command, "--model", "A", "--lambda", "0.5", "--modes",
+                        "16", "--branch", "0"]) == 2
+            assert capsys.readouterr().err == "error: branch must be >= 1\n"
 
     def test_parallel_matches_serial(self, tmp_path):
         """analysis.sweep's worker pool returns the serial spectra."""

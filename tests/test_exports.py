@@ -35,7 +35,7 @@ def test_benchmark_names():
     """A rename of any of these breaks every benchmark run."""
     assert cli.MU == math.pi**2 / 4
     assert cli.MU == geometry.MU
-    assert cli.CSV_VERSION_LINE == "# wavebound-csv v2"
+    assert cli.CSV_VERSION_LINE == "# wavebound-csv v3"
     assert cli.EXIT_OK == 0
     assert Geometry.from_lambda(0.5).lam == 0.5
     assert ModelKind["A"] is ModelKind.A and ModelKind["B"].name == "B"
@@ -43,6 +43,9 @@ def test_benchmark_names():
     inspect.signature(fdm_oracle.extrapolate).bind(
         ModelKind.A, Geometry.from_lambda(0.5), h_list=fdm_oracle.SPACINGS, branch=1)
     inspect.signature(analysis.find_emergence).bind(ModelKind.A, 1, N=32, tol=1e-4)
+    sweep = analysis.SweepResult(model=ModelKind.A, lambdas=(), spectra=(), N=32)
+    inspect.signature(analysis.monotonicity_check).bind(sweep)
+    inspect.signature(analysis.scaling_check).bind(sweep, 1.5)
 
 
 @pytest.mark.parametrize("preset,expected", [
