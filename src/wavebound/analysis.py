@@ -17,6 +17,7 @@ plus bisection for the emergence point of the m-th branch.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -87,11 +88,13 @@ def sweep(
     check_stability: bool = True,
     jobs: int = 1,
 ) -> SweepResult:
-    """Spectra over a lambda grid; points are independent (jobs > 1 forks)."""
+    """Spectra over a lambda grid, shared by up to ``jobs`` worker
+    processes, at most one per core and per point (all start at once)."""
     lams = tuple(float(x) for x in lambdas)
     tasks = [(model, lam, N, check_stability) for lam in lams]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(lams), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             spectra = tuple(pool.map(_scan_one, tasks))
     else:
         spectra = tuple(_scan_one(t) for t in tasks)

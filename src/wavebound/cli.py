@@ -170,25 +170,47 @@ def _config_dict(config: RunConfig, **extra) -> dict:
 def _write_text(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+
+
+class FloatColumns(dict):
+    """One or more rows held column-wise, each name mapped to every row's
+    float: the writers give them the bytes of the list of {name: value}
+    rows, one format template per row, without building that list."""
 
 
 def render_csv(columns, rows) -> str:
     lines = [CSV_VERSION_LINE, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+    if isinstance(rows, FloatColumns):
+        template = ",".join(["%.17g"] * len(columns))  # _fmt of a float
+        lines.extend(template % row for row in zip(*(rows[c] for c in columns)))
+    else:
+        lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def render_json(config: dict, results) -> str:
+    grid = results if isinstance(results, FloatColumns) else None
     payload = {
         "config": config,
-        "results": results,
+        "results": [] if grid is not None else results,
         "provenance": {"tool": "wavebound", "version": __version__},
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if grid is not None:  # its rows go where json.dumps put the empty list
+        names = sorted(grid)
+        template = "    {\n%s\n    }" % ",\n".join(
+            f"      {json.dumps(n)}: %s" for n in names)
+        # json's C encoder writes each float as its indenting encoder does
+        tokens = [json.dumps(grid[n])[1:-1].split(", ") for n in names]
+        rows = ",\n".join(template % row for row in zip(*tokens))
+        text = text.replace('\n  "results": []', f'\n  "results": [\n{rows}\n  ]', 1)
+    return text
 
 
 def _emit(config: RunConfig, default_fmt: str, columns, rows, json_config,
@@ -284,12 +306,11 @@ def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
     ys = np.linspace(0.0, 1.0, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    values = mm.evaluate_field(field, X.ravel(), Y.ravel()).reshape(X.shape)
-    rows = [
-        {"x": float(xs[i]), "y": float(ys[j]), "density": float(values[i, j] ** 2)}
-        for i in range(nx)
-        for j in range(ny)
-    ]
+    values = mm.evaluate_field(field, X.ravel(), Y.ravel()).tolist()
+    # ** on a Python float is libm pow; the array's values ** 2 differs
+    # from it in the last bit at some points
+    rows = FloatColumns(x=X.ravel().tolist(), y=Y.ravel().tolist(),
+                        density=[v ** 2 for v in values])
     json_config = _config_dict(
         config,
         branch=branch,

@@ -57,6 +57,36 @@ class TestSweep:
                 N=32,
             )
 
+    @pytest.mark.parametrize("jobs, cores, workers", [
+        (5000, 8, 3), (2, 8, 2), (5000, 2, 2), (5000, 1, None), (4, None, None),
+    ])
+    def test_workers_capped(self, jobs, cores, workers, monkeypatch):
+        """The pool gets at most one worker per core and per lambda point
+        (it starts them all at once), and none runs for one; the fake pool
+        maps in-process, so no process starts."""
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(an, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(an.os, "cpu_count", lambda: cores)
+        grid = (0.4, 0.5, 0.6)
+        result = an.sweep(ModelKind.A, grid, N=16, check_stability=False, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        serial = an.sweep(ModelKind.A, grid, N=16, check_stability=False)
+        assert result == serial
+
     def test_bracketing_consistency(self, sweep_a, sweep_b):
         for sweep_result in (sweep_a, sweep_b):
             for lam, spec in zip(sweep_result.lambdas, sweep_result.spectra):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import field_reference as F
 from wavebound import cli
 from wavebound.geometry import Geometry, ModelKind
 from wavebound import modematch as mm
@@ -115,6 +116,21 @@ class TestConfigResolution:
                     "json", "--out", str(out)]) == 2
         assert "d must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnwritableOut:
+    """An --out that cannot be opened exits 2 and names the path."""
+
+    def test_directory(self, tmp_path, capsys):
+        assert run(["bounds", "--lambda", "0.5", "--out", str(tmp_path)]) == 2
+        assert f"cannot write --out {tmp_path}" in capsys.readouterr().err
+
+    def test_missing_parent_directory(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert run(["spectrum", "--lambda", "0.5", "--modes", "16",
+                    "--out", str(out)]) == 2
+        assert f"cannot write --out {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestSpectrumCommand:
@@ -295,6 +311,22 @@ class TestFieldCommand:
             + np.sum(field.b**2 / (2 * kap) * np.exp(-2 * kap * (W - 0.5)))
         )
         assert abs(box + tail - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("model, lam, branch, nx, ny", [
+        (ModelKind.A, 0.5, 1, 41, 9),
+        (ModelKind.B, 2.5, 2, 41, 11),
+    ], ids=["A-0.5-branch1", "B-2.5-branch2"])
+    def test_bytes_match_the_dict_rows(self, model, lam, branch, nx, ny, tmp_path):
+        """CSV and JSON equal the writer that builds one dict per point; the
+        odd --nx puts x = 0.0 on the grid."""
+        config, rows = F.field_rows(model, lam, branch, 32, nx, ny, 6.0)
+        base = ["field", "--model", model.name, "--lambda", str(lam), "--branch",
+                str(branch), "--modes", "32", "--nx", str(nx), "--ny", str(ny)]
+        for fmt, expected in (("csv", F.render_csv(rows)),
+                              ("json", F.render_json(config, rows))):
+            out = tmp_path / f"field.{fmt}"
+            assert run(base + ["--format", fmt, "--out", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == expected
 
     def test_bad_grid_args(self, capsys):
         assert run(["field", "--model", "A", "--lambda", "0.5", "--nx", "1"]) == 2

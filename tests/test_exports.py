@@ -6,12 +6,14 @@ chose a count."""
 
 import importlib
 import inspect
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavebound
@@ -46,6 +48,25 @@ def test_benchmark_names():
     sweep = analysis.SweepResult(model=ModelKind.A, lambdas=(), spectra=(), N=32)
     inspect.signature(analysis.monotonicity_check).bind(sweep)
     inspect.signature(analysis.scaling_check).bind(sweep, 1.5)
+
+
+def test_benchmark_field_schema(tmp_path):
+    """The keys ``bench/workloads.py`` reads from ``field --format json``:
+    the grid in ``config`` and one row per point, x-major."""
+    out = tmp_path / "field.json"
+    nx, ny, halfwidth = 5, 3, 2.0
+    assert cli.main(["field", "--model", "A", "--lambda", "0.5", "--modes", "16",
+                     "--nx", str(nx), "--ny", str(ny), "--x-halfwidth",
+                     str(halfwidth), "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    config, rows = payload["config"], payload["results"]
+    assert (config["nx"], config["ny"], config["x_halfwidth"]) == (nx, ny, halfwidth)
+    assert 0.0 < config["eigenvalue_over_mu"] < 1.0
+    assert len(rows) == nx * ny
+    xs = np.linspace(-halfwidth, halfwidth, nx)
+    ys = np.linspace(0.0, 1.0, ny)
+    assert [(r["x"], r["y"]) for r in rows] == [(x, y) for x in xs for y in ys]
+    assert all(isinstance(r["density"], float) and r["density"] >= 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("preset,expected", [
