@@ -35,7 +35,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_MISSING_BRANCH = 4
 EXIT_INVARIANT = 5
 
-CSV_VERSION_LINE = "# wavebound-csv v3"
+CSV_VERSION_LINE = "# wavebound-csv v4"
 
 #: largest window lambda accepted: every command's work grows with the
 #: number of states, ceil(lambda), and spectrum takes seconds at 1000

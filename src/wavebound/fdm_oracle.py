@@ -64,8 +64,7 @@ chain eigenvalues sigma_m + (2 - 2 cos(k pi/(n+1)))/hx^2 with
 (-1)^(k+1) p_m = s.  By the inertia of the Schur complement the sector's
 count of bound states below E is neg(T_s(E)) plus the number of those
 below E (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263),
-and ``roots.count_roots`` isolates and refines each state, as mode
-matching does with its M_s(E).
+and ``roots.count_roots`` isolates and refines each state.
 """
 
 from __future__ import annotations

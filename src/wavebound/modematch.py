@@ -28,15 +28,23 @@ becomes the symmetric N x N system
     M_s(E) a = 0,    M_s(E) = diag(kappa_k) - O diag(Lambda_m) O^T,
 
 with O the tail-I/center overlap matrix and Lambda_m =
-f_m'(-delta)/f_m(-delta).  M_s(E) decreases in E between the poles of
-Lambda_0, so the number of sector eigenvalues below E is the number of
-negative eigenvalues of M_s(E) plus the number of poles of Lambda_0
-below E (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263).
-The count is exact for the truncated problem and isolates each
-eigenvalue in a pole-free bracket, where Brent's method converges on the
-one eigenvalue of M_s(E) that crosses zero there.  Each eigenvalue keeps
-the sector it was found in (``Spectrum.sectors``), and its eigenfield is
-solved in that sector.
+f_m'(-delta)/f_m(-delta).  Only m = 0 propagates below mu, so with
+o = O[:, 0] the matrix splits as M_s = R_s - Lambda_0 o o^T.  R_s keeps
+the modes m >= 1, whose -Lambda_m (gamma_m tanh(gamma_m delta) or
+gamma_m coth(gamma_m delta)) are positive and decrease in E, as kappa_k
+does: R_s is positive definite on (0, mu], at mu (kappa_0 = 0) too, and
+decreases in E, so g_s = o^T R_s^-1 o > 0 increases.  M_s a = 0 means
+a ~ R_s^-1 o and Lambda_0 g_s = 1; with Lambda_0 = sqrt(E) tan(sqrt(E) delta)
+(even, f_0 = cos) or -sqrt(E) cot(sqrt(E) delta) (odd, f_0 = sin) that is
+the junction phase at state k = 0, 1, ... of the sector,
+
+    phi_s(E) = sqrt(E) delta - arctan(1 / (sqrt(E) g_s)) = k pi (even), (k + 1/2) pi (odd).
+
+phi_s rises from -pi/2 at E = 0 and is finite at mu, so k is the state's
+count certificate, the count at or below E is a closed form in phi_s(E),
+and one Cholesky solve per energy gives phi_s and the null vector.  Each
+eigenvalue keeps the sector it was found in (``Spectrum.sectors``), and
+its eigenfield is solved in that sector.
 
 Reported eigenvalues are the dimensionless ratios E/mu.
 """
@@ -48,7 +56,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import brentq
 
 from .geometry import (
     SECTORS,
@@ -58,13 +67,12 @@ from .geometry import (
     overlap_matrix,
     profile_values,
 )
-from .roots import count, count_roots
 
 __all__ = [
     "SECTORS",
     "Spectrum",
     "EigenField",
-    "sector_matrix",
+    "sector_phase",
     "sector_count",
     "count_states",
     "scan_spectrum",
@@ -73,9 +81,8 @@ __all__ = [
     "solve_field",
 ]
 
-#: scan window margins, in units of mu
+#: bottom of the scan window, in units of mu; its top is mu itself
 SCAN_LO_FRAC = 1e-8
-SCAN_HI_FRAC = 1.0 - 1e-6
 
 #: refinement width and stability drift tolerances
 REFINE_FRAC = 1e-10
@@ -124,66 +131,58 @@ def _center_at_interface(
     return f, df
 
 
-def sector_matrix(
+def sector_phase(
     model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
-) -> np.ndarray:
-    """M_s(E) = diag(kappa) - O diag(Lambda) O^T of one parity sector.
-
-    E is the absolute energy at d = 1, so it must lie strictly inside
-    (0, pi^2/4).
-    """
-    if not (0.0 < E < geometry.mu):
-        raise ValueError(f"energy must lie in (0, mu)=(0, {geometry.mu}), got {E}")
+) -> tuple[float, np.ndarray]:
+    """Junction phase phi_s(E) of one parity sector and y = R_s(E)^-1 o, from
+    one Cholesky solve; E (at d = 1) must lie in (0, mu], mu included."""
+    if not (0.0 < E <= geometry.mu):
+        raise ValueError(f"energy must lie in (0, mu]=(0, {geometry.mu}], got {E}")
     if not (4 <= N <= MAX_MODES):
         raise ValueError(f"truncation N must lie in [4, {MAX_MODES}], got {N}")
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector}")
     O = overlap_matrix(model.tails[0], N)
     f, df = _center_at_interface(_center_is_cos(model, sector, N), geometry.delta, E)
-    return np.diag(_kappa(N, E)) - (O * (df / f)) @ O.T
+    R = (O[:, 1:] * (-df[1:] / f[1:])) @ O[:, 1:].T
+    R[np.diag_indices(N)] += _kappa(N, E)
+    y = cho_solve(cho_factor(R, overwrite_a=True, check_finite=False), O[:, 0],
+                  check_finite=False)
+    root_e = math.sqrt(E)
+    return root_e * geometry.delta - math.atan2(1.0, root_e * (O[:, 0] @ y)), y
 
 
-def _poles_below(delta: float, E: float, sector: int) -> int:
-    """Poles of Lambda_0 below E: sqrt(E) delta = pi/2 + k pi for the
-    cosine of the even sector, k pi (k >= 1) for the sine of the odd one."""
-    phase = math.sqrt(E) * delta / math.pi
-    return math.floor(phase + 0.5) if sector == 1 else math.floor(phase)
-
-
-def _sector_problem(model: ModelKind, geometry: Geometry, N: int, sector: int):
-    """The sector's matrix family M_s(E) and its pole count, as the
-    arguments ``roots.count`` and ``roots.count_roots`` take."""
-    return (lambda E: sector_matrix(model, geometry, N, E, sector),
-            lambda E: _poles_below(geometry.delta, E, sector))
+def _level(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
+    """phi_s(E)/pi, less 1/2 in the odd sector: state k (0-based) sits at k."""
+    return sector_phase(model, geometry, N, E, sector)[0] / math.pi - (1 - sector) / 4
 
 
 def sector_count(
     model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
 ) -> int:
-    """Number of eigenvalues below E in one sector of the N-truncated problem:
-    neg(M_s(E)) plus the poles of Lambda_0 below E."""
-    return count(*_sector_problem(model, geometry, N, sector), E)[0]
+    """Number of eigenvalues at or below E in one sector of the N-truncated
+    problem: floor(phi_s/pi) + 1 (even) or floor(phi_s/pi - 1/2) + 1 (odd)."""
+    return math.floor(_level(model, geometry, N, E, sector)) + 1
 
 
 def count_states(model: ModelKind, geometry: Geometry, N: int, E: float) -> int:
-    """Number of eigenvalues below E of the N-truncated problem."""
+    """Number of eigenvalues at or below E of the N-truncated problem."""
     return sum(sector_count(model, geometry, N, E, s) for s in SECTORS)
 
 
-def _residual(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
-    """min |eig M_s(E)|: zero at a root of the sector."""
-    w = count(*_sector_problem(model, geometry, N, sector), E)[1]
-    return float(np.min(np.abs(w)))
-
-
 def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> list:
-    """Eigenvalues of one sector in the scan window, isolated by count
-    and refined to REFINE_FRAC * mu (``roots.count_roots``)."""
+    """(E, residual) of each eigenvalue of one sector in the scan window:
+    state k is the Brent root of level - k on [previous root, mu] to
+    REFINE_FRAC * mu, its residual |phi_s(E) - target_k| in radians."""
     mu = geometry.mu
-    return list(count_roots(
-        *_sector_problem(model, geometry, N, sector),
-        SCAN_LO_FRAC * mu, SCAN_HI_FRAC * mu, REFINE_FRAC * mu,
-    ))
+    level = lru_cache(maxsize=None)(lambda E: _level(model, geometry, N, E, sector))
+
+    lo = SCAN_LO_FRAC * mu
+    found = []
+    for k in range(math.floor(level(lo)) + 1, math.floor(level(mu)) + 1):
+        lo = brentq(lambda E: level(E) - k, lo, mu, xtol=REFINE_FRAC * mu)
+        found.append((lo, math.pi * abs(level(lo) - k)))
+    return found
 
 
 def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:
@@ -193,7 +192,7 @@ def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int)
     mu = geometry.mu
     drift = STABLE_DRIFT_FRAC * mu
     lo = max(E - drift, SCAN_LO_FRAC * mu)
-    hi = min(E + drift, SCAN_HI_FRAC * mu)
+    hi = min(E + drift, mu)
     bumped = N + STABILITY_BUMP
     if bumped > MAX_MODES:
         bumped = N - STABILITY_BUMP
@@ -207,17 +206,16 @@ class Spectrum:
     """Discrete eigenvalues (as E/mu) with their parity sectors, residuals
     and stability flags.
 
-    Every root of the scan window (1e-8, 1 - 1e-6) mu is an eigenvalue;
-    a state closer to the threshold lies above the window and is not
-    listed.
+    Every root of the scan window (1e-8 mu, mu] is an eigenvalue, a
+    state at the threshold included.
     """
 
     model: ModelKind
     geometry: Geometry
     N: int
-    eigenvalues: tuple  # E/mu, sorted, strictly inside (0, 1)
+    eigenvalues: tuple  # E/mu, sorted, inside (0, 1]
     sectors: tuple  # per-eigenvalue parity sector, +1 even or -1 odd
-    residuals: tuple  # min |eig M_s| at each refined root
+    residuals: tuple  # |phi_s - target_k| in radians at each refined root
     stable: tuple  # per-eigenvalue bool
 
 
@@ -227,24 +225,24 @@ def scan_spectrum(
     N: int = 64,
     check_stability: bool = True,
 ) -> Spectrum:
-    """All discrete eigenvalues in the scan window, from the sector counts,
+    """All discrete eigenvalues in the scan window, from the sector phases,
     each with the parity sector it was found in.
 
-    The window is (SCAN_LO_FRAC, SCAN_HI_FRAC) * mu.  When
+    The window is (SCAN_LO_FRAC * mu, mu].  When
     ``check_stability`` is set, each root is flagged stable when its
     sector at truncation N + STABILITY_BUMP (N - STABILITY_BUMP above
     MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it.
     """
     roots = sorted(
-        (root, sector)
+        (root, sector, residual)
         for sector in SECTORS
-        for root in _sector_roots(model, geometry, N, sector)
+        for root, residual in _sector_roots(model, geometry, N, sector)
     )
     eigenvalues, sectors, residuals, flags = [], [], [], []
-    for root, sector in roots:
+    for root, sector, residual in roots:
         eigenvalues.append(root / geometry.mu)
         sectors.append(sector)
-        residuals.append(_residual(model, geometry, N, root, sector))
+        residuals.append(residual)
         flags.append(not check_stability or _stable(model, geometry, N, root, sector))
     return Spectrum(
         model=model,
@@ -325,32 +323,30 @@ def solve_coefficients(
 
     E must be a root of that sector: its count steps within
     REFINE_FRAC * mu of E (the width the roots are refined to), else
-    ValueError.  The eigenvector of M_s(E) closest to zero gives a, the
-    reflection gives b, and value continuity the center amplitudes
+    ValueError.  The null vector a = R_s^-1 o gives the tail amplitudes,
+    b by reflection, and value continuity the center amplitudes
     (O^T a)_m / f_m(-delta); where f_0(-delta) is small (near a pole of
-    Lambda_0) the m = 0 amplitude comes from derivative continuity
+    Lambda_0) derivative continuity, R_s a = o, gives 1 / f_0'(-delta)
     instead.  The field is scaled to unit L^2(Omega) norm with the
     largest-magnitude coefficient positive.
     """
-    delta = geometry.delta
-    tol = REFINE_FRAC * geometry.mu
-    if sector_count(model, geometry, N, E + tol, sector) == sector_count(
+    delta, mu = geometry.delta, geometry.mu
+    tol = REFINE_FRAC * mu
+    if sector_count(model, geometry, N, min(E + tol, mu), sector) == sector_count(
         model, geometry, N, E - tol, sector
     ):
         raise ValueError(
             f"E={E} is not a root of sector {sector}: its count does not step "
             f"within {tol:.3g}"
         )
-    w, V = eigh(sector_matrix(model, geometry, N, E, sector), check_finite=False)
-    a = V[:, np.argmin(np.abs(w))]
+    a = sector_phase(model, geometry, N, E, sector)[1]
 
     O = overlap_matrix(model.tails[0], N)
     is_cos = _center_is_cos(model, sector, N)
     f, df = _center_at_interface(is_cos, delta, E)
     amplitude = (O.T @ a) / f
     if abs(f[0]) * math.sqrt(E) < abs(df[0]):
-        rest = _kappa(N, E) * a - O[:, 1:] @ (df[1:] * amplitude[1:])
-        amplitude[0] = (O[:, 0] @ rest) / (O[:, 0] @ O[:, 0]) / df[0]
+        amplitude[0] = 1.0 / df[0]
     b = sector * model.parity(N) * a
     alpha = np.where(is_cos, amplitude, 0.0)
     beta = np.where(is_cos, 0.0, amplitude)

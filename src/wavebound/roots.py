@@ -1,11 +1,12 @@
 """Eigenvalues of a symmetric matrix family by count, then Brent.
 
-Both solvers reduce their problem to a symmetric matrix M(E) that
-decreases in E between poles.  The number of eigenvalues of the
-problem below E is then the number of negative eigenvalues of M(E)
+The finite-difference oracle reduces its problem to a symmetric matrix
+M(E) that decreases in E between poles.  The number of eigenvalues of
+the problem below E is then the number of negative eigenvalues of M(E)
 plus the number of poles below E (Wittrick & Williams, Q. J. Mech.
 Appl. Math. 24 (1971) 263), and each eigenvalue is a zero of the one
-eigenvalue of M(E) that crosses zero there.
+eigenvalue of M(E) that crosses zero there.  (Mode matching counts and
+refines its states on a scalar phase instead, ``modematch``.)
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.optimize import brentq
 
-__all__ = ["count", "count_roots"]
+__all__ = ["count_roots"]
 
 
 def count(matrix, poles, E: float) -> tuple[int, np.ndarray]:

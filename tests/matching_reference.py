@@ -1,0 +1,59 @@
+"""The sector matrix M_s(E) and its Wittrick-Williams count: the reference
+the junction phase of ``wavebound.modematch`` must reproduce.
+
+In the parity sector s the matching at x = -delta is the symmetric N x N
+system
+
+    M_s(E) a = 0,    M_s(E) = diag(kappa_k) - O diag(Lambda_m) O^T,
+
+with O the tail-I/center overlap matrix and Lambda_m = f_m'(-delta) /
+f_m(-delta) of the sector's center functions.  M_s(E) decreases in E
+between the poles of Lambda_0, so the number of sector eigenvalues below
+E is the number of negative eigenvalues of M_s(E) plus the number of
+poles of Lambda_0 below E (Wittrick & Williams, Q. J. Mech. Appl. Math.
+24 (1971) 263).  The pole formula holds strictly below mu only: at
+E = mu with integer lambda a pole sits on the threshold itself and is
+counted as a state.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.linalg import eigvalsh
+
+from wavebound import modematch as mm
+from wavebound.geometry import SECTORS, Geometry, ModelKind, overlap_matrix
+
+
+def sector_matrix(
+    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
+) -> np.ndarray:
+    """M_s(E) = diag(kappa) - O diag(Lambda) O^T of one parity sector,
+    for E strictly inside (0, mu)."""
+    if not (0.0 < E < geometry.mu):
+        raise ValueError(f"energy must lie in (0, mu)=(0, {geometry.mu}), got {E}")
+    if not (4 <= N <= mm.MAX_MODES):
+        raise ValueError(f"truncation N must lie in [4, {mm.MAX_MODES}], got {N}")
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}, got {sector}")
+    O = overlap_matrix(model.tails[0], N)
+    f, df = mm._center_at_interface(
+        mm._center_is_cos(model, sector, N), geometry.delta, E)
+    return np.diag(mm._kappa(N, E)) - (O * (df / f)) @ O.T
+
+
+def poles_below(delta: float, E: float, sector: int) -> int:
+    """Poles of Lambda_0 below E: sqrt(E) delta = pi/2 + k pi for the
+    cosine of the even sector, k pi (k >= 1) for the sine of the odd one."""
+    phase = math.sqrt(E) * delta / math.pi
+    return math.floor(phase + 0.5) if sector == 1 else math.floor(phase)
+
+
+def sector_count(
+    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
+) -> int:
+    """neg(M_s(E)) plus the poles of Lambda_0 below E."""
+    w = eigvalsh(sector_matrix(model, geometry, N, E, sector), check_finite=False)
+    return int(np.count_nonzero(w < 0.0)) + poles_below(geometry.delta, E, sector)

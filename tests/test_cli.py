@@ -31,7 +31,7 @@ def run(argv, capsys=None):
 
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# wavebound-csv v3"
+    assert lines[0] == "# wavebound-csv v4"
     header = lines[1].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     return header, rows
@@ -158,6 +158,18 @@ class TestSpectrumCommand:
         assert rows[0]["branch_index"] == "1"
         assert abs(float(rows[0]["eigenvalue_over_mu"]) - 0.8396) < 1e-3
         assert float(rows[0]["residual"]) < 1e-6
+
+    def test_state_next_to_threshold_written(self, tmp_path):
+        """A lambda = 0.2634 holds one state 9.1e-8 mu below mu: it is
+        written, with its residual in radians."""
+        out = tmp_path / "threshold.csv"
+        assert run(["spectrum", "--model", "A", "--lambda", "0.2634",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1
+        assert 8e-8 < 1.0 - float(rows[0]["eigenvalue_over_mu"]) < 1e-7
+        assert float(rows[0]["residual"]) < 1e-6
+        assert rows[0]["stable"] == "true"
 
     def test_largest_truncation_is_gated(self, tmp_path):
         """At N=256 the stability gate cannot go to N + 8 and compares

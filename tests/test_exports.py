@@ -37,7 +37,7 @@ def test_benchmark_names():
     """A rename of any of these breaks every benchmark run."""
     assert cli.MU == math.pi**2 / 4
     assert cli.MU == geometry.MU
-    assert cli.CSV_VERSION_LINE == "# wavebound-csv v3"
+    assert cli.CSV_VERSION_LINE == "# wavebound-csv v4"
     assert cli.EXIT_OK == 0
     assert Geometry.from_lambda(0.5).lam == 0.5
     assert ModelKind["A"] is ModelKind.A and ModelKind["B"].name == "B"

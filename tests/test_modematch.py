@@ -1,11 +1,13 @@
 """Tests for the interface-matching solver.
 
-Reference counts come from the geometry's bracketing bounds; coefficient
-structure is checked against the exact reflection symmetries of the two
-models.  The full 4N x 4N matching matrix of both interfaces, which the
-solver reduces to one N x N matrix per parity sector, is kept here as an
-independent reference: every counted root must be a null point of it.
-Heavier objects (spectra, fields) are shared per module.
+Reference counts come from the geometry's bracketing bounds and from the
+Wittrick-Williams count of the sector matrix (``matching_reference``),
+which the junction phase must reproduce; coefficient structure is checked
+against the exact reflection symmetries of the two models.  The full
+4N x 4N matching matrix of both interfaces, which the solver reduces to
+one N x N matrix per parity sector, is kept here as an independent
+reference: every counted root must be a null point of it.  Heavier
+objects (spectra, fields) are shared per module.
 """
 
 import math
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
+import matching_reference as ref
 from wavebound import modematch as mm
 from wavebound.bounds import state_count_bounds
 from wavebound.geometry import (
@@ -86,6 +89,12 @@ def reference_matrix(model, lam, N, E):
     return _assemble_general(*model.tails, lam, N, E)
 
 
+def _distance_to_target(model, geometry, N, E, sector):
+    """|phi_s(E) - target_k| in radians for the nearest state k >= 0."""
+    level = mm._level(model, geometry, N, E, sector)
+    return math.pi * abs(level - max(round(level), 0))
+
+
 @pytest.fixture(scope="module")
 def spectrum_a_half():
     """Model A, lam=0.5, N=32, no stability pass (count-level anchor)."""
@@ -120,11 +129,26 @@ def field_b_half():
 
 class TestAssemble:
     def test_shape_and_blocks(self):
+        """The phase's vector y solves the rank-one split of the sector
+        matrix, R_s y = (M_s + Lambda_0 o o^T) y = o."""
+        geometry = Geometry.from_lambda(0.5)
+        E = 0.5 * MU
+        o = overlap_matrix(ModelKind.A.tails[0], 8)[:, 0]
         for sector in mm.SECTORS:
-            M = mm.sector_matrix(ModelKind.A, Geometry.from_lambda(0.5), 8, 0.5 * MU, sector)
+            M = ref.sector_matrix(ModelKind.A, geometry, 8, E, sector)
             assert M.shape == (8, 8)
             assert np.all(np.isfinite(M))
             assert np.allclose(M, M.T, rtol=0.0, atol=1e-13)
+            phase, y = mm.sector_phase(ModelKind.A, geometry, 8, E, sector)
+            assert y.shape == (8,) and math.isfinite(phase)
+            is_cos = mm._center_is_cos(ModelKind.A, sector, 8)
+            f, df = mm._center_at_interface(is_cos, geometry.delta, E)
+            R = M + (df[0] / f[0]) * np.outer(o, o)
+            assert np.allclose(R @ y, o, rtol=0.0, atol=1e-12)
+            g = o @ y
+            assert g > 0.0
+            assert phase == pytest.approx(
+                math.sqrt(E) * 0.5 - math.atan(1.0 / (math.sqrt(E) * g)), abs=1e-14)
 
     @given(
         lam=st.floats(0.05, 3.0),
@@ -146,19 +170,22 @@ class TestAssemble:
         assert np.max(np.abs(A)) <= bound
 
     def test_energy_out_of_range_rejected(self):
+        """The phase accepts E in (0, mu], the threshold included."""
         geometry = Geometry.from_lambda(0.5)
-        for E in (0.0, MU, 1.2 * MU):
+        for E in (0.0, -0.1, math.nextafter(MU, math.inf), 1.2 * MU):
             with pytest.raises(ValueError):
-                mm.sector_matrix(ModelKind.A, geometry, 8, E, 1)
+                mm.sector_phase(ModelKind.A, geometry, 8, E, 1)
             with pytest.raises(ValueError):
                 mm.count_states(ModelKind.A, geometry, 8, E)
+        assert math.isfinite(mm.sector_phase(ModelKind.A, geometry, 8, MU, 1)[0])
+        assert mm.count_states(ModelKind.A, geometry, 8, MU) == 1
 
     def test_truncation_out_of_range_rejected(self):
         geometry = Geometry.from_lambda(0.5)
         with pytest.raises(ValueError):
-            mm.sector_matrix(ModelKind.A, geometry, 3, 0.5 * MU, 1)
+            mm.sector_phase(ModelKind.A, geometry, 3, 0.5 * MU, 1)
         with pytest.raises(ValueError):
-            mm.sector_matrix(ModelKind.A, geometry, 257, 0.5 * MU, 1)
+            mm.sector_phase(ModelKind.A, geometry, 257, 0.5 * MU, 1)
 
     def test_unknown_sector_rejected(self):
         """Only +1 and -1 name a sector; unchecked, any other value would
@@ -167,6 +194,8 @@ class TestAssemble:
         spec = mm.scan_spectrum(ModelKind.B, geometry, N=16, check_stability=False)
         assert spec.sectors[1] == -1
         for sector in (0, 2):
+            with pytest.raises(ValueError):
+                mm.sector_phase(ModelKind.B, geometry, 16, 0.5 * MU, sector)
             with pytest.raises(ValueError):
                 mm.solve_coefficients(
                     ModelKind.B, geometry, 16, spec.eigenvalues[1] * MU, sector
@@ -177,34 +206,48 @@ class TestAssemble:
             Geometry(0.0)
 
     def test_no_rank_deficiency_away_from_roots(self):
-        # lam=0.5, N=16, E=0.5*mu sits far from the only eigenvalue
+        """lam=0.5, N=16, E=0.5*mu sits far from the only eigenvalue: the
+        sector matrix is regular there, and the phase is far from every
+        state's target."""
         geometry = Geometry.from_lambda(0.5)
         for sector in mm.SECTORS:
-            M = mm.sector_matrix(ModelKind.A, geometry, 16, 0.5 * MU, sector)
+            M = ref.sector_matrix(ModelKind.A, geometry, 16, 0.5 * MU, sector)
             assert np.min(np.abs(np.linalg.eigvalsh(M))) > 1e-3
+            assert _distance_to_target(ModelKind.A, geometry, 16, 0.5 * MU, sector) > 3e-2
 
 
 # ---------------------------------------------------------------------------
-# residual min |eig M_s| on and off a root
+# residual |phi_s - target_k| on and off a root
 # ---------------------------------------------------------------------------
 
 
 class TestDispersion:
     def test_sigma_floor_away_from_root(self, spectrum_a_half):
+        """Away from the root the phase keeps clear of every target, up
+        to mu itself; the sector matrix stays regular below mu."""
         geometry = Geometry.from_lambda(0.5)
         root = spectrum_a_half.eigenvalues[0] * MU
-        energies = np.linspace(1e-8 * MU, (1.0 - 1e-6) * MU, 200)
+        energies = np.linspace(1e-8 * MU, MU, 200)
         far = energies[np.abs(energies - root) > 0.02 * MU]
         floor = min(
-            np.min(np.abs(np.linalg.eigvalsh(
-                mm.sector_matrix(ModelKind.A, geometry, 32, float(E), sector))))
+            _distance_to_target(ModelKind.A, geometry, 32, float(E), sector)
             for E in far
             for sector in mm.SECTORS
         )
-        assert floor > 1e-4
+        assert floor > 1e-3
+        matrix_floor = min(
+            np.min(np.abs(np.linalg.eigvalsh(
+                ref.sector_matrix(ModelKind.A, geometry, 32, float(E), sector))))
+            for E in far[:-1]
+            for sector in mm.SECTORS
+        )
+        assert matrix_floor > 1e-4
 
     def test_sigma_small_at_root(self, spectrum_a_half):
         assert spectrum_a_half.residuals[0] < 1e-8
+        E = spectrum_a_half.eigenvalues[0] * MU
+        assert spectrum_a_half.residuals[0] == _distance_to_target(
+            ModelKind.A, Geometry.from_lambda(0.5), 32, E, spectrum_a_half.sectors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +259,7 @@ class TestCount:
     def test_count_nondecreasing_in_energy(self):
         for model, lam in ((ModelKind.A, 2.5), (ModelKind.B, 2.5)):
             geometry = Geometry.from_lambda(lam)
-            energies = np.linspace(1e-8 * MU, (1.0 - 1e-6) * MU, 300)
+            energies = np.linspace(1e-8 * MU, MU, 300)
             for sector in mm.SECTORS:
                 counts = [mm.sector_count(model, geometry, 24, float(E), sector)
                           for E in energies]
@@ -257,11 +300,50 @@ class TestCount:
         for model in ModelKind:
             spec = mm.scan_spectrum(model, Geometry.from_lambda(lam), N=32,
                                     check_stability=False)
-            top = mm.count_states(model, Geometry.from_lambda(lam), 32,
-                                  mm.SCAN_HI_FRAC * MU)
+            top = mm.count_states(model, Geometry.from_lambda(lam), 32, MU)
             assert top == len(spec.eigenvalues)
             if model is ModelKind.A:
                 assert n_min <= top <= n_max
+
+    @pytest.mark.parametrize("lam,states", [(1.0, 1), (2.0, 2), (20.0, 20)])
+    def test_count_at_threshold_exact(self, lam, states):
+        """The count at E = mu itself equals the states the scan reports
+        and the reference count just below mu.  At integer lambda a pole
+        of Lambda_0 sits on mu, and the pole formula counted it as a
+        state there (21 at lambda = 20)."""
+        geometry = Geometry.from_lambda(lam)
+        spec = mm.scan_spectrum(ModelKind.A, geometry, N=64, check_stability=False)
+        top = mm.count_states(ModelKind.A, geometry, 64, MU)
+        below = sum(ref.sector_count(ModelKind.A, geometry, 64, (1.0 - 1e-9) * MU, s)
+                    for s in mm.SECTORS)
+        assert top == below == len(spec.eigenvalues) == states
+
+    @pytest.mark.slow
+    def test_phase_count_equals_reference(self):
+        """Stop rule of the phase: its sector count equals the reference's
+        neg(M_s) + poles on every probe, and R_s has a Cholesky factor at
+        every probe and at mu.  The probes keep off the poles of
+        Lambda_0, where M_s is undefined; at one (lambda = 20,
+        E = 0.01 mu, odd sector) the reference counts the pole and the
+        crossing it causes as two states, the phase one."""
+        fractions = np.concatenate([(np.arange(48) + 0.5) / 48,
+                                    1.0 - np.geomspace(10**-2.5, 1e-7, 15)])
+        mismatches = []
+        for model in ModelKind:
+            for lam in (0.1, 0.2634, 0.5, 1.0, 1.5, 2.5, 20.0, 20.2):
+                geometry = Geometry.from_lambda(lam)
+                for N in (16, 64, 256):
+                    for sector in mm.SECTORS:
+                        assert math.isfinite(
+                            mm.sector_phase(model, geometry, N, MU, sector)[0])
+                        for E in fractions * MU:
+                            pole = math.sqrt(E) * lam / math.pi + (1 + sector) / 4
+                            assert abs(pole - round(pole)) > 1e-9
+                            phase = mm.sector_count(model, geometry, N, E, sector)
+                            expected = ref.sector_count(model, geometry, N, E, sector)
+                            if phase != expected:
+                                mismatches.append((model, lam, N, sector, E))
+        assert mismatches == []
 
     @given(
         lam=st.floats(0.05, 3.0),
@@ -287,14 +369,15 @@ class TestCount:
 
 
 def _bisected_sector_roots(model, geometry, N, sector):
-    """Reference: each root of the sector as the midpoint of a count
-    bracket halved to REFINE_FRAC * mu, the next search starting from the
-    lower end of the previous bracket."""
+    """Reference: each root of the sector below (1 - 1e-9) mu as the
+    midpoint of a bracket of the reference count halved to
+    REFINE_FRAC * mu, the next search starting from the lower end of the
+    previous bracket."""
     tol = mm.REFINE_FRAC * MU
-    lo, hi = mm.SCAN_LO_FRAC * MU, mm.SCAN_HI_FRAC * MU
+    lo, hi = mm.SCAN_LO_FRAC * MU, (1.0 - 1e-9) * MU
 
     def count(E):
-        return mm.sector_count(model, geometry, N, E, sector)
+        return ref.sector_count(model, geometry, N, E, sector)
 
     roots = []
     for below in range(count(lo), count(hi)):
@@ -310,15 +393,16 @@ def _bisected_sector_roots(model, geometry, N, sector):
 
 
 def _scan_evaluations(monkeypatch, model, lam):
-    """Sector-matrix evaluations of one ungated scan at N=64."""
+    """Phase evaluations (one Cholesky solve each) of one ungated scan at
+    N=64."""
     calls = []
-    original = mm.sector_matrix
+    original = mm.sector_phase
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(mm, "sector_matrix", counted)
+    monkeypatch.setattr(mm, "sector_phase", counted)
     mm.scan_spectrum(model, Geometry.from_lambda(lam), N=64, check_stability=False)
     return len(calls)
 
@@ -330,8 +414,8 @@ class TestRefinement:
         (ModelKind.A, 20.2, 300),
     ])
     def test_evaluation_budget(self, monkeypatch, model, lam, budget):
-        """Brent refinement against the count bisection, which took 39,
-        109 and 690 evaluations."""
+        """Brent refinement of the phase, against the count bisection of
+        the sector matrix, which took 39, 109 and 690 evaluations."""
         assert 0 < _scan_evaluations(monkeypatch, model, lam) <= budget
 
     @pytest.mark.parametrize("model,lam,budget", [
@@ -340,8 +424,9 @@ class TestRefinement:
         (ModelKind.A, 20.2, 257),
     ])
     def test_bracket_ends_not_reevaluated(self, monkeypatch, model, lam, budget):
-        """Brent reuses the eigenvalues the count computed at each bracket
-        end; rebuilding M_s there took 14, 39 and 279 evaluations."""
+        """Each phase is computed once: the count at the window's ends,
+        Brent's bracket ends (the previous root and mu) and the residual
+        at a root reuse it."""
         assert 0 < _scan_evaluations(monkeypatch, model, lam) <= budget
 
     @pytest.mark.parametrize("model,lam", [
@@ -352,13 +437,13 @@ class TestRefinement:
     ])
     def test_roots_next_to_poles_match_count_bisection(self, model, lam):
         """At integer lambda roots sit next to poles of Lambda_0; the
-        refined roots match the count bisection and carry the count
-        certificate at the refinement width."""
+        refined roots match the bisection of the reference count and
+        carry the count certificate at the refinement width."""
         geometry = Geometry.from_lambda(lam)
         width = mm.REFINE_FRAC * MU
         refined = []
         for sector in mm.SECTORS:
-            roots = sorted(mm._sector_roots(model, geometry, 64, sector))
+            roots = [E for E, _ in mm._sector_roots(model, geometry, 64, sector)]
             reference = _bisected_sector_roots(model, geometry, 64, sector)
             assert len(roots) == len(reference)
             assert np.max(np.abs(np.subtract(roots, reference)), initial=0.0) <= width
@@ -377,9 +462,9 @@ class TestRefinement:
 class TestScanSpectrum:
     def test_model_a_half_exactly_one(self, spectrum_a_half):
         assert len(spectrum_a_half.eigenvalues) == 1
-        # no state between the scan window and mu is left unreported
+        # no state below mu is left unreported
         below_mu = mm.count_states(ModelKind.A, Geometry.from_lambda(0.5),
-                                   spectrum_a_half.N, (1.0 - 1e-9) * MU)
+                                   spectrum_a_half.N, MU)
         assert below_mu == len(spectrum_a_half.eigenvalues)
 
     def test_model_a_twenty_percent_empty(self):
@@ -454,15 +539,15 @@ class TestSectorRecord:
 
     def test_field_costs_the_scan_plus_three_evaluations(self, monkeypatch):
         """Two counts certify the root in its recorded sector and one
-        eigendecomposition gives the null vector."""
+        phase solve gives the null vector."""
         calls = []
-        original = mm.sector_matrix
+        original = mm.sector_phase
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(mm, "sector_matrix", counted)
+        monkeypatch.setattr(mm, "sector_phase", counted)
         mm.solve_field(ModelKind.A, Geometry.from_lambda(0.5), branch=1, N=64)
         assert 0 < len(calls) <= 17
 
