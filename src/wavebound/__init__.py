@@ -15,7 +15,7 @@ Sub-modules:
 * ``geometry``    -- models, transverse mode bases, overlap integrals
 * ``bounds``      -- closed-form bracketing of state counts and eigenvalues
 * ``variational`` -- analytic window thresholds and the model-B certificate
-* ``roots``       -- the oracle's eigenvalues of a matrix family by count and Brent
+* ``roots``       -- the states of a sector as Brent roots of its junction level
 * ``modematch``   -- interface-matching eigenvalue solver (production path)
 * ``fdm_oracle``  -- finite-difference cross-check, reduced to its end columns
 * ``analysis``    -- diagnostics: corner exponent, monotonicity, scaling

@@ -14,6 +14,7 @@ branch, 5 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -452,7 +453,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="key=value config file; flags override it")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    fills a fresh namespace with the defaults on every call."""
     parser = argparse.ArgumentParser(
         prog="wavebound",
         description="Bound states of a strip with mixed boundary windows.",

@@ -53,18 +53,26 @@ or difference (-1) of the corner entries of the chain's inverse:
 
     r_m = (rho + t rho^n) / (1 + t rho^(n+1)),    t = s p_m,
 
-with rho + 1/rho = a_m, rho in (0, 1], where a_m >= 2, and for
-a_m = 2 cos(theta) < 2
+with rho + 1/rho = a_m, rho in (0, 1].  Below mu_h only chain mode 0
+(sigma_0 = 0) is a wave: sigma_1 >= 8 > pi^2/4 >= mu_h.  With
+a_0 = 2 cos(theta), theta = 2 arcsin(hx sqrt(E)/2), psi = (n+1) theta/2 and
+p_0 = P[:, 0] (t_0 = s),
 
-    r_m = cos((n-1) theta/2) / cos((n+1) theta/2)    (t = +1),
-    r_m = sin((n-1) theta/2) / sin((n+1) theta/2)    (t = -1).
+    r_0 = cos(psi - theta) / cos(psi) (even),  sin(psi - theta) / sin(psi) (odd),
 
-T_s(E) decreases in E between the poles of r, which are the sector's
-chain eigenvalues sigma_m + (2 - 2 cos(k pi/(n+1)))/hx^2 with
-(-1)^(k+1) p_m = s.  By the inertia of the Schur complement the sector's
-count of bound states below E is neg(T_s(E)) plus the number of those
-below E (Wittrick & Williams, Q. J. Mech. Appl. Math. 24 (1971) 263),
-and ``roots.count_roots`` isolates and refines each state.
+and T_s(E) = T_rest(E) - hx^-2 r_0 p_0 p_0^T, where T_rest keeps the
+modes m >= 1.  T_rest is positive definite up to and including mu_h:
+1 + q_j >= 1; 0 <= r_m < 1, as 1 - r = (1 - rho)(1 -+ rho^n)/(1 +- rho^(n+1))
+for t = +-1; and P_rest P_rest^T = I - p_0 p_0^T <= I, so
+hx^2 T_rest >= (1 - max r) I.  T_s(E) is then singular exactly where
+r_0 g = 1, g = p_0^T (hx^2 T_rest)^-1 p_0 > 0 (one Cholesky solve): at the
+discrete junction phase
+
+    phi_s(E) = psi - atan2(1 - g cos(theta), g sin(theta)) = k pi (even), (k + 1/2) pi (odd),
+
+which rises from -pi/2 at E = 0 as its continuous counterpart in
+``modematch`` does, so state k of the sector is the root of one
+increasing scalar (``roots.level_roots``).
 """
 
 from __future__ import annotations
@@ -74,9 +82,10 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import SECTORS, Geometry, ModelKind
-from .roots import count_roots
+from .roots import level_roots
 
 __all__ = [
     "FdmGrid",
@@ -254,46 +263,31 @@ class EndColumns:
             raise ValueError(f"sector must be one of {SECTORS}")
         return sector * self.parity
 
-    def _theta(self, energy: float) -> np.ndarray:
-        """theta_m = arccos(a_m / 2), from 2 - a_m = 4 sin^2(theta_m / 2)
-        without rounding a_m; 0 where a_m >= 2."""
-        gap = np.maximum(energy - self.chain_levels, 0.0)
-        return 2.0 * np.arcsin(0.5 * self.hx * np.sqrt(gap))
-
-    def matrix(self, energy: float, sector: int) -> np.ndarray:
-        """T_s(E) of one parity sector; ``energy`` must not exceed mu_h."""
-        t = self._signs(sector)
-        if energy > self.threshold:
-            raise ValueError(f"energy {energy} is above the threshold {self.threshold}")
-        n = self.n
-        r = np.empty(self.chain_levels.size)
-        wave = self.chain_levels < energy
-        theta = self._theta(energy)[wave]
-        num, den = 0.5 * (n - 1) * theta, 0.5 * (n + 1) * theta
-        r[wave] = np.where(t[wave] > 0, np.cos(num) / np.cos(den), np.sin(num) / np.sin(den))
-        decay = ~wave
-        rho = 1.0 / (1.0 + _decay(self.chain_levels[decay], self.hx, energy))
-        td = t[decay]
-        r[decay] = (rho + td * rho**n) / (1.0 + td * rho ** (n + 1))
-        q = _decay(self.levels, self.hx, energy)
-        ends = (self.modes * (1.0 + q)) @ self.modes.T
-        chain = (self.chain_modes * r) @ self.chain_modes.T
-        return (ends - chain) / self.hx**2
-
-    def poles(self, energy: float, sector: int) -> int:
-        """The sector's chain eigenvalues below ``energy``: in mode m, the
-        k >= 1 with k < (n+1) theta_m / pi and (-1)^(k+1) = s p_m."""
-        odd = self._signs(sector) > 0
-        below = np.maximum(np.ceil((self.n + 1) * self._theta(energy) / math.pi) - 1, 0)
-        return int(np.sum(np.where(odd, (below + 1) // 2, below // 2)))
+    def level(self, energy: float, sector: int) -> float:
+        """phi_s(E)/pi, less 1/2 in the odd sector: state k (0-based) sits
+        at k; ``energy`` must lie in (0, mu_h]."""
+        t = self._signs(sector)[1:]
+        if not (0.0 < energy <= self.threshold):
+            raise ValueError(f"energy {energy} is outside (0, {self.threshold}]")
+        n, hx = self.n, self.hx
+        rho = 1.0 / (1.0 + _decay(self.chain_levels[1:], hx, energy))
+        r = (rho + t * rho**n) / (1.0 + t * rho ** (n + 1))
+        rest = ((self.modes * (1.0 + _decay(self.levels, hx, energy))) @ self.modes.T
+                - (self.chain_modes[:, 1:] * r) @ self.chain_modes[:, 1:].T)
+        p0 = self.chain_modes[:, 0]
+        g = p0 @ cho_solve(cho_factor(rest, overwrite_a=True, check_finite=False), p0,
+                           check_finite=False)
+        theta = 2.0 * math.asin(0.5 * hx * math.sqrt(energy))
+        phase = 0.5 * (n + 1) * theta - math.atan2(1.0 - g * math.cos(theta),
+                                                   g * math.sin(theta))
+        return phase / math.pi - (1 - sector) / 4
 
     def states(self, sector: int):
-        """Yield the sector's bound states, ascending: the eigenvalues in
+        """Yield the sector's bound states, ascending: the roots in
         (WINDOW_LO_FRAC * mu_h, mu_h] to ROOT_FRAC * mu_h."""
         mu_h = self.threshold
-        return count_roots(lambda E: self.matrix(E, sector),
-                           lambda E: self.poles(E, sector),
-                           WINDOW_LO_FRAC * mu_h, mu_h, ROOT_FRAC * mu_h)
+        return (E for _, E in level_roots(lambda E: self.level(E, sector),
+                                          WINDOW_LO_FRAC * mu_h, mu_h, ROOT_FRAC * mu_h))
 
 
 def bound_spectra(model: ModelKind, geometry: Geometry, h_list, count: int):

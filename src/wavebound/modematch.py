@@ -57,7 +57,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import brentq
 
 from .geometry import (
     SECTORS,
@@ -67,6 +66,7 @@ from .geometry import (
     overlap_matrix,
     profile_values,
 )
+from .roots import level_roots
 
 __all__ = [
     "SECTORS",
@@ -176,13 +176,8 @@ def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> 
     REFINE_FRAC * mu, its residual |phi_s(E) - target_k| in radians."""
     mu = geometry.mu
     level = lru_cache(maxsize=None)(lambda E: _level(model, geometry, N, E, sector))
-
-    lo = SCAN_LO_FRAC * mu
-    found = []
-    for k in range(math.floor(level(lo)) + 1, math.floor(level(mu)) + 1):
-        lo = brentq(lambda E: level(E) - k, lo, mu, xtol=REFINE_FRAC * mu)
-        found.append((lo, math.pi * abs(level(lo) - k)))
-    return found
+    return [(E, math.pi * abs(level(E) - k))
+            for k, E in level_roots(level, SCAN_LO_FRAC * mu, mu, REFINE_FRAC * mu)]
 
 
 def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:

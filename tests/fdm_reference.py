@@ -8,6 +8,15 @@ column with a free vertex is a transparent end: ``at(E)`` adds its
 exterior block D(E) = hx^-2 Psi diag(1 - rho_j(E)) Psi^T.  Eigenpairs
 come from shift-invert Lanczos with no polish, and the count of states
 below E is neg(A(E) - E), read from the eigenvalues of A(E).
+
+Per sector, the reference is the end-column matrix T_s(E) of the module
+docstring with every chain mode in closed form, wave or decaying, and
+its Wittrick-Williams count: T_s(E) decreases in E between the poles of
+r, the sector's chain eigenvalues sigma_m + (2 - 2 cos(k pi/(n+1)))/hx^2
+with (-1)^(k+1) p_m = s, so by the inertia of the Schur complement the
+sector's count below E is neg(T_s(E)) plus the poles below E (Wittrick &
+Williams, Q. J. Mech. Appl. Math. 24 (1971) 263).  The junction phase
+``EndColumns.level`` must reproduce that count.
 """
 
 from __future__ import annotations
@@ -17,9 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import eigsh
 
-from wavebound.fdm_oracle import FdmGrid, _decay, _row_lengths, dirichlet_mask
+from wavebound.fdm_oracle import EndColumns, FdmGrid, _decay, _row_lengths, dirichlet_mask
 
 
 @dataclass(frozen=True)
@@ -170,3 +180,45 @@ def count_below(operator: FdmOperator, energy: float) -> int:
         if values[-1] >= energy:
             return sum(v < energy for v in values)
         k *= 2
+
+
+def _theta(ends: EndColumns, energy: float) -> np.ndarray:
+    """theta_m = arccos(a_m / 2), from 2 - a_m = 4 sin^2(theta_m / 2)
+    without rounding a_m; 0 where a_m >= 2."""
+    gap = np.maximum(energy - ends.chain_levels, 0.0)
+    return 2.0 * np.arcsin(0.5 * ends.hx * np.sqrt(gap))
+
+
+def sector_matrix(ends: EndColumns, energy: float, sector: int) -> np.ndarray:
+    """T_s(E) of one parity sector; ``energy`` must not exceed mu_h."""
+    t = ends._signs(sector)
+    if energy > ends.threshold:
+        raise ValueError(f"energy {energy} is above the threshold {ends.threshold}")
+    n = ends.n
+    r = np.empty(ends.chain_levels.size)
+    wave = ends.chain_levels < energy
+    theta = _theta(ends, energy)[wave]
+    num, den = 0.5 * (n - 1) * theta, 0.5 * (n + 1) * theta
+    r[wave] = np.where(t[wave] > 0, np.cos(num) / np.cos(den), np.sin(num) / np.sin(den))
+    decay = ~wave
+    rho = 1.0 / (1.0 + _decay(ends.chain_levels[decay], ends.hx, energy))
+    td = t[decay]
+    r[decay] = (rho + td * rho**n) / (1.0 + td * rho ** (n + 1))
+    q = _decay(ends.levels, ends.hx, energy)
+    end = (ends.modes * (1.0 + q)) @ ends.modes.T
+    chain = (ends.chain_modes * r) @ ends.chain_modes.T
+    return (end - chain) / ends.hx**2
+
+
+def chain_poles(ends: EndColumns, energy: float, sector: int) -> int:
+    """The sector's chain eigenvalues below ``energy``: in mode m, the
+    k >= 1 with k < (n+1) theta_m / pi and (-1)^(k+1) = s p_m."""
+    odd = ends._signs(sector) > 0
+    below = np.maximum(np.ceil((ends.n + 1) * _theta(ends, energy) / math.pi) - 1, 0)
+    return int(np.sum(np.where(odd, (below + 1) // 2, below // 2)))
+
+
+def sector_count(ends: EndColumns, energy: float, sector: int) -> int:
+    """neg(T_s(E)) plus the sector's chain poles below E."""
+    w = eigvalsh(sector_matrix(ends, energy, sector), check_finite=False)
+    return int(np.count_nonzero(w < 0.0)) + chain_poles(ends, energy, sector)

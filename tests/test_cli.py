@@ -291,6 +291,20 @@ class TestFieldCommand:
              "--modes", "16", "--out", str(tmp_path / "f.csv")]
         ) == 4
 
+    def test_defaults_restored_between_calls(self, tmp_path):
+        """The parser is built once per process, and a call that omits
+        the grid flags an earlier call set gets the default grid."""
+        assert cli.build_parser() is cli.build_parser()
+        common = ["field", "--model", "A", "--lambda", "0.5", "--modes", "16"]
+        outs = [tmp_path / f"{name}.csv" for name in ("before", "small", "after")]
+        assert run(common + ["--out", str(outs[0])]) == 0
+        assert run(common + ["--nx", "3", "--ny", "2", "--x-halfwidth", "1",
+                             "--out", str(outs[1])]) == 0
+        assert run(common + ["--out", str(outs[2])]) == 0
+        assert len(read_csv(outs[1])[1]) == 3 * 2
+        assert len(read_csv(outs[2])[1]) == 201 * 41
+        assert outs[2].read_bytes() == outs[0].read_bytes()
+
     def test_density_grid(self, tmp_path):
         """Density vanishes on Dirichlet parts and integrates to ~1."""
         out = tmp_path / "field.csv"
@@ -534,16 +548,16 @@ class TestOracleCommand:
 
     def test_one_pass_for_all_branches(self, monkeypatch):
         """Without --branch each default grid is solved once for both of
-        B's branches at lambda = 1.5 (measured 71 sector-matrix builds;
-        the budget leaves about 20%)."""
+        B's branches at lambda = 1.5 (measured 66 junction-level
+        evaluations)."""
         calls = []
-        real = cli.fo.EndColumns.matrix
+        real = cli.fo.EndColumns.level
 
         def counted(ends, energy, sector):
             calls.append(energy)
             return real(ends, energy, sector)
 
-        monkeypatch.setattr(cli.fo.EndColumns, "matrix", counted)
+        monkeypatch.setattr(cli.fo.EndColumns, "level", counted)
         assert run(["oracle", "--model", "B", "--lambda", "1.5"]) == 0
         assert 0 < len(calls) <= 85
 

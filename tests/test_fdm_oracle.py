@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh
 
 import fdm_reference as ref
 from wavebound import fdm_oracle as fo
@@ -64,9 +63,8 @@ def sector_states(model, lam, grid):
 
 
 def sector_count(ends, energy, sector):
-    """neg(T_s(E)) plus the sector's chain poles below E."""
-    negative = int(np.count_nonzero(eigvalsh(ends.matrix(energy, sector)) < 0.0))
-    return negative + ends.poles(energy, sector)
+    """The sector's states at or below E, read from its junction level."""
+    return math.floor(ends.level(energy, sector)) + 1
 
 
 def assert_counts_match(ends, full):
@@ -282,9 +280,9 @@ class TestParitySplit:
         geometry = Geometry.from_lambda(0.5)
         ends = reduced(ModelKind.A, 0.5, fo.FdmGrid.from_spacing(geometry, 1.0 / 8))
         with pytest.raises(ValueError):
-            ends.matrix(0.5 * MU, 0)
+            ends.level(0.5 * MU, 0)
         with pytest.raises(ValueError):
-            ends.poles(0.5 * MU, 0)
+            ref.sector_count(ends, 0.5 * MU, 0)
 
 
 class TestReduction:
@@ -305,6 +303,57 @@ class TestReduction:
             states = sorted(E for s in fo.SECTORS for E in ends.states(s))
             assert len(states) == ref.count_below(full, full.threshold)
             assert_roots_of(full, states)
+
+
+class TestPhaseCount:
+    """Stop rule of the junction phase: the count floor(level) + 1 equals
+    the per-sector reference neg(T_s(E)) + poles on every probe, T_rest
+    factors up to and including mu_h, each state is a zero of T_s, and
+    the level increases."""
+
+    #: energies as fractions of mu_h, from deep below to the threshold
+    FRACS = np.r_[np.geomspace(1e-6, 0.9, 40), np.linspace(0.9, 1.0 - 1e-4, 20),
+                  1.0 - 1e-7, 1.0]
+
+    @pytest.mark.parametrize("model", [ModelKind.A, ModelKind.B],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("lam", [0.3, 0.37, 0.5, 1.25, 1.5, 2.5, 20.0])
+    def test_phase_count_equals_reference(self, model, lam):
+        geometry = Geometry.from_lambda(lam)
+        for ny in (8, 20, 21, 40):
+            ends = fo.EndColumns.build(model, geometry,
+                                       fo.FdmGrid.from_spacing(geometry, 1.0 / ny))
+            for energy in self.FRACS * ends.threshold:
+                for s in fo.SECTORS:
+                    assert sector_count(ends, energy, s) == ref.sector_count(ends, energy, s)
+
+    @pytest.mark.parametrize("model", [ModelKind.A, ModelKind.B],
+                             ids=lambda m: m.name)
+    def test_states_are_zeros_of_reference(self, model):
+        """At each state of a sector the reference T_s(E) is singular: its
+        smallest eigenvalue is below 1e-12 of its largest (measured
+        1.9e-15)."""
+        for lam in (0.3, 0.5, 1.5, 2.5, 20.0):
+            geometry = Geometry.from_lambda(lam)
+            for ny in (8, 21, 40):
+                ends = fo.EndColumns.build(model, geometry,
+                                           fo.FdmGrid.from_spacing(geometry, 1.0 / ny))
+                for s in fo.SECTORS:
+                    for energy in ends.states(s):
+                        w = np.abs(np.linalg.eigvalsh(ref.sector_matrix(ends, energy, s)))
+                        assert w.min() <= 1e-12 * w.max()
+
+    def test_level_increases(self):
+        """On 4,001 energies up to mu_h (A, lambda = 2.5, h = 1/40), both
+        sectors."""
+        geometry = Geometry.from_lambda(2.5)
+        ends = reduced(ModelKind.A, 2.5, fo.FdmGrid.from_spacing(geometry, 1.0 / 40))
+        energies = np.linspace(0.0, ends.threshold, 4002)[1:]
+        for s in fo.SECTORS:
+            levels = np.array([ends.level(E, s) for E in energies])
+            assert np.all(np.diff(levels) > 0.0)
+        # phi_s rises from -pi/2 at E = 0, so no state lies below the window
+        assert -0.5 < ends.level(fo.WINDOW_LO_FRAC * ends.threshold, 1) < 0.0
 
 
 class TestTransparentEnds:
@@ -364,8 +413,9 @@ class TestTransparentEnds:
     def test_energy_above_threshold_rejected(self):
         ends = reduced(ModelKind.A, 0.5,
                        fo.FdmGrid.from_spacing(Geometry.from_lambda(0.5), 1.0 / 40))
-        with pytest.raises(ValueError):
-            ends.matrix(ends.threshold * (1.0 + 1e-9), 1)
+        for energy in (ends.threshold * (1.0 + 1e-9), 0.0):
+            with pytest.raises(ValueError):
+                ends.level(energy, 1)
 
     def test_unreducible_grid_rejected(self):
         """A grid with Dirichlet vertices between its end columns has no
@@ -433,18 +483,17 @@ class TestExtrapolate:
         (ModelKind.B, 1.5, 2, 71),
     ])
     def test_evaluation_budget(self, monkeypatch, model, lam, branch, budget):
-        """Sector-matrix builds per extrapolation of the benchmark's
-        oracle operations: per grid and sector, the counts that isolate
-        each state and a few Brent steps (measured 28, 32 and 59; the
-        budgets leave about 20%)."""
+        """Junction-level evaluations per extrapolation of the benchmark's
+        oracle operations: per grid and sector, the window's two ends and
+        a few Brent steps per state (measured 33, 33 and 65)."""
         calls = []
-        real = fo.EndColumns.matrix
+        real = fo.EndColumns.level
 
         def counted(ends, energy, sector):
             calls.append(energy)
             return real(ends, energy, sector)
 
-        monkeypatch.setattr(fo.EndColumns, "matrix", counted)
+        monkeypatch.setattr(fo.EndColumns, "level", counted)
         fo.extrapolate(model, Geometry.from_lambda(lam), h_list=BENCH_H, branch=branch)
         assert 0 < len(calls) <= budget
 
