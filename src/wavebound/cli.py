@@ -8,7 +8,9 @@ byte-identical files (no timestamps, sorted JSON keys, fixed float
 formatting).
 
 Exit codes: 0 ok, 2 bad configuration, 3 non-convergence, 4 missing
-branch, 5 internal invariant violation.
+branch, 5 internal invariant violation (a spectrum outside its analytic
+brackets, or a failed factorization of a matrix proved positive
+definite).
 """
 
 from __future__ import annotations
@@ -342,6 +344,8 @@ def cmd_thresholds(config: RunConfig, args: argparse.Namespace) -> int:
         kappa0 = va.kappa0()
         lambda2 = va.lambda2()
         lambda0 = an.find_emergence(ModelKind.A, 1, N=32)
+    except np.linalg.LinAlgError:
+        raise
     except (RuntimeError, ValueError) as exc:
         raise RuntimeError(f"threshold search failed: {exc}") from exc
     # alphabetical: the CSV lists the rows in this order
@@ -502,6 +506,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(_resolve(args), args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but never bad input
+        print(f"internal invariant violation: factorization failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -65,7 +65,8 @@ modes m >= 1.  T_rest is positive definite up to and including mu_h:
 1 + q_j >= 1; 0 <= r_m < 1, as 1 - r = (1 - rho)(1 -+ rho^n)/(1 +- rho^(n+1))
 for t = +-1; and P_rest P_rest^T = I - p_0 p_0^T <= I, so
 hx^2 T_rest >= (1 - max r) I.  T_s(E) is then singular exactly where
-r_0 g = 1, g = p_0^T (hx^2 T_rest)^-1 p_0 > 0 (one Cholesky solve): at the
+r_0 g = 1, g = p_0^T (hx^2 T_rest)^-1 p_0 > 0 (one bordered Cholesky
+factorization, ``roots.bordered_cholesky``): at the
 discrete junction phase
 
     phi_s(E) = psi - atan2(1 - g cos(theta), g sin(theta)) = k pi (even), (k + 1/2) pi (odd),
@@ -82,10 +83,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import SECTORS, Geometry, ModelKind
-from .roots import level_roots
+from .roots import bordered_cholesky, level_roots
 
 __all__ = [
     "FdmGrid",
@@ -274,9 +274,8 @@ class EndColumns:
         r = (rho + t * rho**n) / (1.0 + t * rho ** (n + 1))
         rest = ((self.modes * (1.0 + _decay(self.levels, hx, energy))) @ self.modes.T
                 - (self.chain_modes[:, 1:] * r) @ self.chain_modes[:, 1:].T)
-        p0 = self.chain_modes[:, 0]
-        g = p0 @ cho_solve(cho_factor(rest, overwrite_a=True, check_finite=False), p0,
-                           check_finite=False)
+        z = bordered_cholesky(rest, self.chain_modes[:, 0])[-1, :-1]
+        g = z @ z
         theta = 2.0 * math.asin(0.5 * hx * math.sqrt(energy))
         phase = 0.5 * (n + 1) * theta - math.atan2(1.0 - g * math.cos(theta),
                                                    g * math.sin(theta))

@@ -41,8 +41,10 @@ the junction phase at state k = 0, 1, ... of the sector,
     phi_s(E) = sqrt(E) delta - arctan(1 / (sqrt(E) g_s)) = k pi (even), (k + 1/2) pi (odd).
 
 phi_s rises from -pi/2 at E = 0 and is finite at mu, so k is the state's
-count certificate, the count at or below E is a closed form in phi_s(E),
-and one Cholesky solve per energy gives phi_s and the null vector.  Each
+count certificate and the count at or below E is a closed form in
+phi_s(E).  One bordered Cholesky factorization per energy gives g_s
+(``roots.bordered_cholesky``), and one back-substitution in the same
+factor the null vector.  Each
 eigenvalue keeps the sector it was found in (``Spectrum.sectors``), and
 its eigenfield is solved in that sector.
 
@@ -56,7 +58,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import (
     SECTORS,
@@ -66,7 +67,7 @@ from .geometry import (
     overlap_matrix,
     profile_values,
 )
-from .roots import level_roots
+from .roots import bordered_cholesky, level_roots
 
 __all__ = [
     "SECTORS",
@@ -134,8 +135,9 @@ def _center_at_interface(
 def sector_phase(
     model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
 ) -> tuple[float, np.ndarray]:
-    """Junction phase phi_s(E) of one parity sector and y = R_s(E)^-1 o, from
-    one Cholesky solve; E (at d = 1) must lie in (0, mu], mu included."""
+    """Junction phase phi_s(E) of one parity sector and the lower Cholesky
+    factor L of [[R_s(E), o], [o^T, *]], whose last row holds L_R^-1 o;
+    E (at d = 1) must lie in (0, mu], mu included."""
     if not (0.0 < E <= geometry.mu):
         raise ValueError(f"energy must lie in (0, mu]=(0, {geometry.mu}], got {E}")
     if not (4 <= N <= MAX_MODES):
@@ -146,10 +148,10 @@ def sector_phase(
     f, df = _center_at_interface(_center_is_cos(model, sector, N), geometry.delta, E)
     R = (O[:, 1:] * (-df[1:] / f[1:])) @ O[:, 1:].T
     R[np.diag_indices(N)] += _kappa(N, E)
-    y = cho_solve(cho_factor(R, overwrite_a=True, check_finite=False), O[:, 0],
-                  check_finite=False)
+    L = bordered_cholesky(R, O[:, 0])
+    z = L[N, :N]
     root_e = math.sqrt(E)
-    return root_e * geometry.delta - math.atan2(1.0, root_e * (O[:, 0] @ y)), y
+    return root_e * geometry.delta - math.atan2(1.0, root_e * (z @ z)), L
 
 
 def _level(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
@@ -334,7 +336,9 @@ def solve_coefficients(
             f"E={E} is not a root of sector {sector}: its count does not step "
             f"within {tol:.3g}"
         )
-    a = sector_phase(model, geometry, N, E, sector)[1]
+    L = sector_phase(model, geometry, N, E, sector)[1]
+    # R_s^-1 o = L_R^-T (L_R^-1 o); solving a triangular system is its back-substitution
+    a = np.linalg.solve(L[:N, :N].T, L[N, :N])
 
     O = overlap_matrix(model.tails[0], N)
     is_cos = _center_is_cos(model, sector, N)

@@ -5,15 +5,110 @@ junction phase over pi, less 1/2 in the odd sector (``modematch`` from
 its matching matrix, ``fdm_oracle`` from its end columns).  State k
 (0-based) sits where the level crosses k, so the count at or below E is
 floor(level(E)) + 1 and k is each state's count certificate.
+
+Both levels rest on g = o^T R^-1 o > 0 for a positive definite R;
+``bordered_cholesky`` gives it from one factorization, and ``brent``
+is the bracketing root finder: Brent's method (Algorithms for
+Minimization without Derivatives, 1973, ch. 4) in the widely used C
+``brentq`` form, step for step.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from scipy.optimize import brentq
+import numpy as np
 
-__all__ = ["level_roots"]
+__all__ = ["bordered_cholesky", "brent", "level_roots"]
+
+#: corner of the bordered matrix: any value above o^T R^-1 o keeps it
+#: positive definite, and only the factor's corner entry depends on it
+BORDER_CORNER = 1e300
+
+#: relative part of brent's tolerance, 4 eps, and its iteration limit
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
+BRENT_MAXITER = 100
+
+
+def bordered_cholesky(R: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of [[R, o], [o^T, BORDER_CORNER]].
+
+    Its last row is ((L_R^-1 o)^T, *), with L_R = L[:-1, :-1] the factor
+    of R, so g = o^T R^-1 o is the squared norm of L[-1, :-1].  A matrix
+    R that is not positive definite raises numpy.linalg.LinAlgError.
+    """
+    n = o.size
+    bordered = np.empty((n + 1, n + 1))
+    bordered[:n, :n] = R
+    bordered[:n, n] = bordered[n, :n] = o
+    bordered[n, n] = BORDER_CORNER
+    return np.linalg.cholesky(bordered)
+
+
+def brent(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in the bracket [a, b] to xtol + BRENT_RTOL |x|.
+
+    Each step interpolates (secant, or inverse quadratic through three
+    points) when that shrinks the bracket fast enough, else bisects.  A
+    nonpositive xtol, a NaN value of f or a bracket whose ends have the
+    same sign raise ValueError; no convergence in BRENT_MAXITER steps
+    raises RuntimeError.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        stry = math.inf  # bisect unless an interpolated step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an infinite or NaN step in IEEE arithmetic
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, value is {xcur}")
 
 
 def level_roots(level, lo: float, hi: float, xtol: float):
@@ -21,5 +116,5 @@ def level_roots(level, lo: float, hi: float, xtol: float):
     level(hi)], the Brent root E of level - k on [previous root, hi] to
     ``xtol``, starting from ``lo``."""
     for k in range(math.floor(level(lo)) + 1, math.floor(level(hi)) + 1):
-        lo = brentq(lambda E: level(E) - k, lo, hi, xtol=xtol)
+        lo = brent(lambda E: level(E) - k, lo, hi, xtol)
         yield k, lo

@@ -24,10 +24,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
 from .geometry import MU
+from .roots import brent
 
 __all__ = [
     "T1",
@@ -90,7 +88,7 @@ def q2_closed(delta: float) -> float:
 @lru_cache(maxsize=1)
 def lambda2() -> float:
     """Upper window estimate: the root of q2_closed in (0.05, 0.95)."""
-    return brentq(q2_closed, 0.05, 0.95, xtol=1e-10)
+    return brent(q2_closed, 0.05, 0.95, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +115,7 @@ def konec2_rhs(kappa: float) -> float:
 @lru_cache(maxsize=1)
 def kappa0() -> float:
     """The crossing konec2_rhs(kappa) = 1 - 2/pi."""
-    return brentq(
-        lambda k: konec2_rhs(k) - KONEC2_LHS,
-        1e-6,
-        KAPPA_MAX - 1e-6,
-        xtol=1e-12,
-    )
+    return brent(lambda k: konec2_rhs(k) - KONEC2_LHS, 1e-6, KAPPA_MAX - 1e-6, 1e-12)
 
 
 def lambda1() -> float:
@@ -135,26 +128,9 @@ def lambda1() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bump(u: float) -> float:
-    """Smooth bump g(u) = exp(-1/(1 - u^2)) for |u| < 1 (zero outside)."""
-    return math.exp(-1.0 / (1.0 - u * u))
-
-
-@lru_cache(maxsize=1)
-def _bump_moments() -> tuple[float, float, float]:
-    """int g^2, int (g g')^2 and int g^4 over (-1, 1), by adaptive quadrature."""
-    integrands = (
-        lambda u: _bump(u) ** 2,
-        lambda u: (_bump(u) ** 2 * 2.0 * u / (1.0 - u * u) ** 2) ** 2,
-        lambda u: _bump(u) ** 4,
-    )
-    moments = []
-    for integrand in integrands:
-        val, err = quad(integrand, -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
-        if err > 1e-12 * val:
-            raise RuntimeError(f"bump moment quadrature did not converge: err={err}")
-        moments.append(val)
-    return tuple(moments)
+#: int g^2, int (g g')^2 and int g^4 over (-1, 1) for the bump
+#: g(u) = exp(-1/(1 - u^2)), |u| < 1; the tests recompute them by quadrature
+_BUMP_MOMENTS = (0.13308612084499427, 0.013317859247257036, 0.014059716813219315)
 
 
 def certificate_norms(delta: float) -> tuple[float, float, float]:
@@ -169,7 +145,7 @@ def certificate_norms(delta: float) -> tuple[float, float, float]:
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    g2, ggp2, g4 = _bump_moments()
+    g2, ggp2, g4 = _BUMP_MOMENTS
     A = math.sqrt(_PI / 2.0)
     B = _PI * math.sqrt(2.0) * delta * g2
     C = 4.0 * ggp2 / delta - MU * delta * g4

@@ -283,6 +283,27 @@ class TestInvariantViolation:
         assert "internal invariant violation: forced" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "A", "--lambda", "0.5", "--modes", "16"],
+        ["oracle", "--model", "A", "--lambda", "0.5"],
+        ["thresholds"],
+    ], ids=["spectrum", "oracle", "thresholds"])
+    def test_failed_factorization_exits_5(self, argv, tmp_path, monkeypatch, capsys):
+        """Both solvers factor matrices proved positive definite, so a
+        failed factorization is an invariant violation: not bad input (2),
+        although numpy's LinAlgError is a ValueError, nor non-convergence
+        (3) under thresholds."""
+        def not_positive_definite(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            "internal invariant violation: factorization failed: "
+            "Matrix is not positive definite\n")
+        assert not out.exists()
+
 
 class TestFieldCommand:
     def test_missing_branch_exit_code(self, tmp_path):

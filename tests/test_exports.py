@@ -2,7 +2,7 @@
 ``from wavebound.<module> import *`` keeps working; the names the
 benchmark in ``bench/`` reads keep their names and call shapes;
 importing the package defaults BLAS to one thread unless the caller
-chose a count."""
+chose a count; the package runs on numpy and the standard library."""
 
 import importlib
 import inspect
@@ -69,6 +69,15 @@ def test_benchmark_field_schema(tmp_path):
     assert all(isinstance(r["density"], float) and r["density"] >= 0.0 for r in rows)
 
 
+def _fresh_env(**preset) -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(preset)
+    src = str(Path(wavebound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("preset,expected", [
     ({}, ["1", "1"]),
     ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}, ["3", "2"]),
@@ -76,13 +85,27 @@ def test_benchmark_field_schema(tmp_path):
 def test_blas_threads_default_to_one(preset, expected):
     """A fresh interpreter sees one BLAS thread after ``import wavebound``
     when the variables are unset, and the user's values when set."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
-    env.update(preset)
-    src = str(Path(wavebound.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import os, wavebound; "
             f"print(*(os.environ[name] for name in {THREAD_VARIABLES!r}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(**preset),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == expected
+
+
+def test_no_scipy_at_run_time():
+    """A fresh interpreter that imports the command line and every module
+    loads no scipy module, and no file of the package names scipy, so no
+    function imports it when first called either."""
+    imports = ", ".join(f"wavebound.{name}" for name in ("cli",) + MODULES)
+    code = (f"import sys, {imports}; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    package = Path(wavebound.__file__).parent
+    naming = [path.name for path in package.rglob("*")
+              if path.is_file() and "__pycache__" not in path.parts
+              and b"scipy" in path.read_bytes()]
+    assert naming == []

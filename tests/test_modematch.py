@@ -129,8 +129,9 @@ def field_b_half():
 
 class TestAssemble:
     def test_shape_and_blocks(self):
-        """The phase's vector y solves the rank-one split of the sector
-        matrix, R_s y = (M_s + Lambda_0 o o^T) y = o."""
+        """The phase's bordered factor L gives y = L_R^-T L_R^-1 o, which
+        solves the rank-one split of the sector matrix,
+        R_s y = (M_s + Lambda_0 o o^T) y = o."""
         geometry = Geometry.from_lambda(0.5)
         E = 0.5 * MU
         o = overlap_matrix(ModelKind.A.tails[0], 8)[:, 0]
@@ -139,8 +140,9 @@ class TestAssemble:
             assert M.shape == (8, 8)
             assert np.all(np.isfinite(M))
             assert np.allclose(M, M.T, rtol=0.0, atol=1e-13)
-            phase, y = mm.sector_phase(ModelKind.A, geometry, 8, E, sector)
-            assert y.shape == (8,) and math.isfinite(phase)
+            phase, L = mm.sector_phase(ModelKind.A, geometry, 8, E, sector)
+            assert L.shape == (9, 9) and math.isfinite(phase)
+            y = np.linalg.solve(L[:8, :8].T, L[8, :8])
             is_cos = mm._center_is_cos(ModelKind.A, sector, 8)
             f, df = mm._center_at_interface(is_cos, geometry.delta, E)
             R = M + (df[0] / f[0]) * np.outer(o, o)
@@ -393,8 +395,8 @@ def _bisected_sector_roots(model, geometry, N, sector):
 
 
 def _scan_evaluations(monkeypatch, model, lam):
-    """Phase evaluations (one Cholesky solve each) of one ungated scan at
-    N=64."""
+    """Phase evaluations (one bordered Cholesky factorization each) of one
+    ungated scan at N=64."""
     calls = []
     original = mm.sector_phase
 

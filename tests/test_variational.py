@@ -217,6 +217,26 @@ def test_certificate_norms_match_direct_quadrature(delta):
     assert V.certificate_norms(delta) == pytest.approx(expected, rel=1e-10)
 
 
+def test_bump_moments_match_quadrature():
+    """The literal moments int g^2, int (g g')^2 and int g^4 of the bump
+    g(u) = exp(-1/(1 - u^2)) over (-1, 1) equal adaptive quadratures that
+    converged to 1e-12 of their values."""
+    from scipy.integrate import quad
+
+    def g(u):
+        return math.exp(-1.0 / (1.0 - u * u))
+
+    integrands = (
+        lambda u: g(u) ** 2,
+        lambda u: (g(u) ** 2 * 2.0 * u / (1.0 - u * u) ** 2) ** 2,
+        lambda u: g(u) ** 4,
+    )
+    for integrand, moment in zip(integrands, V._BUMP_MOMENTS):
+        val, err = quad(integrand, -1.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert err <= 1e-12 * val
+        assert moment == pytest.approx(val, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("delta", [0.05, 0.5, 1.0])
 def test_negative_certificate_is_the_minimum_in_epsilon(delta):
     """Where C > 0 the returned epsilon minimizes the parabola in epsilon."""
