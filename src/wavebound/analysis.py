@@ -122,9 +122,10 @@ def corner_exponent(field, corner, radii=None) -> tuple[float, float]:
     r = np.asarray(DEFAULT_RADII if radii is None else radii, dtype=float)
     if r.size < 8:
         raise ValueError("need at least 8 radii")
-    if np.any(r <= 1e-3) or np.any(r >= 0.2):
+    if not np.all((r > 1e-3) & (r < 0.2)):
         raise ValueError("radii must lie within (1e-3, 0.2) in units of d")
 
+    ys = r if y0 == 0.0 else 1.0 - r
     if isinstance(field, EigenField):
         pts = switch_points(field.model, field.geometry)
         if not any(
@@ -134,12 +135,10 @@ def corner_exponent(field, corner, radii=None) -> tuple[float, float]:
                 f"corner {corner} is not a switch point of model "
                 f"{field.model.name}: {pts}"
             )
-        evaluate = lambda xs, ys: evaluate_field(field, xs, ys)
+        vals = evaluate_field(field, x0, ys)[0]
     else:
-        evaluate = field
-
-    ys = r if y0 == 0.0 else 1.0 - r
-    vals = np.abs(np.asarray(evaluate(np.full_like(r, x0), ys), dtype=float))
+        vals = field(np.full_like(r, x0), ys)
+    vals = np.abs(np.asarray(vals, dtype=float))
     if np.any(vals < 1e-10):
         raise ValueError("field magnitude below 1e-10 along the ray "
                          "(node of the eigenfunction)")

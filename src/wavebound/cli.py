@@ -181,39 +181,41 @@ def _write_text(out: str | None, text: str) -> None:
         raise ConfigError(f"cannot write --out {out}: {exc}") from exc
 
 
-class FloatColumns(dict):
-    """One or more rows held column-wise, each name mapped to every row's
-    float: the writers give them the bytes of the list of {name: value}
-    rows, one format template per row, without building that list."""
-
-
 def render_csv(columns, rows) -> str:
     lines = [CSV_VERSION_LINE, ",".join(columns)]
-    if isinstance(rows, FloatColumns):
-        template = ",".join(["%.17g"] * len(columns))  # _fmt of a float
-        lines.extend(template % row for row in zip(*(rows[c] for c in columns)))
-    else:
-        lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
+    lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def render_json(config: dict, results) -> str:
-    grid = results if isinstance(results, FloatColumns) else None
     payload = {
         "config": config,
-        "results": [] if grid is not None else results,
+        "results": results,
         "provenance": {"tool": "wavebound", "version": __version__},
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if grid is not None:  # its rows go where json.dumps put the empty list
-        names = sorted(grid)
-        template = "    {\n%s\n    }" % ",\n".join(
-            f"      {json.dumps(n)}: %s" for n in names)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def render_grid(fmt: str, config: dict, xs: list, ys: list, density: list) -> str:
+    """The bytes of ``render_csv``/``render_json`` of one {x, y, density}
+    row per point of the grid xs x ys (density flat, x slowest), with
+    each axis value and each density formatted once."""
+    if fmt == "csv":
+        text = lambda values: ["%.17g" % v for v in values]  # _fmt of a float
+        row = lambda x, y, d: f"{x},{y},{d}"
+    else:
         # json's C encoder writes each float as its indenting encoder does
-        tokens = [json.dumps(grid[n])[1:-1].split(", ") for n in names]
-        rows = ",\n".join(template % row for row in zip(*tokens))
-        text = text.replace('\n  "results": []', f'\n  "results": [\n{rows}\n  ]', 1)
-    return text
+        text = lambda values: json.dumps(values)[1:-1].split(", ")
+        row = lambda x, y, d: ('    {\n      "density": %s,\n      "x": %s,\n'
+                               '      "y": %s\n    }' % (d, x, y))
+    d_text = iter(text(density))
+    y_text = text(ys)
+    rows = [row(x, y, next(d_text)) for x in text(xs) for y in y_text]
+    if fmt == "csv":
+        return "\n".join([CSV_VERSION_LINE, "x,y,density", *rows]) + "\n"
+    # the rows go where json.dumps put the empty list
+    return render_json(config, []).replace(
+        '\n  "results": []', '\n  "results": [\n%s\n  ]' % ",\n".join(rows), 1)
 
 
 def _emit(config: RunConfig, default_fmt: str, columns, rows, json_config,
@@ -308,12 +310,10 @@ def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
     field = mm.solve_field(config.model, config.geometry, branch, N=config.modes)
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
     ys = np.linspace(0.0, 1.0, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    values = mm.evaluate_field(field, X.ravel(), Y.ravel()).tolist()
+    values = mm.evaluate_field(field, xs, ys).ravel().tolist()
     # ** on a Python float is libm pow; the array's values ** 2 differs
     # from it in the last bit at some points
-    rows = FloatColumns(x=X.ravel().tolist(), y=Y.ravel().tolist(),
-                        density=[v ** 2 for v in values])
+    density = [v ** 2 for v in values]
     json_config = _config_dict(
         config,
         branch=branch,
@@ -322,7 +322,8 @@ def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
         x_halfwidth=x_halfwidth,
         eigenvalue_over_mu=field.E / MU,
     )
-    _emit(config, "csv", ("x", "y", "density"), rows, json_config)
+    _write_text(config.out, render_grid(config.format or "csv", json_config,
+                                        xs.tolist(), ys.tolist(), density))
     return EXIT_OK
 
 

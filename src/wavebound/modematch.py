@@ -385,40 +385,34 @@ def _field_norm_sq(geometry: Geometry, E: float, a, b, alpha, beta) -> float:
     return float(tails + np.sum(alpha**2 * cos_sq + beta**2 * sin_sq))
 
 
-def evaluate_field(field: EigenField, x, y) -> np.ndarray:
-    """Eigenfunction value at points (x, y) of the strip.
+def evaluate_field(field: EigenField, xs, ys) -> np.ndarray:
+    """Eigenfunction on the tensor grid of the axes xs and ys (scalars or
+    1-D arrays), shape (len(xs), len(ys)).
 
-    Accepts scalars or broadcastable arrays; y must lie in [0, 1].
+    Every y must lie in [0, 1] and no x may be NaN.  A point with
+    |x| = delta belongs to the center.  In each region the block is one
+    product of its longitudinal factors, one row per x, with its
+    transverse profiles, one column per y.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0) or np.any(y > 1.0):
-        raise ValueError("points outside the strip: y must lie in [0, 1]")
-    x, y = np.broadcast_arrays(x, y)
-    out = np.empty(x.shape)
-    delta = field.geometry.delta
-    kappa = field.kappa
-
-    left = x < -delta
-    right = x > delta
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise ValueError("xs and ys must be scalars or 1-D axes")
+    if not np.all((ys >= 0.0) & (ys <= 1.0)) or np.isnan(xs).any():
+        raise ValueError("points outside the strip: y must lie in [0, 1] "
+                         "and x must be a number")
+    delta, kappa, N = field.geometry.delta, field.kappa, field.N
+    left = xs < -delta
+    right = xs > delta
     center = ~(left | right)
-
-    if np.any(left):
-        xl, yl = x[left], y[left]
-        tails = np.exp(kappa[:, None] * (xl[None, :] + delta))  # decaying
-        prof = profile_values(field.model.tails[0], field.N, yl)
-        out[left] = np.einsum("k,kp,kp->p", field.a, tails, prof)
-    if np.any(right):
-        xr, yr = x[right], y[right]
-        tails = np.exp(-kappa[:, None] * (xr[None, :] - delta))
-        prof = profile_values(field.model.tails[1], field.N, yr)
-        out[right] = np.einsum("k,kp,kp->p", field.b, tails, prof)
-    if np.any(center):
-        xc, yc = x[center], y[center]
-        f = _center_factors(field, xc)
-        prof = profile_values(ProfileKind.NN_COSINE, field.N, yc)
-        longi = field.alpha[:, None] * f[0] + field.beta[:, None] * f[1]
-        out[center] = np.einsum("mp,mp->p", longi, prof)
+    out = np.empty((xs.size, ys.size))
+    tails = np.exp(kappa * (xs[left, None] + delta))  # decaying
+    out[left] = (field.a * tails) @ profile_values(field.model.tails[0], N, ys)
+    tails = np.exp(-kappa * (xs[right, None] - delta))
+    out[right] = (field.b * tails) @ profile_values(field.model.tails[1], N, ys)
+    f = _center_factors(field, xs[center])
+    longi = field.alpha[:, None] * f[0] + field.beta[:, None] * f[1]
+    out[center] = longi.T @ profile_values(ProfileKind.NN_COSINE, N, ys)
     return out
 
 

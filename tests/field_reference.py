@@ -1,9 +1,14 @@
-"""The field writer built from one {x, y, density} dict per grid point:
-the reference whose bytes ``wavebound field`` must reproduce.
+"""References for the eigenfield: the pointwise evaluator, and the field
+writer built from one {x, y, density} dict per grid point.
 
-The rows square numpy scalars, as ``values[i, j] ** 2``; the CSV formats
-every cell with the CLI's ``_fmt``, and the JSON is the whole payload
-through ``json.dumps(..., sort_keys=True, indent=2)``.
+``evaluate_points`` sums the modal expansion point by point, one
+N-vector of longitudinal factors and profiles per point; the grid
+evaluator ``modematch.evaluate_field`` must match it to rounding.  The
+writer's rows take their values from the grid evaluator, so its bytes
+pin the writer of ``wavebound field`` alone: they square numpy scalars,
+as ``values[i, j] ** 2``; the CSV formats every cell with the CLI's
+``_fmt``, and the JSON is the whole payload through
+``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -14,9 +19,31 @@ import numpy as np
 
 from wavebound import __version__, cli
 from wavebound import modematch as mm
-from wavebound.geometry import MU, Geometry, ModelKind
+from wavebound.geometry import MU, Geometry, ModelKind, ProfileKind, profile_values
 
 COLUMNS = ("x", "y", "density")
+
+
+def evaluate_points(field: mm.EigenField, x, y) -> np.ndarray:
+    """Eigenfunction value at the points (x, y), broadcast; y in [0, 1]."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.empty(x.shape)
+    delta = field.geometry.delta
+    kappa = field.kappa
+    left = x < -delta
+    right = x > delta
+    center = ~(left | right)
+    tails = np.exp(kappa[:, None] * (x[left][None, :] + delta))
+    prof = profile_values(field.model.tails[0], field.N, y[left])
+    out[left] = np.einsum("k,kp,kp->p", field.a, tails, prof)
+    tails = np.exp(-kappa[:, None] * (x[right][None, :] - delta))
+    prof = profile_values(field.model.tails[1], field.N, y[right])
+    out[right] = np.einsum("k,kp,kp->p", field.b, tails, prof)
+    f = mm._center_factors(field, x[center])
+    prof = profile_values(ProfileKind.NN_COSINE, field.N, y[center])
+    longi = field.alpha[:, None] * f[0] + field.beta[:, None] * f[1]
+    out[center] = np.einsum("mp,mp->p", longi, prof)
+    return out
 
 
 def field_rows(model: ModelKind, lam: float, branch: int, modes: int, nx: int,
@@ -25,8 +52,7 @@ def field_rows(model: ModelKind, lam: float, branch: int, modes: int, nx: int,
     field = mm.solve_field(model, Geometry.from_lambda(lam), branch, N=modes)
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
     ys = np.linspace(0.0, 1.0, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    values = mm.evaluate_field(field, X.ravel(), Y.ravel()).reshape(X.shape)
+    values = mm.evaluate_field(field, xs, ys)
     rows = [
         {"x": float(xs[i]), "y": float(ys[j]), "density": float(values[i, j] ** 2)}
         for i in range(nx)

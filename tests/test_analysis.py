@@ -125,6 +125,15 @@ class TestCornerExponent:
         with pytest.raises(ValueError):
             an.corner_exponent(field, (0.0, 0.0), radii=np.geomspace(0.01, 0.3, 10))
 
+    def test_nan_radii_rejected_before_the_fit(self, field_a_half, capfd):
+        """A NaN radius is refused as bad input; it never reaches the
+        log-log fit, whose LAPACK call would complain on stderr."""
+        corner = an.switch_points(field_a_half.model, field_a_half.geometry)[0]
+        for field in (lambda x, y: np.sqrt(y), field_a_half):
+            with pytest.raises(ValueError, match="radii"):
+                an.corner_exponent(field, corner, radii=[math.nan] * 8)
+        assert capfd.readouterr() == ("", "")
+
     def test_corner_must_be_switch_point(self, field_a_half):
         with pytest.raises(ValueError):
             an.corner_exponent(field_a_half, (0.1, 1.0))

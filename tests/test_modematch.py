@@ -11,6 +11,7 @@ objects (spectra, fields) are shared per module.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
+import field_reference
 import matching_reference as ref
 from wavebound import modematch as mm
 from wavebound.bounds import state_count_bounds
@@ -587,8 +589,7 @@ class TestEigenField:
             ys, wy = np.polynomial.legendre.leggauss(120)
             ys = 0.5 * ys + 0.5
             wy = 0.5 * wy
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            V = mm.evaluate_field(field_a_half, X.ravel(), Y.ravel()).reshape(X.shape)
+            V = mm.evaluate_field(field_a_half, xs, ys)
             total += np.einsum("i,j,ij->", wx, wy, V**2)
         assert abs(total - 1.0) < 1e-6
 
@@ -601,14 +602,14 @@ class TestEigenField:
 
     def test_dirichlet_side_exact_zero(self, field_a_half):
         xs = np.array([-0.6, -1.0, -3.0])
-        vals = mm.evaluate_field(field_a_half, xs, np.zeros_like(xs))
+        vals = mm.evaluate_field(field_a_half, xs, 0.0)
+        assert vals.shape == (3, 1)
         assert np.all(vals == 0.0)
 
     def test_neumann_side_small_normal_derivative(self, field_a_half):
         h = 1e-6
         xs = np.linspace(-0.49, 3.0, 120)
-        up = mm.evaluate_field(field_a_half, xs, np.full_like(xs, h))
-        lo = mm.evaluate_field(field_a_half, xs, np.zeros_like(xs))
+        lo, up = mm.evaluate_field(field_a_half, xs, [0.0, h]).T
         assert np.abs((up - lo) / h).max() < 1e-3
 
     def test_outside_strip_rejected(self, field_a_half):
@@ -617,6 +618,15 @@ class TestEigenField:
         with pytest.raises(ValueError):
             mm.evaluate_field(field_a_half, 0.0, -0.1)
 
+    @pytest.mark.parametrize("x, y", [
+        (0.0, math.nan), (math.nan, 0.5), ([0.0, 1.0], [0.5, math.nan]),
+    ], ids=["nan-y", "nan-x", "nan-in-axis"])
+    def test_nan_point_rejected(self, field_a_half, x, y):
+        """A NaN coordinate is no point of the strip: it raises, where a
+        y range check of the form y < 0 or y > 1 lets it through."""
+        with pytest.raises(ValueError, match="outside the strip"):
+            mm.evaluate_field(field_a_half, x, y)
+
     def test_interface_jump_small_and_decreasing(self, field_a_half):
         """Value continuity holds in the L2 sense up to the truncation
         tail (the corner singularity limits the rate to O(1/N))."""
@@ -624,8 +634,7 @@ class TestEigenField:
         ys = np.linspace(0.0, 1.0, 2001)
 
         def jump(field):
-            left = mm.evaluate_field(field, np.full_like(ys, -0.5 - 1e-12), ys)
-            right = mm.evaluate_field(field, np.full_like(ys, -0.5 + 1e-12), ys)
+            left, right = mm.evaluate_field(field, [-0.5 - 1e-12, -0.5 + 1e-12], ys)
             return math.sqrt(np.trapezoid((left - right) ** 2, ys))
 
         spec16 = mm.scan_spectrum(ModelKind.A, geometry, N=16, check_stability=False)
@@ -635,6 +644,39 @@ class TestEigenField:
         j16, j32 = jump(field16), jump(field_a_half)
         assert j32 < 1e-2
         assert j32 < 0.7 * j16
+
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("model, lam, branch", [
+        (ModelKind.A, 0.5, 1), (ModelKind.B, 2.5, 2),
+    ], ids=["A-0.5-branch1", "B-2.5-branch2"])
+    def test_grid_matches_pointwise_reference(self, model, lam, branch, N):
+        """Each grid value equals the pointwise sum to rounding, on axes
+        holding both interfaces x = -delta, +delta exactly (they belong to
+        the center), both tails and both walls."""
+        field = mm.solve_field(model, Geometry.from_lambda(lam), branch, N=N)
+        delta = field.geometry.delta
+        xs = np.concatenate([np.linspace(-delta - 4.0, delta + 4.0, 53),
+                             [-delta, delta, np.nextafter(delta, 9.0)]])
+        ys = np.linspace(0.0, 1.0, 23)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        reference = field_reference.evaluate_points(field, X, Y)
+        grid = mm.evaluate_field(field, xs, ys)
+        assert grid.shape == (xs.size, ys.size)
+        assert np.abs(grid - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    def test_grid_memory_bounded(self):
+        """At 500 x 200 points and N = 64 the evaluator allocates a few
+        N-by-axis blocks next to its 0.8 MB output, not N-by-point arrays."""
+        field = mm.solve_field(ModelKind.A, Geometry.from_lambda(0.5), 1, N=64)
+        xs = np.linspace(-6.0, 6.0, 500)
+        ys = np.linspace(0.0, 1.0, 200)
+        tracemalloc.start()
+        try:
+            mm.evaluate_field(field, xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
     def test_solve_field_missing_branch(self):
         with pytest.raises(LookupError):
