@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +93,9 @@ def sweep(
     tasks = [(model, lam, N, check_stability) for lam in lams]
     workers = min(jobs, len(lams), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's modules cost every start-up some 7 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             spectra = tuple(pool.map(_scan_one, tasks))
     else:

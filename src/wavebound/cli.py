@@ -458,53 +458,78 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="key=value config file; flags override it")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: ``parse_args``
-    fills a fresh namespace with the defaults on every call."""
-    parser = argparse.ArgumentParser(
-        prog="wavebound",
-        description="Bound states of a strip with mixed boundary windows.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
-        _add_common(p)
-        return p
-
-    command("spectrum", cmd_spectrum, "eigenvalues at one window size")
-
-    p = command("sweep", cmd_sweep, "eigenvalue branches over a lambda range")
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-min", dest="lam_min", type=float, required=True)
     p.add_argument("--lambda-max", dest="lam_max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
 
-    p = command("field", cmd_field, "probability density grid of one state")
+
+def _field_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--branch", type=int, default=1)
     p.add_argument("--nx", type=int, default=201)
     p.add_argument("--ny", type=int, default=41)
     p.add_argument("--x-halfwidth", dest="x_halfwidth", type=float, default=6.0)
 
-    command("bounds", cmd_bounds, "bracketing state counts and windows")
-    command("thresholds", cmd_thresholds, "analytic and numeric critical windows")
 
-    p = command("oracle", cmd_oracle, "finite-difference cross-check")
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--branch", type=int, default=None)
 
-    p = command("analyze", cmd_analyze, "monotonicity, scaling, corner fits")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-min", dest="lam_min", type=float, default=0.3)
     p.add_argument("--lambda-max", dest="lam_max", type=float, default=0.9)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--rho", type=float, default=1.5,
                    help="largest dilation ratio checked between grid points")
     p.add_argument("--branch", type=int, default=1)
+
+
+#: subcommand name -> (runner, help summary, adder of its own arguments)
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "eigenvalues at one window size", None),
+    "sweep": (cmd_sweep, "eigenvalue branches over a lambda range", _sweep_arguments),
+    "field": (cmd_field, "probability density grid of one state", _field_arguments),
+    "bounds": (cmd_bounds, "bracketing state counts and windows", None),
+    "thresholds": (cmd_thresholds, "analytic and numeric critical windows", None),
+    "oracle": (cmd_oracle, "finite-difference cross-check", _oracle_arguments),
+    "analyze": (cmd_analyze, "monotonicity, scaling, corner fits", _analyze_arguments),
+}
+
+
+@functools.cache
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and ``only``:
+    ``parse_args`` fills a fresh namespace with the defaults on every call.
+
+    With ``only`` set to a subcommand it holds that subcommand alone,
+    and parses, prints and fails on that subcommand's arguments as the
+    full parser does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="wavebound",
+        description="Bound states of a strip with mixed boundary windows.",
+    )
+    # a partial parser's usage line still names every command; the full
+    # parser keeps no metavar, as its "invalid choice" and "required:
+    # command" errors name the command by its dest
+    metavar = None if only is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (run, summary, add_arguments) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=summary)
+            p.set_defaults(run=run)
+            _add_common(p)
+            if add_arguments is not None:
+                add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command names the one subparser to build; anything else (help,
+    # a typo, nothing) goes to the full parser, which reports it
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.run(_resolve(args), args)
     except np.linalg.LinAlgError as exc:  # a ValueError, but never bad input

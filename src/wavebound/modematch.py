@@ -44,7 +44,10 @@ phi_s rises from -pi/2 at E = 0 and is finite at mu, so k is the state's
 count certificate and the count at or below E is a closed form in
 phi_s(E).  One bordered Cholesky factorization per energy gives g_s
 (``roots.bordered_cholesky``), and one back-substitution in the same
-factor the null vector.  Each
+factor the null vector.  The operands of R_s that do not depend on E
+(O[:, 1:] and o, the squares (nu_k pi)^2 and (m pi)^2, and the sector's
+center mask) are memoised per tail family, N and mask, so each energy
+costs two short vectors, one matrix product and that factorization.  Each
 eigenvalue keeps the sector it was found in (``Spectrum.sectors``), and
 its eigenfield is solved in that sector.
 
@@ -132,23 +135,51 @@ def _center_at_interface(
     return f, df
 
 
+@lru_cache(maxsize=64)
+def _sector_operands(tail: ProfileKind, N: int, is_cos: bytes) -> tuple:
+    """Memoised, read-only operands of R_s(E) that do not depend on E, for
+    the tail-I family, N and the sector's center mask (``_center_is_cos``
+    as bytes): O[:, 1:] (contiguous), o = O[:, 0], (nu_k pi)^2 under
+    kappa_k, (m pi)^2 under gamma_m and the mask, both for m >= 1."""
+    O = overlap_matrix(tail, N)
+    operands = (
+        np.ascontiguousarray(O[:, 1:]),
+        O[:, 0],
+        ((np.arange(N) + 0.5) * math.pi) ** 2,
+        (np.arange(N) * math.pi)[1:] ** 2,
+        np.frombuffer(is_cos, dtype=bool)[1:].copy(),
+    )
+    for array in operands:
+        array.setflags(write=False)
+    return operands
+
+
 def sector_phase(
     model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
 ) -> tuple[float, np.ndarray]:
     """Junction phase phi_s(E) of one parity sector and the lower Cholesky
     factor L of [[R_s(E), o], [o^T, *]], whose last row holds L_R^-1 o;
-    E (at d = 1) must lie in (0, mu], mu included."""
+    E (at d = 1) must lie in (0, mu], mu included.
+
+    R_s(E) = (O_1 diag(w) O_1^T) + diag(kappa), with O_1 = O[:, 1:] and
+    w_m = -Lambda_m = gamma_m tanh(gamma_m delta) (c_m) or
+    gamma_m coth(gamma_m delta) (s_m), m >= 1, from the memoised operands.
+    """
     if not (0.0 < E <= geometry.mu):
         raise ValueError(f"energy must lie in (0, mu]=(0, {geometry.mu}], got {E}")
     if not (4 <= N <= MAX_MODES):
         raise ValueError(f"truncation N must lie in [4, {MAX_MODES}], got {N}")
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector}")
-    O = overlap_matrix(model.tails[0], N)
-    f, df = _center_at_interface(_center_is_cos(model, sector, N), geometry.delta, E)
-    R = (O[:, 1:] * (-df[1:] / f[1:])) @ O[:, 1:].T
-    R[np.diag_indices(N)] += _kappa(N, E)
-    L = bordered_cholesky(R, O[:, 0])
+    O1, o, nu_sq, m_sq, is_cos = _sector_operands(
+        model.tails[0], N, _center_is_cos(model, sector, N).tobytes())
+    g = np.sqrt(m_sq - E)
+    tanh = np.tanh(g * geometry.delta)
+    # O1.T is a transposed view, as O[:, 1:].T was: a contiguous copy of
+    # the transpose changes the product's last bits at some N (33, 100)
+    R = (O1 * np.where(is_cos, g * tanh, g / tanh)) @ O1.T
+    R.reshape(-1)[:: N + 1] += np.sqrt(nu_sq - E)  # the diagonal, in place
+    L = bordered_cholesky(R, o)
     z = L[N, :N]
     root_e = math.sqrt(E)
     return root_e * geometry.delta - math.atan2(1.0, root_e * (z @ z)), L

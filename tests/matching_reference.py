@@ -1,5 +1,7 @@
 """The sector matrix M_s(E) and its Wittrick-Williams count: the reference
-the junction phase of ``wavebound.modematch`` must reproduce.
+the junction phase of ``wavebound.modematch`` must reproduce; and the
+phase itself assembled from scratch at every call, which the solver's
+memoised operands must reproduce bit for bit.
 
 In the parity sector s the matching at x = -delta is the symmetric N x N
 system
@@ -25,6 +27,7 @@ from scipy.linalg import eigvalsh
 
 from wavebound import modematch as mm
 from wavebound.geometry import SECTORS, Geometry, ModelKind, overlap_matrix
+from wavebound.roots import bordered_cholesky
 
 
 def sector_matrix(
@@ -57,3 +60,20 @@ def sector_count(
     """neg(M_s(E)) plus the poles of Lambda_0 below E."""
     w = eigvalsh(sector_matrix(model, geometry, N, E, sector), check_finite=False)
     return int(np.count_nonzero(w < 0.0)) + poles_below(geometry.delta, E, sector)
+
+
+def sector_phase(
+    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
+) -> tuple[float, np.ndarray]:
+    """The junction phase phi_s(E) and bordered factor L of
+    ``modematch.sector_phase``, with R_s = O_1 diag(-df/f) O_1^T + diag(kappa)
+    rebuilt from the overlap matrix and the interface values at each call."""
+    O = overlap_matrix(model.tails[0], N)
+    f, df = mm._center_at_interface(
+        mm._center_is_cos(model, sector, N), geometry.delta, E)
+    R = (O[:, 1:] * (-df[1:] / f[1:])) @ O[:, 1:].T
+    R[np.diag_indices(N)] += mm._kappa(N, E)
+    L = bordered_cholesky(R, O[:, 0])
+    z = L[N, :N]
+    root_e = math.sqrt(E)
+    return root_e * geometry.delta - math.atan2(1.0, root_e * (z @ z)), L

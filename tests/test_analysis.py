@@ -4,6 +4,7 @@ Synthetic fields pin the exponent fitter exactly; small N=32 sweeps
 exercise monotonicity, scaling, and emergence bisection.
 """
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -79,7 +80,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(an, "ProcessPoolExecutor", FakePool)
+        # sweep imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(an.os, "cpu_count", lambda: cores)
         grid = (0.4, 0.5, 0.6)
         result = an.sweep(ModelKind.A, grid, N=16, check_stability=False, jobs=jobs)

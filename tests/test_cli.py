@@ -615,3 +615,60 @@ class TestModuleEntryPoint:
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == code, proc.stderr
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(stdout, stderr, exit code) of a parse that stops; code None if it
+    returns."""
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+class TestParser:
+    STOPS = [["--help"], *([name, "--help"] for name in cli.COMMANDS), ["nope"], [],
+             ["spectrum", "--bogus", "1"], ["spectrum", "--lambda", "0.5", "extra"],
+             ["sweep", "--model", "A"], ["spectrum", "--model", "C"]]
+
+    @pytest.mark.parametrize("argv", STOPS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_stops_as_the_full_parser(self, argv, capsys):
+        """main builds the invoked subcommand alone; what it prints and
+        exits with on help and on bad arguments is the full parser's."""
+        full = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        assert full[2] is not None
+        assert _parse_outcome(cli.main, argv, capsys) == full
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nope"], "argument command: invalid choice: 'nope' (choose from "),
+        ([], "the following arguments are required: command\n"),
+    ], ids=["unknown", "empty"])
+    def test_command_errors_name_the_command(self, argv, message, capsys):
+        """A missing or unknown command is reported by its name, as
+        argparse words it when no metavar replaces the choices."""
+        _, err, code = _parse_outcome(cli.main, argv, capsys)
+        assert code == 2
+        assert f"wavebound: error: {message}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--lambda", "0.5", "--model", "b", "--modes", "16"],
+        ["sweep", "--lambda-min", "0.4", "--lambda-max", "0.6", "--step", "0.1",
+         "--jobs", "2"],
+        ["field", "--lambda", "0.5", "--nx", "3", "--format", "json"],
+        ["bounds", "--delta", "2", "--d", "0.5"],
+        ["thresholds", "--out", "t.json"],
+        ["oracle", "--lambda", "1.5", "--branch", "2"],
+        ["analyze", "--config", "a.conf", "--rho", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_namespace_of_the_full_parser(self, argv):
+        """A subcommand's own parser, built once, fills the namespace the
+        full parser fills."""
+        command = argv[0]
+        assert set(cli.COMMANDS) == {"spectrum", "sweep", "field", "bounds",
+                                     "thresholds", "oracle", "analyze"}
+        assert cli.build_parser(command) is cli.build_parser(command)
+        assert (vars(cli.build_parser(command).parse_args(argv))
+                == vars(cli.build_parser().parse_args(argv)))

@@ -109,3 +109,16 @@ def test_no_scipy_at_run_time():
               if path.is_file() and "__pycache__" not in path.parts
               and b"scipy" in path.read_bytes()]
     assert naming == []
+
+
+def test_no_process_pool_at_start_up():
+    """A fresh interpreter that imports the command line and every module
+    loads no concurrent.futures module: ``analysis.sweep`` imports the
+    process pool only when it starts one."""
+    imports = ", ".join(f"wavebound.{name}" for name in ("cli",) + MODULES)
+    code = (f"import sys, {imports}; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -221,6 +221,55 @@ class TestAssemble:
 
 
 # ---------------------------------------------------------------------------
+# the memoised energy-independent operands of the phase
+# ---------------------------------------------------------------------------
+
+
+class TestPhaseOperands:
+    @pytest.mark.parametrize("N", [4, 8, 32, 33, 64, 72, 100, 256])
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.name)
+    def test_bit_identical_to_the_reference(self, model, N):
+        """Memoising the operands keeps every operation and its order: the
+        phase and the factor equal the reference's, assembled from scratch,
+        bit for bit, from the bottom of the scan window to mu itself (33 and
+        100 are sizes where a contiguous copy of O[:, 1:]^T moves bits)."""
+        energies = np.geomspace(mm.SCAN_LO_FRAC, 1.0, 9) * MU
+        assert energies[-1] == MU
+        for lam in (0.2634, 0.5, 2.5, 20.2, 1000.0):
+            geometry = Geometry.from_lambda(lam)
+            for sector in mm.SECTORS:
+                for E in map(float, energies):
+                    phase, L = mm.sector_phase(model, geometry, N, E, sector)
+                    ref_phase, ref_L = ref.sector_phase(model, geometry, N, E, sector)
+                    assert phase == ref_phase
+                    assert np.array_equal(L, ref_L)
+
+    def test_memo_follows_the_tail_family(self, monkeypatch):
+        """The memo is keyed on the tail family, not on the model: swapping
+        model A's tails changes the factor at the same E, N and sector."""
+        geometry = Geometry.from_lambda(1.7)
+        E = 0.6 * MU
+        before = [mm.sector_phase(ModelKind.A, geometry, 16, E, s)[1] for s in mm.SECTORS]
+        swap = {ProfileKind.DN_SINE: ProfileKind.ND_COSINE,
+                ProfileKind.ND_COSINE: ProfileKind.DN_SINE}
+        monkeypatch.setattr(ModelKind.A, "tails", tuple(swap[t] for t in ModelKind.A.tails))
+        for sector, L in zip(mm.SECTORS, before):
+            swapped = mm.sector_phase(ModelKind.A, geometry, 16, E, sector)
+            assert not np.array_equal(swapped[1], L)
+            assert np.array_equal(
+                swapped[1], ref.sector_phase(ModelKind.A, geometry, 16, E, sector)[1])
+
+    def test_memoised_arrays_read_only(self):
+        mask = mm._center_is_cos(ModelKind.B, -1, 8)
+        operands = mm._sector_operands(ModelKind.B.tails[0], 8, mask.tobytes())
+        assert len(operands) == 5
+        for array in operands:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert operands is mm._sector_operands(ModelKind.B.tails[0], 8, mask.tobytes())
+
+
+# ---------------------------------------------------------------------------
 # residual |phi_s - target_k| on and off a root
 # ---------------------------------------------------------------------------
 
