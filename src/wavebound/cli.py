@@ -41,7 +41,8 @@ EXIT_INVARIANT = 5
 CSV_VERSION_LINE = "# wavebound-csv v4"
 
 #: largest window lambda accepted: every command's work grows with the
-#: number of states, ceil(lambda), and spectrum takes seconds at 1000
+#: number of states, ceil(lambda), one exact phase evaluation each above
+#: the wide-window cut (spectrum takes about 0.1 s at 1000)
 MAX_LAMBDA = 1000.0
 
 #: most lambda values in one sweep or analyze grid

@@ -51,6 +51,21 @@ costs two short vectors, one matrix product and that factorization.  Each
 eigenvalue keeps the sector it was found in (``Spectrum.sectors``), and
 its eigenfield is solved in that sector.
 
+Wide windows share one phase.  For m >= 1 and E <= mu, gamma_m >=
+gamma_1(mu) = pi sqrt(3)/2, and from the cut lambda >= WIDE_LAMBDA =
+6.97995 on np.tanh(gamma_m delta) rounds to exactly 1.0.  Then w_m =
+gamma_m bit for bit in both sectors, and the two tail families differ by
+a diagonal sign similarity, so R_s(E) and g(E) are the same for both
+sectors, both models and every such lambda: phi_s(E) = sqrt(E) delta -
+theta(E) with one theta(E) = atan2(1, sqrt(E) g(E)) per N, and state j =
+0, 1, ... solves sqrt(E) delta - theta(E) = j pi/2 (state j/2 of the even
+sector for even j, (j - 1)/2 of the odd one for odd j).  ``_phase_table``
+tabulates theta at THETA_INTERVALS + 1 Chebyshev-Lobatto nodes in t, E =
+mu sin^2 t; ``scan_spectrum`` then solves every state at once on its
+barycentric interpolant and certifies each root with one exact
+evaluation.  Below the cut R_s depends on lambda and the sector, and the
+Brent chains of ``_sector_roots`` solve the few states there.
+
 Reported eigenvalues are the dimensionless ratios E/mu.
 """
 
@@ -63,6 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import (
+    MU,
     SECTORS,
     Geometry,
     ModelKind,
@@ -97,6 +113,35 @@ STABILITY_BUMP = 8
 
 #: largest truncation N per region
 MAX_MODES = 256
+
+#: Chebyshev-Lobatto intervals of the wide-window phase table (M + 1 nodes)
+THETA_INTERVALS = 16
+
+#: most Illinois steps of the wide-window solve
+WIDE_MAX_STEPS = 40
+
+#: gamma_1(mu) = pi sqrt(3) / 2, as sector_phase computes it at E = mu
+_GAMMA_1_MU = math.sqrt(math.pi * math.pi - MU)
+
+
+def _wide_cut() -> float:
+    """Smallest double delta at which np.tanh(gamma_1(mu) delta), taken
+    on an array as in sector_phase, rounds to exactly 1.0, by bisection."""
+    lo, hi = 1.0, 20.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        saturated = np.tanh(np.array([_GAMMA_1_MU * mid]))[0] == 1.0
+        lo, hi = (lo, mid) if saturated else (mid, hi)
+    return hi
+
+
+#: the wide-window cut, 6.97995 at d = 1: from it on every tanh(gamma_m delta),
+#: m >= 1 and E <= mu, rounds to 1.0, so R_s(E) depends on neither lambda,
+#: the sector nor (up to a sign similarity) the model
+WIDE_LAMBDA = _wide_cut()
+
+#: barycentric weights of the Chebyshev-Lobatto nodes
+_LOBATTO_WEIGHTS = (-1.0) ** np.arange(THETA_INTERVALS + 1)
+_LOBATTO_WEIGHTS[[0, -1]] *= 0.5
 
 
 def _kappa(N: int, E: float) -> np.ndarray:
@@ -221,12 +266,141 @@ def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int)
     drift = STABLE_DRIFT_FRAC * mu
     lo = max(E - drift, SCAN_LO_FRAC * mu)
     hi = min(E + drift, mu)
-    bumped = N + STABILITY_BUMP
-    if bumped > MAX_MODES:
-        bumped = N - STABILITY_BUMP
+    bumped = _bumped(N)
     return sector_count(model, geometry, bumped, hi, sector) > sector_count(
         model, geometry, bumped, lo, sector
     )
+
+
+def _bumped(N: int) -> int:
+    """Truncation of the stability check: N + STABILITY_BUMP, or
+    N - STABILITY_BUMP above MAX_MODES."""
+    return N + STABILITY_BUMP if N + STABILITY_BUMP <= MAX_MODES else N - STABILITY_BUMP
+
+
+# ---------------------------------------------------------------------------
+# Wide windows: one tabulated junction phase
+# ---------------------------------------------------------------------------
+
+
+def _angle(E):
+    """t with E = mu sin^2 t, accurate at both ends: atan2(sqrt E, sqrt(mu - E))."""
+    return np.arctan2(np.sqrt(E), np.sqrt(MU - E))
+
+
+@lru_cache(maxsize=8)
+def _phase_table(tail: ProfileKind, N: int) -> tuple:
+    """Memoised, read-only nodes t_j, E_j and values theta(E_j) = atan2(1,
+    sqrt(E_j) g(E_j)) of the phase that every window from WIDE_LAMBDA on
+    shares, for the tail-I family and N: phi_s(E) = sqrt(E) delta - theta(E)
+    in both sectors.
+
+    The THETA_INTERVALS + 1 nodes are the Chebyshev-Lobatto points in t of
+    [t(SCAN_LO_FRAC mu), pi/2], E_j = mu sin^2 t_j; the end nodes sit
+    exactly at the window's ends.  g = z.z is read from the last row of the
+    factor of one ``sector_phase`` evaluation per node, at lambda = WIDE_LAMBDA.
+    """
+    model = next(m for m in ModelKind if m.tails[0] is tail)
+    geometry = Geometry(WIDE_LAMBDA)
+    E = np.array([SCAN_LO_FRAC * MU, MU])
+    t_lo, t_hi = _angle(E)
+    t = 0.5 * (t_lo + t_hi) - 0.5 * (t_hi - t_lo) * np.cos(
+        np.arange(THETA_INTERVALS + 1) * (math.pi / THETA_INTERVALS))
+    t[[0, -1]] = t_lo, t_hi
+    E = np.concatenate([E[:1], MU * np.sin(t[1:-1]) ** 2, E[1:]])
+    theta = np.empty_like(t)
+    for j, e in enumerate(E.tolist()):
+        z = sector_phase(model, geometry, N, e, 1)[1][N, :N]
+        theta[j] = math.atan2(1.0, math.sqrt(e) * (z @ z))
+    for array in (t, E, theta):
+        array.setflags(write=False)
+    return t, E, theta
+
+
+def _interpolate_theta(table: tuple, t: np.ndarray) -> np.ndarray:
+    """Barycentric interpolant of the table's theta at the angles t (1-D)."""
+    nodes, _, theta = table
+    d = t[:, None] - nodes
+    on_node = d == 0.0
+    d[on_node] = 1.0
+    q = _LOBATTO_WEIGHTS / d
+    out = (q @ theta) / q.sum(axis=1)
+    rows, cols = np.nonzero(on_node)
+    out[rows] = theta[cols]
+    return out
+
+
+def _wide_roots(model: ModelKind, geometry: Geometry, N: int) -> list:
+    """(E, sector, residual) of each eigenvalue at lambda >= WIDE_LAMBDA.
+
+    State k of sector s solves level_s = (sqrt(E) delta - theta(E))/pi
+    - (1 - s)/4 = k.  The count per sector comes from the table's exact end
+    nodes; all states are solved at once on the interpolated theta, by
+    Illinois steps in t from the node brackets, and each root gets one
+    exact ``_level`` evaluation, its residual r.  level_s rises at least
+    delta/pi^2 per unit E, so |E - root| <= r pi / delta, and a bound above
+    REFINE_FRAC * mu raises RuntimeError.
+    """
+    delta = geometry.delta
+    table = _phase_table(model.tails[0], N)
+    nodes, E_nodes, theta_nodes = table
+    base = (np.sqrt(E_nodes) * delta - theta_nodes) / math.pi
+    states = [(sector, k) for sector in SECTORS
+              for k in range(math.floor(base[0] - (1 - sector) / 4) + 1,
+                             math.floor(base[-1] - (1 - sector) / 4) + 1)]
+    if not states:
+        return []
+    offset = np.array([(1 - s) / 4 for s, _ in states])
+    ks = np.array([k for _, k in states], dtype=float)
+
+    def excess(t):  # interpolated level_s - k
+        phase = math.sqrt(MU) * np.sin(t) * delta - _interpolate_theta(table, t)
+        return phase / math.pi - offset - ks
+
+    at_nodes = (base - offset[:, None]) - ks[:, None]
+    upper = np.argmax(at_nodes >= 0.0, axis=1)  # first node at or above the root
+    rows = np.arange(len(states))
+    a, b = nodes[upper - 1], nodes[upper]
+    fa, fb = at_nodes[rows, upper - 1], at_nodes[rows, upper]
+    side = np.zeros(len(states))  # end replaced last: -1 lower, +1 upper
+    tol = 8.0 * np.finfo(float).eps * (1.0 + ks)  # a few roundings of the level
+    for _ in range(WIDE_MAX_STEPS):
+        t = b - fb * (b - a) / (fb - fa)
+        ft = excess(t)
+        if np.all(np.abs(ft) <= tol):
+            break
+        below = ft < 0.0
+        # Illinois: halve the value at the end kept for the second time running
+        fb = np.where(below & (side < 0), 0.5 * fb, fb)
+        fa = np.where(~below & (side > 0), 0.5 * fa, fa)
+        a, fa = np.where(below, t, a), np.where(below, ft, fa)
+        b, fb = np.where(below, b, t), np.where(below, fb, ft)
+        side = np.where(below, -1.0, 1.0)
+    roots = []
+    for (sector, k), E in zip(states, (MU * np.sin(t) ** 2).tolist()):
+        residual = math.pi * abs(_level(model, geometry, N, E, sector) - k)
+        if residual * math.pi / delta > REFINE_FRAC * geometry.mu:
+            raise RuntimeError(
+                f"wide-window root E={E} of sector {sector} is not certified to "
+                f"{REFINE_FRAC:g} mu: residual {residual:.3g} rad")
+        roots.append((E, sector, residual))
+    return roots
+
+
+def _wide_stable(model: ModelKind, geometry: Geometry, N: int,
+                 E: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """``_stable`` for lambda >= WIDE_LAMBDA, on the interpolated phase of
+    the truncation ``_bumped(N)``."""
+    mu, delta = geometry.mu, geometry.delta
+    drift = STABLE_DRIFT_FRAC * mu
+    table = _phase_table(model.tails[0], _bumped(N))
+
+    def count(x):  # floor of level_s, which is the sector count less one
+        phase = np.sqrt(x) * delta - _interpolate_theta(table, _angle(x))
+        return np.floor(phase / math.pi - (1 - sectors) / 4)
+
+    lo = np.maximum(E - drift, SCAN_LO_FRAC * mu)
+    return count(np.minimum(E + drift, mu)) > count(lo)
 
 
 @dataclass(frozen=True)
@@ -235,7 +409,11 @@ class Spectrum:
     and stability flags.
 
     Every root of the scan window (1e-8 mu, mu] is an eigenvalue, a
-    state at the threshold included.
+    state at the threshold included.  Each residual is exact: below
+    WIDE_LAMBDA the Brent chain's value at its root; from WIDE_LAMBDA on
+    one exact evaluation at the root solved on the tabulated phase, and
+    r pi / delta bounds that root's distance to the true one.  A and B
+    give the same spectrum from WIDE_LAMBDA on.
     """
 
     model: ModelKind
@@ -256,30 +434,40 @@ def scan_spectrum(
     """All discrete eigenvalues in the scan window, from the sector phases,
     each with the parity sector it was found in.
 
-    The window is (SCAN_LO_FRAC * mu, mu].  When
+    The window is (SCAN_LO_FRAC * mu, mu].  Below WIDE_LAMBDA each
+    sector's roots are Brent chains (``_sector_roots``), from it on they
+    come from the tabulated phase (``_wide_roots``).  When
     ``check_stability`` is set, each root is flagged stable when its
     sector at truncation N + STABILITY_BUMP (N - STABILITY_BUMP above
-    MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it.
+    MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it: two
+    counts, read from that truncation's table from WIDE_LAMBDA on.
     """
-    roots = sorted(
-        (root, sector, residual)
-        for sector in SECTORS
-        for root, residual in _sector_roots(model, geometry, N, sector)
-    )
-    eigenvalues, sectors, residuals, flags = [], [], [], []
-    for root, sector, residual in roots:
-        eigenvalues.append(root / geometry.mu)
-        sectors.append(sector)
-        residuals.append(residual)
-        flags.append(not check_stability or _stable(model, geometry, N, root, sector))
+    wide = geometry.delta >= WIDE_LAMBDA
+    if wide:
+        roots = sorted(_wide_roots(model, geometry, N))
+    else:
+        roots = sorted(
+            (root, sector, residual)
+            for sector in SECTORS
+            for root, residual in _sector_roots(model, geometry, N, sector)
+        )
+    energies = tuple(root for root, _, _ in roots)
+    sectors = tuple(sector for _, sector, _ in roots)
+    if not check_stability:
+        flags = (True,) * len(roots)
+    elif wide:
+        flags = tuple(_wide_stable(model, geometry, N, np.array(energies),
+                                   np.array(sectors)).tolist())
+    else:
+        flags = tuple(_stable(model, geometry, N, E, s) for E, s in zip(energies, sectors))
     return Spectrum(
         model=model,
         geometry=geometry,
         N=N,
-        eigenvalues=tuple(eigenvalues),
-        sectors=tuple(sectors),
-        residuals=tuple(residuals),
-        stable=tuple(flags),
+        eigenvalues=tuple(E / geometry.mu for E in energies),
+        sectors=sectors,
+        residuals=tuple(residual for _, _, residual in roots),
+        stable=flags,
     )
 
 

@@ -445,9 +445,10 @@ def _bisected_sector_roots(model, geometry, N, sector):
     return roots
 
 
-def _scan_evaluations(monkeypatch, model, lam):
+def _scan_evaluations(monkeypatch, model, lam, check_stability=False):
     """Phase evaluations (one bordered Cholesky factorization each) of one
-    ungated scan at N=64."""
+    scan at N=64, ungated unless ``check_stability``, with the wide-window
+    phase tables built afresh."""
     calls = []
     original = mm.sector_phase
 
@@ -456,7 +457,9 @@ def _scan_evaluations(monkeypatch, model, lam):
         return original(*args)
 
     monkeypatch.setattr(mm, "sector_phase", counted)
-    mm.scan_spectrum(model, Geometry.from_lambda(lam), N=64, check_stability=False)
+    mm._phase_table.cache_clear()
+    mm.scan_spectrum(model, Geometry.from_lambda(lam), N=64,
+                     check_stability=check_stability)
     return len(calls)
 
 
@@ -481,6 +484,18 @@ class TestRefinement:
         Brent's bracket ends (the previous root and mu) and the residual
         at a root reuse it."""
         assert 0 < _scan_evaluations(monkeypatch, model, lam) <= budget
+
+    @pytest.mark.parametrize("check_stability,budget", [
+        (False, (mm.THETA_INTERVALS + 1) + 20),
+        (True, 2 * (mm.THETA_INTERVALS + 1) + 20),
+    ])
+    def test_wide_window_budget(self, monkeypatch, check_stability, budget):
+        """Above the cut the 20 states of A at lambda = 20.2 cost one
+        phase table (two when gated, N and N + 8) and one exact
+        evaluation each, against 111 evaluations (151 gated) of the
+        Brent chains."""
+        evaluations = _scan_evaluations(monkeypatch, ModelKind.A, 20.2, check_stability)
+        assert 0 < evaluations <= budget
 
     @pytest.mark.parametrize("model,lam", [
         (ModelKind.A, 1.0),
@@ -559,6 +574,127 @@ class TestScanSpectrum:
         spec = mm.scan_spectrum(ModelKind.A, Geometry.from_lambda(0.5), N=64)
         assert len(spec.eigenvalues) == 1
         assert spec.stable == (True,)
+
+
+# ---------------------------------------------------------------------------
+# wide windows: one tabulated junction phase
+# ---------------------------------------------------------------------------
+
+
+def _node_g(model, lam, N, E, sector):
+    """g = z.z from the last row of sector_phase's factor."""
+    z = mm.sector_phase(model, Geometry.from_lambda(lam), N, E, sector)[1][N, :N]
+    return z @ z
+
+
+def _brent_spectrum(model, geometry, N):
+    """(E, sector, residual) of each root of the Brent chains and its
+    stability flag, as below the cut."""
+    roots = sorted((E, sector, residual) for sector in mm.SECTORS
+                   for E, residual in mm._sector_roots(model, geometry, N, sector))
+    return roots, tuple(mm._stable(model, geometry, N, E, s) for E, s, _ in roots)
+
+
+class TestWideWindow:
+    def test_cut_value(self):
+        cut = mm.WIDE_LAMBDA
+        assert abs(cut - 6.97995) <= 1e-5
+        gamma_1 = np.sqrt((np.arange(2) * math.pi)[1:] ** 2 - MU)  # as sector_phase
+        assert np.tanh(gamma_1 * cut)[0] == 1.0
+        assert np.tanh(gamma_1 * np.nextafter(cut, 0.0))[0] < 1.0
+
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    @pytest.mark.parametrize("lam", ["cut", 7.0, 20.2, 1000.0])
+    def test_cut_is_exact(self, lam, N):
+        """At every table node, from the cut on, g is bitwise the same in
+        both sectors and both models, and equals the table's."""
+        lam = mm.WIDE_LAMBDA if lam == "cut" else lam
+        _, energies, theta = mm._phase_table(ModelKind.A.tails[0], N)
+        for E, expected in zip(energies.tolist(), theta.tolist()):
+            gs = {_node_g(model, lam, N, E, sector)
+                  for model in ModelKind for sector in mm.SECTORS}
+            assert len(gs) == 1
+            assert math.atan2(1.0, math.sqrt(E) * gs.pop()) == expected
+
+    def test_cut_is_not_loose(self):
+        _, energies, _ = mm._phase_table(ModelKind.A.tails[0], 64)
+        differs = any(
+            len({_node_g(model, 6.9, 64, E, sector)
+                 for model in ModelKind for sector in mm.SECTORS}) > 1
+            for E in energies.tolist())
+        assert differs
+
+    @pytest.mark.parametrize("N", [8, 32, 64, 128, 256])
+    def test_interpolation_at_midpoints(self, N):
+        """At THETA_INTERVALS = 16 (17 nodes) the interpolant misses the
+        exact theta by at most 2.96e-12 rad at the midpoints (in t) between
+        nodes for every N here (3.9e-10 at 12 intervals, 5e-15 at 20);
+        the bound is 5e-12 rad."""
+        assert mm.THETA_INTERVALS == 16
+        table = mm._phase_table(ProfileKind.DN_SINE, N)
+        t = table[0]
+        mids = 0.5 * (t[1:] + t[:-1])
+        approx = mm._interpolate_theta(table, mids)
+        for value, angle in zip(approx.tolist(), mids.tolist()):
+            E = MU * math.sin(angle) ** 2
+            exact = math.atan2(1.0, math.sqrt(E) * _node_g(ModelKind.A, 20.0, N, E, 1))
+            assert abs(value - exact) <= 5e-12
+
+    def test_interpolation_exact_at_nodes(self):
+        table = mm._phase_table(ProfileKind.ND_COSINE, 32)
+        assert np.array_equal(mm._interpolate_theta(table, table[0]), table[2])
+
+    @pytest.mark.slow
+    def test_matches_the_brent_chains(self):
+        """The wide branch against the Brent chains and their two-count
+        stability check: A and B over lambda = 7 ... 50 in steps of 0.5,
+        the bench pool and lambda = 1000 at N = 64; model A on the same
+        grid at N = 8, where 439 of its flags are unstable, and at N = 256,
+        whose check runs at N - 8.  Counts, sectors and flags agree, every
+        root within REFINE_FRAC mu with its certified bound |E - root| <=
+        residual pi / delta met."""
+        width = mm.REFINE_FRAC * MU
+        grid = [7.0 + 0.5 * i for i in range(87)]
+        cases = ([(model, lam, 64) for model in ModelKind
+                  for lam in grid + [20.1, 20.2, 1000.0]]
+                 + [(ModelKind.A, lam, 8) for lam in grid] + [(ModelKind.A, 7.0, 256)])
+        for model, lam, N in cases:
+            geometry = Geometry.from_lambda(lam)
+            spec = mm.scan_spectrum(model, geometry, N=N)
+            roots, flags = _brent_spectrum(model, geometry, N)
+            assert len(spec.eigenvalues) == len(roots) >= math.ceil(lam) - 1
+            assert spec.sectors == tuple(s for _, s, _ in roots)
+            assert spec.stable == flags
+            for value, residual, (E, _, _) in zip(spec.eigenvalues, spec.residuals, roots):
+                assert abs(value * MU - E) <= width
+                assert residual * math.pi / lam <= width
+
+    @pytest.mark.parametrize("lam", [7.0, 20.2])
+    def test_models_coincide(self, lam):
+        """From the cut on, models A and B have the same spectrum, bit for bit."""
+        geometry = Geometry.from_lambda(lam)
+        a, b = (mm.scan_spectrum(model, geometry) for model in ModelKind)
+        assert (a.eigenvalues, a.sectors, a.residuals, a.stable) == (
+            b.eigenvalues, b.sectors, b.residuals, b.stable)
+
+    def test_field_at_a_table_root(self):
+        """The count certificate of solve_coefficients accepts the root
+        of the wide branch."""
+        field = mm.solve_field(ModelKind.A, Geometry.from_lambda(20.2), branch=20)
+        spec = mm.scan_spectrum(ModelKind.A, Geometry.from_lambda(20.2),
+                                check_stability=False)
+        assert len(spec.eigenvalues) == 20
+        assert field.E == spec.eigenvalues[19] * MU
+
+    def test_uncertified_root_raises(self, monkeypatch):
+        """A root whose exact residual bounds it no closer than REFINE_FRAC mu
+        is not reported."""
+        table = mm._phase_table(ProfileKind.DN_SINE, 16)
+        shifted = (table[0], table[1], table[2] + 1e-6)
+        monkeypatch.setattr(mm, "_phase_table", lambda tail, N: shifted)
+        with pytest.raises(RuntimeError):
+            mm.scan_spectrum(ModelKind.A, Geometry.from_lambda(9.3), N=16,
+                             check_stability=False)
 
 
 # ---------------------------------------------------------------------------
