@@ -66,6 +66,14 @@ barycentric interpolant and certifies each root with one exact
 evaluation.  Below the cut R_s depends on lambda and the sector, and the
 Brent chains of ``_sector_roots`` solve the few states there.
 
+Each root carries a stability flag: its sector at N' = N + STABILITY_BUMP
+(N - STABILITY_BUMP above MAX_MODES) has a root within STABLE_DRIFT_FRAC *
+mu of it.  The level phi_s/pi rises at least delta/pi^2 per unit E, so
+below the cut one evaluation at N' and the root decides most flags
+(``_stable``), with two exact probes otherwise; from the cut on theta_N'
+is theta_N's table plus a 5-node table of the difference
+(``_wide_stable``).
+
 Reported eigenvalues are the dimensionless ratios E/mu.
 """
 
@@ -111,11 +119,23 @@ STABLE_DRIFT_FRAC = 1e-4
 #: truncation bump used by the stability check
 STABILITY_BUMP = 8
 
+#: margin, in units of the level phi_s/pi, by which the slope bound of
+#: ``_stable`` must clear an integer; far above the level's rounding (1e-13)
+_LEVEL_SLACK = 1e-12
+
 #: largest truncation N per region
 MAX_MODES = 256
 
 #: Chebyshev-Lobatto intervals of the wide-window phase table (M + 1 nodes)
 THETA_INTERVALS = 16
+
+#: the stability check's difference table sits on every DIFFERENCE_STRIDE-th
+#: node of the phase table (M / DIFFERENCE_STRIDE + 1 nodes)
+DIFFERENCE_STRIDE = 4
+
+#: radians: a phase interpolated with the difference table this close to a
+#: count step is evaluated exactly (the table misses by at most 1.1e-6 rad)
+DIFFERENCE_GUARD = 1e-5
 
 #: most Illinois steps of the wide-window solve
 WIDE_MAX_STEPS = 40
@@ -139,9 +159,22 @@ def _wide_cut() -> float:
 #: the sector nor (up to a sign similarity) the model
 WIDE_LAMBDA = _wide_cut()
 
-#: barycentric weights of the Chebyshev-Lobatto nodes
-_LOBATTO_WEIGHTS = (-1.0) ** np.arange(THETA_INTERVALS + 1)
-_LOBATTO_WEIGHTS[[0, -1]] *= 0.5
+#: the window at the cut, and the model of each tail-I family: the phase
+#: tables are computed there
+_WIDE_GEOMETRY = Geometry(WIDE_LAMBDA)
+_TAIL_MODEL = {model.tails[0]: model for model in ModelKind}
+
+
+def _lobatto_weights(intervals: int) -> np.ndarray:
+    """Barycentric weights of intervals + 1 Chebyshev-Lobatto nodes:
+    (-1)^j, halved at the ends."""
+    weights = (-1.0) ** np.arange(intervals + 1)
+    weights[[0, -1]] *= 0.5
+    return weights
+
+
+_LOBATTO_WEIGHTS = _lobatto_weights(THETA_INTERVALS)
+_DIFFERENCE_WEIGHTS = _lobatto_weights(THETA_INTERVALS // DIFFERENCE_STRIDE)
 
 
 def _kappa(N: int, E: float) -> np.ndarray:
@@ -259,17 +292,30 @@ def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> 
 
 
 def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:
-    """True when the sector at N + STABILITY_BUMP (N - STABILITY_BUMP
-    above MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of E
-    (inside the scan window)."""
+    """True when the sector at N' = ``_bumped(N)`` has a root within
+    STABLE_DRIFT_FRAC * mu of E (inside the scan window).
+
+    With lo and hi the ends of that interval and j = floor(level(E)) at
+    N', the sector's count steps between lo and hi exactly when level(lo)
+    < j or level(hi) >= j + 1.  The level rises at least delta/pi^2 per
+    unit E (``_wide_roots``), so the one evaluation at E decides most
+    roots: level(E) - slope (E - lo) < j proves the first, level(E) +
+    slope (hi - E) >= j + 1 the second, each by _LEVEL_SLACK to spare for
+    rounding.  Otherwise lo, then hi, are evaluated exactly.
+    """
     mu = geometry.mu
     drift = STABLE_DRIFT_FRAC * mu
     lo = max(E - drift, SCAN_LO_FRAC * mu)
     hi = min(E + drift, mu)
     bumped = _bumped(N)
-    return sector_count(model, geometry, bumped, hi, sector) > sector_count(
-        model, geometry, bumped, lo, sector
-    )
+    level = _level(model, geometry, bumped, E, sector)
+    j = math.floor(level)
+    slope = geometry.delta / math.pi**2
+    if (level - slope * (E - lo) < j - _LEVEL_SLACK
+            or level + slope * (hi - E) >= j + 1 + _LEVEL_SLACK):
+        return True
+    return (_level(model, geometry, bumped, lo, sector) < j
+            or _level(model, geometry, bumped, hi, sector) >= j + 1)
 
 
 def _bumped(N: int) -> int:
@@ -297,37 +343,69 @@ def _phase_table(tail: ProfileKind, N: int) -> tuple:
 
     The THETA_INTERVALS + 1 nodes are the Chebyshev-Lobatto points in t of
     [t(SCAN_LO_FRAC mu), pi/2], E_j = mu sin^2 t_j; the end nodes sit
-    exactly at the window's ends.  g = z.z is read from the last row of the
-    factor of one ``sector_phase`` evaluation per node, at lambda = WIDE_LAMBDA.
+    exactly at the window's ends.  theta is one ``_node_theta`` per node.
     """
-    model = next(m for m in ModelKind if m.tails[0] is tail)
-    geometry = Geometry(WIDE_LAMBDA)
     E = np.array([SCAN_LO_FRAC * MU, MU])
     t_lo, t_hi = _angle(E)
     t = 0.5 * (t_lo + t_hi) - 0.5 * (t_hi - t_lo) * np.cos(
         np.arange(THETA_INTERVALS + 1) * (math.pi / THETA_INTERVALS))
     t[[0, -1]] = t_lo, t_hi
     E = np.concatenate([E[:1], MU * np.sin(t[1:-1]) ** 2, E[1:]])
-    theta = np.empty_like(t)
-    for j, e in enumerate(E.tolist()):
-        z = sector_phase(model, geometry, N, e, 1)[1][N, :N]
-        theta[j] = math.atan2(1.0, math.sqrt(e) * (z @ z))
+    theta = np.array([_node_theta(tail, N, e) for e in E.tolist()])
     for array in (t, E, theta):
         array.setflags(write=False)
     return t, E, theta
 
 
-def _interpolate_theta(table: tuple, t: np.ndarray) -> np.ndarray:
-    """Barycentric interpolant of the table's theta at the angles t (1-D)."""
-    nodes, _, theta = table
+def _node_theta(tail: ProfileKind, N: int, E: float) -> float:
+    """theta(E) = atan2(1, sqrt(E) g(E)) of the tail-I family at truncation
+    N, g = z.z read from the last row of the factor of one ``sector_phase``
+    evaluation at lambda = WIDE_LAMBDA."""
+    z = sector_phase(_TAIL_MODEL[tail], _WIDE_GEOMETRY, N, E, 1)[1][N, :N]
+    return math.atan2(1.0, math.sqrt(E) * (z @ z))
+
+
+@lru_cache(maxsize=8)
+def _phase_difference(tail: ProfileKind, N: int) -> tuple:
+    """Memoised, read-only nodes and values Delta = theta_N' - theta_N,
+    N' = ``_bumped(N)``, at every DIFFERENCE_STRIDE-th node of
+    ``_phase_table(tail, N)``: one ``_node_theta`` at N' per node.
+
+    Those nodes are the Chebyshev-Lobatto points of THETA_INTERVALS /
+    DIFFERENCE_STRIDE intervals on the same window, so Delta interpolates
+    barycentrically on them (weights ``_DIFFERENCE_WEIGHTS``).  Delta is
+    smooth and small (at most 4.5e-3 rad at N = 8, 4.2e-5 at N = 64), and
+    its interpolant misses it by at most 1.1e-6 rad at N = 8 and 2.3e-10
+    at N = 64 between the phase table's nodes.
+    """
+    t, E, theta = _phase_table(tail, N)
+    nodes = t[::DIFFERENCE_STRIDE]
+    bumped = _bumped(N)
+    difference = np.array([_node_theta(tail, bumped, e)
+                           for e in E[::DIFFERENCE_STRIDE].tolist()])
+    difference -= theta[::DIFFERENCE_STRIDE]
+    difference.setflags(write=False)
+    return nodes, difference
+
+
+def _barycentric(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
+                 t: np.ndarray) -> np.ndarray:
+    """Barycentric interpolant at the angles t (1-D) of the values on the
+    Chebyshev-Lobatto nodes whose weights are given."""
     d = t[:, None] - nodes
     on_node = d == 0.0
     d[on_node] = 1.0
-    q = _LOBATTO_WEIGHTS / d
-    out = (q @ theta) / q.sum(axis=1)
+    q = weights / d
+    out = (q @ values) / q.sum(axis=1)
     rows, cols = np.nonzero(on_node)
-    out[rows] = theta[cols]
+    out[rows] = values[cols]
     return out
+
+
+def _interpolate_theta(table: tuple, t: np.ndarray) -> np.ndarray:
+    """Barycentric interpolant of the table's theta at the angles t (1-D)."""
+    nodes, _, theta = table
+    return _barycentric(nodes, _LOBATTO_WEIGHTS, theta, t)
 
 
 def _wide_roots(model: ModelKind, geometry: Geometry, N: int) -> list:
@@ -389,15 +467,28 @@ def _wide_roots(model: ModelKind, geometry: Geometry, N: int) -> list:
 
 def _wide_stable(model: ModelKind, geometry: Geometry, N: int,
                  E: np.ndarray, sectors: np.ndarray) -> np.ndarray:
-    """``_stable`` for lambda >= WIDE_LAMBDA, on the interpolated phase of
-    the truncation ``_bumped(N)``."""
+    """``_stable`` for lambda >= WIDE_LAMBDA: the counts at E -+ drift on the
+    phase of the truncation N' = ``_bumped(N)``, with theta_N' interpolated
+    as theta_N (the table the roots were solved on) plus the difference
+    table ``_phase_difference``, so the check costs THETA_INTERVALS /
+    DIFFERENCE_STRIDE + 1 evaluations at N' instead of a table there.  A
+    level whose interpolated phase lies within DIFFERENCE_GUARD of a count
+    step is evaluated exactly at N' instead."""
     mu, delta = geometry.mu, geometry.delta
     drift = STABLE_DRIFT_FRAC * mu
-    table = _phase_table(model.tails[0], _bumped(N))
+    table = _phase_table(model.tails[0], N)
+    nodes, difference = _phase_difference(model.tails[0], N)
+    bumped = _bumped(N)
 
     def count(x):  # floor of level_s, which is the sector count less one
-        phase = np.sqrt(x) * delta - _interpolate_theta(table, _angle(x))
-        return np.floor(phase / math.pi - (1 - sectors) / 4)
+        t = _angle(x)
+        theta = (_interpolate_theta(table, t)
+                 + _barycentric(nodes, _DIFFERENCE_WEIGHTS, difference, t))
+        level = (np.sqrt(x) * delta - theta) / math.pi - (1 - sectors) / 4
+        for i in np.flatnonzero(np.abs(level - np.round(level)) * math.pi
+                                < DIFFERENCE_GUARD).tolist():
+            level[i] = _level(model, geometry, bumped, float(x[i]), int(sectors[i]))
+        return np.floor(level)
 
     lo = np.maximum(E - drift, SCAN_LO_FRAC * mu)
     return count(np.minimum(E + drift, mu)) > count(lo)
@@ -414,6 +505,11 @@ class Spectrum:
     one exact evaluation at the root solved on the tabulated phase, and
     r pi / delta bounds that root's distance to the true one.  A and B
     give the same spectrum from WIDE_LAMBDA on.
+
+    A root is stable when its sector at N + STABILITY_BUMP (N -
+    STABILITY_BUMP above MAX_MODES) has a root within STABLE_DRIFT_FRAC *
+    mu of it (``_stable``, ``_wide_stable``); every flag is True when the
+    scan ran ungated.
     """
 
     model: ModelKind
@@ -439,8 +535,11 @@ def scan_spectrum(
     come from the tabulated phase (``_wide_roots``).  When
     ``check_stability`` is set, each root is flagged stable when its
     sector at truncation N + STABILITY_BUMP (N - STABILITY_BUMP above
-    MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it: two
-    counts, read from that truncation's table from WIDE_LAMBDA on.
+    MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it: below
+    WIDE_LAMBDA one evaluation at that truncation per root when the
+    level's slope bound decides, two or three otherwise; from it on the
+    counts are read from this truncation's table plus a difference table
+    of THETA_INTERVALS / DIFFERENCE_STRIDE + 1 evaluations.
     """
     wide = geometry.delta >= WIDE_LAMBDA
     if wide:

@@ -77,3 +77,32 @@ def sector_phase(
     z = L[N, :N]
     root_e = math.sqrt(E)
     return root_e * geometry.delta - math.atan2(1.0, root_e * (z @ z)), L
+
+
+def stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:
+    """The stability flag of a root E below the cut by its definition: the
+    sector's count at N' = ``modematch._bumped(N)`` steps between E - drift
+    and E + drift (clipped to the scan window), two counts."""
+    mu = geometry.mu
+    drift = mm.STABLE_DRIFT_FRAC * mu
+    lo = max(E - drift, mm.SCAN_LO_FRAC * mu)
+    hi = min(E + drift, mu)
+    bumped = mm._bumped(N)
+    return mm.sector_count(model, geometry, bumped, hi, sector) > mm.sector_count(
+        model, geometry, bumped, lo, sector)
+
+
+def wide_stable(model: ModelKind, geometry: Geometry, N: int,
+                E: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """The stability flags of roots E from the cut on, the two counts read
+    from the full phase table at N' = ``modematch._bumped(N)``."""
+    mu, delta = geometry.mu, geometry.delta
+    drift = mm.STABLE_DRIFT_FRAC * mu
+    table = mm._phase_table(model.tails[0], mm._bumped(N))
+
+    def count(x):
+        phase = np.sqrt(x) * delta - mm._interpolate_theta(table, mm._angle(x))
+        return np.floor(phase / math.pi - (1 - sectors) / 4)
+
+    lo = np.maximum(E - drift, mm.SCAN_LO_FRAC * mu)
+    return count(np.minimum(E + drift, mu)) > count(lo)

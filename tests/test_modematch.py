@@ -448,7 +448,7 @@ def _bisected_sector_roots(model, geometry, N, sector):
 def _scan_evaluations(monkeypatch, model, lam, check_stability=False):
     """Phase evaluations (one bordered Cholesky factorization each) of one
     scan at N=64, ungated unless ``check_stability``, with the wide-window
-    phase tables built afresh."""
+    phase and difference tables built afresh."""
     calls = []
     original = mm.sector_phase
 
@@ -458,6 +458,7 @@ def _scan_evaluations(monkeypatch, model, lam, check_stability=False):
 
     monkeypatch.setattr(mm, "sector_phase", counted)
     mm._phase_table.cache_clear()
+    mm._phase_difference.cache_clear()
     mm.scan_spectrum(model, Geometry.from_lambda(lam), N=64,
                      check_stability=check_stability)
     return len(calls)
@@ -485,15 +486,26 @@ class TestRefinement:
         at a root reuse it."""
         assert 0 < _scan_evaluations(monkeypatch, model, lam) <= budget
 
+    @pytest.mark.parametrize("model,lam,budget", [
+        (ModelKind.A, 0.5, 12),
+        (ModelKind.B, 2.5, 28),
+    ])
+    def test_gated_evaluation_budget(self, monkeypatch, model, lam, budget):
+        """The stability gate costs one evaluation at N + 8 per state when
+        the level's slope bound decides it (13 and 31 evaluations with two
+        counts per state)."""
+        assert 0 < _scan_evaluations(monkeypatch, model, lam, True) <= budget
+
     @pytest.mark.parametrize("check_stability,budget", [
         (False, (mm.THETA_INTERVALS + 1) + 20),
-        (True, 2 * (mm.THETA_INTERVALS + 1) + 20),
+        (True, (mm.THETA_INTERVALS + 1)
+         + (mm.THETA_INTERVALS // mm.DIFFERENCE_STRIDE + 1) + 20),
     ])
     def test_wide_window_budget(self, monkeypatch, check_stability, budget):
         """Above the cut the 20 states of A at lambda = 20.2 cost one
-        phase table (two when gated, N and N + 8) and one exact
-        evaluation each, against 111 evaluations (151 gated) of the
-        Brent chains."""
+        phase table (gated, plus the difference table's 5 evaluations at
+        N + 8) and one exact evaluation each, against 111 evaluations (151
+        gated) of the Brent chains and 54 gated with a full table at N + 8."""
         evaluations = _scan_evaluations(monkeypatch, ModelKind.A, 20.2, check_stability)
         assert 0 < evaluations <= budget
 
@@ -646,8 +658,8 @@ class TestWideWindow:
 
     @pytest.mark.slow
     def test_matches_the_brent_chains(self):
-        """The wide branch against the Brent chains and their two-count
-        stability check: A and B over lambda = 7 ... 50 in steps of 0.5,
+        """The wide branch against the Brent chains and their stability
+        check: A and B over lambda = 7 ... 50 in steps of 0.5,
         the bench pool and lambda = 1000 at N = 64; model A on the same
         grid at N = 8, where 439 of its flags are unstable, and at N = 256,
         whose check runs at N - 8.  Counts, sectors and flags agree, every
@@ -695,6 +707,88 @@ class TestWideWindow:
         with pytest.raises(RuntimeError):
             mm.scan_spectrum(ModelKind.A, Geometry.from_lambda(9.3), N=16,
                              check_stability=False)
+
+
+# ---------------------------------------------------------------------------
+# the stability gate
+# ---------------------------------------------------------------------------
+
+
+def _reference_flags(model, geometry, N, spec):
+    """The flags of the spectrum's roots by the reference rule: two counts
+    at N + 8 below the cut, the full phase table at N + 8 from it on."""
+    E = np.array(spec.eigenvalues) * MU
+    if geometry.delta >= mm.WIDE_LAMBDA:
+        return tuple(ref.wide_stable(model, geometry, N, E, np.array(spec.sectors)).tolist())
+    return tuple(ref.stable(model, geometry, N, e, s)
+                 for e, s in zip(E.tolist(), spec.sectors))
+
+
+class TestStabilityGate:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_flags_match_the_reference_rule(self, model, N):
+        """The slope bound with its exact probes below the cut, and the
+        difference table above it, flag every root as the reference rule
+        does: lambda = 0.2634 (a state at 1 - E/mu = 9.1e-8) up to 1000;
+        at N = 256 the check runs at N - 8.  At A and B lambda = 26.75,
+        N = 8, the N + 8 level at E + drift is 10 + 2.4e-9, within the
+        difference table's error of the step, and the guard evaluates it
+        exactly."""
+        lams = [0.2634, 0.5, 1.3, 2.5, 6.9, 7.0, 20.2, 1000.0]
+        if N == 8:
+            lams.append(26.75)
+        flags = []
+        for lam in lams:
+            geometry = Geometry.from_lambda(lam)
+            spec = mm.scan_spectrum(model, geometry, N=N)
+            assert spec.stable == _reference_flags(model, geometry, N, spec)
+            flags += spec.stable
+        assert len(flags) >= 1000
+
+    def test_unstable_flags_match_the_reference_rule(self):
+        """At N = 8 most roots move by more than the drift at N + 8, and
+        the flags still agree, both sides of the cut."""
+        flags = []
+        for lam in (6.9, 20.2):
+            geometry = Geometry.from_lambda(lam)
+            spec = mm.scan_spectrum(ModelKind.A, geometry, N=8)
+            assert spec.stable == _reference_flags(ModelKind.A, geometry, 8, spec)
+            flags += spec.stable
+        assert True in flags and False in flags
+
+    @pytest.mark.parametrize("N", [8, 16, 64, 128, 256])
+    def test_difference_interpolation_at_midpoints(self, N):
+        """At the midpoints (in t) between the phase table's 17 nodes the
+        difference table's 5-node interpolant misses the exact Delta =
+        theta_N' - theta_N by at most 1.1e-6 rad at N = 8, 1.6e-7 at 16,
+        2.3e-10 at 64, 3.7e-10 at 128 and 1.3e-10 at 256 (against 248);
+        the bound is 2e-6 rad, inside the exact-evaluation guard."""
+        assert 2e-6 < mm.DIFFERENCE_GUARD
+        tail = ProfileKind.DN_SINE
+        t = mm._phase_table(tail, N)[0]
+        mids = 0.5 * (t[1:] + t[:-1])
+        nodes, difference = mm._phase_difference(tail, N)
+        approx = mm._barycentric(nodes, mm._DIFFERENCE_WEIGHTS, difference, mids)
+        for value, angle in zip(approx.tolist(), mids.tolist()):
+            E = MU * math.sin(angle) ** 2
+            exact = (mm._node_theta(tail, mm._bumped(N), E)
+                     - mm._node_theta(tail, N, E))
+            assert abs(value - exact) <= 2e-6
+
+    def test_difference_table_exact_at_its_nodes(self):
+        """The difference table's nodes are every fourth node of the phase
+        table, and its values the phase table at N + 8 less the one at N."""
+        tail = ProfileKind.ND_COSINE
+        nodes, difference = mm._phase_difference(tail, 32)
+        t, _, theta = mm._phase_table(tail, 32)
+        _, _, bumped = mm._phase_table(tail, 40)
+        stride = mm.DIFFERENCE_STRIDE
+        assert np.array_equal(nodes, t[::stride])
+        assert np.array_equal(difference, bumped[::stride] - theta[::stride])
+        assert np.array_equal(
+            mm._barycentric(nodes, mm._DIFFERENCE_WEIGHTS, difference, nodes), difference)
 
 
 # ---------------------------------------------------------------------------
