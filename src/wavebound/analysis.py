@@ -24,8 +24,11 @@ import numpy as np
 
 from .bounds import critical_lambda_window
 from .geometry import Geometry, ModelKind
-from .modematch import EigenField, Spectrum, count_states
-from .modematch import evaluate_field, scan_spectrum
+from .modematch import EigenField, count_states
+from .modematch import evaluate_field, scan_spectra
+# scan_spectrum is imported by name so that tracers wrapping it here keep
+# finding it; sweep itself runs scan_spectra
+from .modematch import scan_spectrum  # noqa: F401
 
 __all__ = [
     "SweepResult",
@@ -73,11 +76,10 @@ class SweepResult:
         return out
 
 
-def _scan_one(args) -> Spectrum:
-    model, lam, N, check_stability = args
-    return scan_spectrum(
-        model, Geometry.from_lambda(lam), N=N, check_stability=check_stability
-    )
+def _scan_slice(args) -> list:
+    model, lams, N, check_stability = args
+    return scan_spectra(model, [Geometry.from_lambda(lam) for lam in lams],
+                        N=N, check_stability=check_stability)
 
 
 def sweep(
@@ -87,19 +89,22 @@ def sweep(
     check_stability: bool = True,
     jobs: int = 1,
 ) -> SweepResult:
-    """Spectra over a lambda grid, shared by up to ``jobs`` worker
-    processes, at most one per core and per point (all start at once)."""
+    """Spectra over a lambda grid from ``scan_spectra``, whose root chains
+    advance in lockstep, shared by up to ``jobs`` worker processes, at
+    most one per core and per point (all start at once); each worker
+    scans one contiguous slice of the grid."""
     lams = tuple(float(x) for x in lambdas)
-    tasks = [(model, lam, N, check_stability) for lam in lams]
     workers = min(jobs, len(lams), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool's modules cost every start-up some 7 ms
         from concurrent.futures import ProcessPoolExecutor
 
+        cuts = [len(lams) * w // workers for w in range(workers + 1)]
+        tasks = [(model, lams[a:b], N, check_stability) for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            spectra = tuple(pool.map(_scan_one, tasks))
+            spectra = tuple(s for part in pool.map(_scan_slice, tasks) for s in part)
     else:
-        spectra = tuple(_scan_one(t) for t in tasks)
+        spectra = tuple(_scan_slice((model, lams, N, check_stability)))
     return SweepResult(model=model, lambdas=lams, spectra=spectra, N=N)
 
 

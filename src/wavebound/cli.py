@@ -51,6 +51,9 @@ MAX_GRID_POINTS = 10_000
 #: most (x, y) points in one field grid, --nx times --ny
 MAX_FIELD_POINTS = 100_000
 
+#: field grid points that ``write_grid`` formats and writes at a time
+GRID_BLOCK = 4096
+
 
 class ConfigError(Exception):
     """Invalid configuration (exit 2)."""
@@ -171,15 +174,21 @@ def _config_dict(config: RunConfig, **extra) -> dict:
     return base
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write(out: str | None, write) -> None:
+    """Call write(handle) on stdout, or on the file ``out``, which a
+    failure to open or write turns into ConfigError."""
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            write(handle)
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+
+
+def _write_text(out: str | None, text: str) -> None:
+    _write(out, lambda handle: handle.write(text))
 
 
 def render_csv(columns, rows) -> str:
@@ -197,26 +206,33 @@ def render_json(config: dict, results) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def render_grid(fmt: str, config: dict, xs: list, ys: list, density: list) -> str:
-    """The bytes of ``render_csv``/``render_json`` of one {x, y, density}
-    row per point of the grid xs x ys (density flat, x slowest), with
-    each axis value and each density formatted once."""
+def write_grid(handle, fmt: str, config: dict, xs: list, ys: list, density: list) -> None:
+    """Write the bytes of ``render_csv``/``render_json`` of one {x, y,
+    density} row per point of the grid xs x ys (density flat, x slowest)
+    to ``handle``, a block of x values at a time, at most GRID_BLOCK
+    points: the block's rows are one %-format of its x values' row
+    templates, and each axis value and each density is formatted once."""
     if fmt == "csv":
         text = lambda values: ["%.17g" % v for v in values]  # _fmt of a float
-        row = lambda x, y, d: f"{x},{y},{d}"
+        row, separator = "{x},%s,%%s\n", ""
+        head, tail = f"{CSV_VERSION_LINE}\nx,y,density\n", ""
     else:
         # json's C encoder writes each float as its indenting encoder does
         text = lambda values: json.dumps(values)[1:-1].split(", ")
-        row = lambda x, y, d: ('    {\n      "density": %s,\n      "x": %s,\n'
-                               '      "y": %s\n    }' % (d, x, y))
-    d_text = iter(text(density))
-    y_text = text(ys)
-    rows = [row(x, y, next(d_text)) for x in text(xs) for y in y_text]
-    if fmt == "csv":
-        return "\n".join([CSV_VERSION_LINE, "x,y,density", *rows]) + "\n"
-    # the rows go where json.dumps put the empty list
-    return render_json(config, []).replace(
-        '\n  "results": []', '\n  "results": [\n%s\n  ]' % ",\n".join(rows), 1)
+        row = '    {\n      "density": %%s,\n      "x": {x},\n      "y": %s\n    }'
+        separator = ",\n"
+        # the rows go where json.dumps puts the empty list
+        head, _, tail = render_json(config, []).partition('\n  "results": []')
+        head, tail = head + '\n  "results": [\n', "\n  ]" + tail
+    rows = separator.join(row % y for y in text(ys))  # the density of each y to come
+    x_text, ny = text(xs), len(ys)
+    block = max(1, GRID_BLOCK // ny)
+    handle.write(head)
+    for start in range(0, len(x_text), block):
+        template = separator.join(rows.replace("{x}", x) for x in x_text[start:start + block])
+        handle.write((separator if start else "")
+                     + template % tuple(text(density[start * ny:(start + block) * ny])))
+    handle.write(tail)
 
 
 def _emit(config: RunConfig, default_fmt: str, columns, rows, json_config,
@@ -323,8 +339,8 @@ def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
         x_halfwidth=x_halfwidth,
         eigenvalue_over_mu=field.E / MU,
     )
-    _write_text(config.out, render_grid(config.format or "csv", json_config,
-                                        xs.tolist(), ys.tolist(), density))
+    _write(config.out, lambda handle: write_grid(
+        handle, config.format or "csv", json_config, xs.tolist(), ys.tolist(), density))
     return EXIT_OK
 
 

@@ -42,12 +42,15 @@ the junction phase at state k = 0, 1, ... of the sector,
 
 phi_s rises from -pi/2 at E = 0 and is finite at mu, so k is the state's
 count certificate and the count at or below E is a closed form in
-phi_s(E).  One bordered Cholesky factorization per energy gives g_s
-(``roots.bordered_cholesky``), and one back-substitution in the same
-factor the null vector.  The operands of R_s that do not depend on E
-(O[:, 1:] and o, the squares (nu_k pi)^2 and (m pi)^2, and the sector's
-center mask) are memoised per tail family, N and mask, so each energy
-costs two short vectors, one matrix product and that factorization.  Each
+phi_s(E).  The Cholesky factor of R_s bordered by o (as
+``roots.bordered_cholesky`` builds it) gives g_s, and one
+back-substitution in the same factor the null vector.  ``sector_phase``
+is a stacked kernel: it takes lanes (E, delta, sector) at one N, writes
+every lane's R_s into one stack of bordered matrices with one matrix
+product and factors the stack with one call, so a call costs little
+more than its arithmetic.  The operands of R_s that do not depend on E
+(O[:, 1:] and o, the squares (nu_k pi)^2 and (m pi)^2, and the sectors'
+center masks) are memoised per tail family, N and mask.  Each
 eigenvalue keeps the sector it was found in (``Spectrum.sectors``), and
 its eigenfield is solved in that sector.
 
@@ -61,17 +64,20 @@ theta(E) with one theta(E) = atan2(1, sqrt(E) g(E)) per N, and state j =
 0, 1, ... solves sqrt(E) delta - theta(E) = j pi/2 (state j/2 of the even
 sector for even j, (j - 1)/2 of the odd one for odd j).  ``_phase_table``
 tabulates theta at THETA_INTERVALS + 1 Chebyshev-Lobatto nodes in t, E =
-mu sin^2 t; ``scan_spectrum`` then solves every state at once on its
+mu sin^2 t; ``scan_spectra`` then solves every state at once on its
 barycentric interpolant and certifies each root with one exact
-evaluation.  Below the cut R_s depends on lambda and the sector, and the
-Brent chains of ``_sector_roots`` solve the few states there.
+evaluation.  Below the cut R_s depends on lambda and the sector, and a
+Brent chain per window and sector (``roots.level_steps``) solves the few
+states there.  The chains are coroutines, and ``scan_spectra`` advances
+those of all its windows in lockstep, so that each round costs one
+stacked call.
 
 Each root carries a stability flag: its sector at N' = N + STABILITY_BUMP
 (N - STABILITY_BUMP above MAX_MODES) has a root within STABLE_DRIFT_FRAC *
 mu of it.  The level phi_s/pi rises at least delta/pi^2 per unit E, so
 below the cut one evaluation at N' and the root decides most flags
-(``_stable``), with two exact probes otherwise; from the cut on theta_N'
-is theta_N's table plus a 5-node table of the difference
+(``_stable_steps``), with one or two exact probes otherwise; from the cut
+on theta_N' is theta_N's table plus a 5-node table of the difference
 (``_wide_stable``).
 
 Reported eigenvalues are the dimensionless ratios E/mu.
@@ -94,7 +100,7 @@ from .geometry import (
     overlap_matrix,
     profile_values,
 )
-from .roots import bordered_cholesky, level_roots
+from .roots import BORDER_CORNER, level_steps, lockstep
 
 __all__ = [
     "SECTORS",
@@ -104,6 +110,7 @@ __all__ = [
     "sector_count",
     "count_states",
     "scan_spectrum",
+    "scan_spectra",
     "solve_coefficients",
     "evaluate_field",
     "solve_field",
@@ -125,6 +132,14 @@ _LEVEL_SLACK = 1e-12
 
 #: largest truncation N per region
 MAX_MODES = 256
+
+#: doubles of bordered matrices that one stacked factorization of
+#: ``sector_phase`` holds, max(1, PHASE_STACK_DOUBLES // (N + 1)^2) lanes (3
+#: at N = 64, 15 at N = 32).  In a loop a lane at N = 64 costs 49 us alone,
+#: 39 us in stacks of 5 to 12 and 52 us in stacks of 16, but a whole scan of
+#: A at lambda = 20.2 runs faster in stacks of 3 than of 7, whose operands
+#: push the rest of the scan's data out of the cache
+PHASE_STACK_DOUBLES = 16_384
 
 #: Chebyshev-Lobatto intervals of the wide-window phase table (M + 1 nodes)
 THETA_INTERVALS = 16
@@ -159,9 +174,8 @@ def _wide_cut() -> float:
 #: the sector nor (up to a sign similarity) the model
 WIDE_LAMBDA = _wide_cut()
 
-#: the window at the cut, and the model of each tail-I family: the phase
-#: tables are computed there
-_WIDE_GEOMETRY = Geometry(WIDE_LAMBDA)
+#: the model of each tail-I family: the phase tables are computed with it
+#: at the cut
 _TAIL_MODEL = {model.tails[0]: model for model in ModelKind}
 
 
@@ -214,58 +228,102 @@ def _center_at_interface(
 
 
 @lru_cache(maxsize=64)
-def _sector_operands(tail: ProfileKind, N: int, is_cos: bytes) -> tuple:
+def _sector_operands(tail: ProfileKind, model: ModelKind, N: int) -> tuple:
     """Memoised, read-only operands of R_s(E) that do not depend on E, for
-    the tail-I family, N and the sector's center mask (``_center_is_cos``
-    as bytes): O[:, 1:] (contiguous), o = O[:, 0], (nu_k pi)^2 under
-    kappa_k, (m pi)^2 under gamma_m and the mask, both for m >= 1."""
+    the tail-I family (the model's, a key of its own so that the memo
+    follows the family), the model's center masks and N: O_1 = O[:, 1:]
+    (contiguous) and O_1^T (its transposed view: a contiguous copy of the
+    transpose changes the product's last bits at some N, 33 and 100), o =
+    O[:, 0], the bordered matrix's last row (o, BORDER_CORNER), the
+    squares under the rates, (nu_k pi)^2 for kappa_k and then (m pi)^2 for
+    gamma_m, m >= 1, and the masks of the even and the odd sector as rows
+    0 and 1, m >= 1."""
     O = overlap_matrix(tail, N)
+    even = _center_is_cos(model, 1, N)[1:]
+    O1 = np.ascontiguousarray(O[:, 1:])
     operands = (
-        np.ascontiguousarray(O[:, 1:]),
+        O1,
+        O1.T,
         O[:, 0],
-        ((np.arange(N) + 0.5) * math.pi) ** 2,
-        (np.arange(N) * math.pi)[1:] ** 2,
-        np.frombuffer(is_cos, dtype=bool)[1:].copy(),
+        np.append(O[:, 0], BORDER_CORNER),
+        np.concatenate([((np.arange(N) + 0.5) * math.pi) ** 2,
+                        (np.arange(N) * math.pi)[1:] ** 2]),
+        np.stack([even, ~even]),
     )
     for array in operands:
         array.setflags(write=False)
     return operands
 
 
-def sector_phase(
-    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
-) -> tuple[float, np.ndarray]:
-    """Junction phase phi_s(E) of one parity sector and the lower Cholesky
-    factor L of [[R_s(E), o], [o^T, *]], whose last row holds L_R^-1 o;
-    E (at d = 1) must lie in (0, mu], mu included.
+def sector_phase(model: ModelKind, N: int, E, delta, sector):
+    """Yield, lane by lane, the junction phase phi_s(E) of one parity
+    sector and the lower Cholesky factor L of [[R_s(E), o], [o^T, *]],
+    whose last row holds L_R^-1 o, for the lanes (E, delta, sector) of
+    the equal-length sequences given, at one truncation N.  Every E (at
+    d = 1) must lie in (0, mu], mu included.
 
     R_s(E) = (O_1 diag(w) O_1^T) + diag(kappa), with O_1 = O[:, 1:] and
     w_m = -Lambda_m = gamma_m tanh(gamma_m delta) (c_m) or
     gamma_m coth(gamma_m delta) (s_m), m >= 1, from the memoised operands.
+    The lanes are stacked, at most PHASE_STACK_DOUBLES of bordered
+    matrices at a time: one matrix product writes every R_s into the
+    bordered stack, and one factorization factors it.  Every operation
+    acts on each lane as on a lone matrix, so a lane's phase and factor
+    do not depend on the lanes stacked with it.
     """
-    if not (0.0 < E <= geometry.mu):
-        raise ValueError(f"energy must lie in (0, mu]=(0, {geometry.mu}], got {E}")
     if not (4 <= N <= MAX_MODES):
         raise ValueError(f"truncation N must lie in [4, {MAX_MODES}], got {N}")
-    if sector not in SECTORS:
-        raise ValueError(f"sector must be one of {SECTORS}, got {sector}")
-    O1, o, nu_sq, m_sq, is_cos = _sector_operands(
-        model.tails[0], N, _center_is_cos(model, sector, N).tobytes())
-    g = np.sqrt(m_sq - E)
-    tanh = np.tanh(g * geometry.delta)
-    # O1.T is a transposed view, as O[:, 1:].T was: a contiguous copy of
-    # the transpose changes the product's last bits at some N (33, 100)
-    R = (O1 * np.where(is_cos, g * tanh, g / tanh)) @ O1.T
-    R.reshape(-1)[:: N + 1] += np.sqrt(nu_sq - E)  # the diagonal, in place
-    L = bordered_cholesky(R, o)
-    z = L[N, :N]
-    root_e = math.sqrt(E)
-    return root_e * geometry.delta - math.atan2(1.0, root_e * (z @ z)), L
+    for energy in E:
+        if not (0.0 < energy <= MU):
+            raise ValueError(f"energy must lie in (0, mu]=(0, {MU}], got {energy}")
+    for s in sector:
+        if s not in SECTORS:
+            raise ValueError(f"sector must be one of {SECTORS}, got {s}")
+    O1, O1T, o, last_row, squares, masks = _sector_operands(model.tails[0], model, N)
+    size = max(1, PHASE_STACK_DOUBLES // (N + 1) ** 2)
+    for start in range(0, len(E), size):
+        energies, halves = E[start:start + size], delta[start:start + size]
+        lanes = len(energies)
+        if lanes == 1:  # scalars and one matrix keep numpy on its fast paths
+            e, d, mask = energies[0], halves[0], masks[(1 - sector[start]) // 2]
+            stack = ()
+        else:
+            e = np.array(energies, dtype=float)[:, None]
+            d = np.array(halves, dtype=float)[:, None]
+            mask = masks[[(1 - s) // 2 for s in sector[start:start + size]]]
+            stack = (lanes,)
+        rates = np.sqrt(squares - e)  # kappa_k, then gamma_m for m >= 1
+        g = rates[..., N:]
+        tanh = np.tanh(g * d)
+        w = g / tanh
+        np.multiply(g, tanh, out=w, where=mask)
+        bordered = np.empty(stack + (N + 1, N + 1))
+        np.matmul(O1 * w[..., None, :], O1T, out=bordered[..., :N, :N])
+        bordered.reshape(stack + (-1,))[..., : N * (N + 2) : N + 2] += rates[..., :N]
+        bordered[..., N, :] = last_row
+        bordered[..., :N, N] = o
+        factors = np.linalg.cholesky(bordered).reshape(lanes, N + 1, N + 1)
+        for i, (energy, half) in enumerate(zip(energies, halves)):
+            L = factors[i]
+            z = L[N, :N]
+            root_e = math.sqrt(energy)
+            yield root_e * half - math.atan2(1.0, root_e * (z @ z)), L
+
+
+def _level_of(phase: float, sector: int) -> float:
+    """phi_s/pi, less 1/2 in the odd sector: state k (0-based) sits at k."""
+    return phase / math.pi - (1 - sector) / 4
+
+
+def _levels(model: ModelKind, N: int, E, delta, sector) -> list:
+    """The level ``_level_of`` of each lane of ``sector_phase``."""
+    return [_level_of(phase, s)
+            for (phase, _), s in zip(sector_phase(model, N, E, delta, sector), sector)]
 
 
 def _level(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
-    """phi_s(E)/pi, less 1/2 in the odd sector: state k (0-based) sits at k."""
-    return sector_phase(model, geometry, N, E, sector)[0] / math.pi - (1 - sector) / 4
+    """The level of one sector at E: one lane of ``_levels``."""
+    return _levels(model, N, [E], [geometry.delta], [sector])[0]
 
 
 def sector_count(
@@ -277,45 +335,54 @@ def sector_count(
 
 
 def count_states(model: ModelKind, geometry: Geometry, N: int, E: float) -> int:
-    """Number of eigenvalues at or below E of the N-truncated problem."""
-    return sum(sector_count(model, geometry, N, E, s) for s in SECTORS)
+    """Number of eigenvalues at or below E of the N-truncated problem, both
+    sectors' counts from one stacked call."""
+    levels = _levels(model, N, [E] * len(SECTORS), [geometry.delta] * len(SECTORS), SECTORS)
+    return sum(math.floor(level) + 1 for level in levels)
 
 
-def _sector_roots(model: ModelKind, geometry: Geometry, N: int, sector: int) -> list:
-    """(E, residual) of each eigenvalue of one sector in the scan window:
-    state k is the Brent root of level - k on [previous root, mu] to
-    REFINE_FRAC * mu, its residual |phi_s(E) - target_k| in radians."""
-    mu = geometry.mu
-    level = lru_cache(maxsize=None)(lambda E: _level(model, geometry, N, E, sector))
-    return [(E, math.pi * abs(level(E) - k))
-            for k, E in level_roots(level, SCAN_LO_FRAC * mu, mu, REFINE_FRAC * mu)]
+def _lockstep(model: ModelKind, N: int, lanes: list, chains: list) -> tuple:
+    """``roots.lockstep`` of coroutines on levels at truncation N, chain i
+    on the lane lanes[i] = (delta, sector): one stacked ``sector_phase``
+    call per round."""
+    deltas, sectors = [delta for delta, _ in lanes], [sector for _, sector in lanes]
+
+    def evaluate(indices, points):
+        return _levels(model, N, points, list(map(deltas.__getitem__, indices)),
+                       list(map(sectors.__getitem__, indices)))
+
+    return lockstep(chains, evaluate)
 
 
-def _stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:
-    """True when the sector at N' = ``_bumped(N)`` has a root within
-    STABLE_DRIFT_FRAC * mu of E (inside the scan window).
+def _stable_steps(delta: float, E: float):
+    """Coroutine of the stability flag of a root E below the cut: yields
+    the energies at which it needs the level of the root's sector at N' =
+    ``_bumped(N)``, is sent the level there, and returns True when that
+    sector has a root within STABLE_DRIFT_FRAC * mu of E (inside the scan
+    window).
 
     With lo and hi the ends of that interval and j = floor(level(E)) at
     N', the sector's count steps between lo and hi exactly when level(lo)
     < j or level(hi) >= j + 1.  The level rises at least delta/pi^2 per
-    unit E (``_wide_roots``), so the one evaluation at E decides most
+    unit E (``_wide_states``), so the first evaluation, at E, decides most
     roots: level(E) - slope (E - lo) < j proves the first, level(E) +
     slope (hi - E) >= j + 1 the second, each by _LEVEL_SLACK to spare for
-    rounding.  Otherwise lo, then hi, are evaluated exactly.
+    rounding.  Otherwise the end nearer in level is evaluated exactly, hi
+    when level(E) - j >= 1/2, and the other end only when it does not
+    decide.
     """
-    mu = geometry.mu
-    drift = STABLE_DRIFT_FRAC * mu
-    lo = max(E - drift, SCAN_LO_FRAC * mu)
-    hi = min(E + drift, mu)
-    bumped = _bumped(N)
-    level = _level(model, geometry, bumped, E, sector)
+    drift = STABLE_DRIFT_FRAC * MU
+    lo = max(E - drift, SCAN_LO_FRAC * MU)
+    hi = min(E + drift, MU)
+    level = yield E
     j = math.floor(level)
-    slope = geometry.delta / math.pi**2
+    slope = delta / math.pi**2
     if (level - slope * (E - lo) < j - _LEVEL_SLACK
             or level + slope * (hi - E) >= j + 1 + _LEVEL_SLACK):
         return True
-    return (_level(model, geometry, bumped, lo, sector) < j
-            or _level(model, geometry, bumped, hi, sector) >= j + 1)
+    if level - j >= 0.5:
+        return (yield hi) >= j + 1 or (yield lo) < j
+    return (yield lo) < j or (yield hi) >= j + 1
 
 
 def _bumped(N: int) -> int:
@@ -343,7 +410,7 @@ def _phase_table(tail: ProfileKind, N: int) -> tuple:
 
     The THETA_INTERVALS + 1 nodes are the Chebyshev-Lobatto points in t of
     [t(SCAN_LO_FRAC mu), pi/2], E_j = mu sin^2 t_j; the end nodes sit
-    exactly at the window's ends.  theta is one ``_node_theta`` per node.
+    exactly at the window's ends.  theta comes from one ``_node_thetas``.
     """
     E = np.array([SCAN_LO_FRAC * MU, MU])
     t_lo, t_hi = _angle(E)
@@ -351,25 +418,26 @@ def _phase_table(tail: ProfileKind, N: int) -> tuple:
         np.arange(THETA_INTERVALS + 1) * (math.pi / THETA_INTERVALS))
     t[[0, -1]] = t_lo, t_hi
     E = np.concatenate([E[:1], MU * np.sin(t[1:-1]) ** 2, E[1:]])
-    theta = np.array([_node_theta(tail, N, e) for e in E.tolist()])
+    theta = np.array(_node_thetas(tail, N, E.tolist()))
     for array in (t, E, theta):
         array.setflags(write=False)
     return t, E, theta
 
 
-def _node_theta(tail: ProfileKind, N: int, E: float) -> float:
+def _node_thetas(tail: ProfileKind, N: int, E: list) -> list:
     """theta(E) = atan2(1, sqrt(E) g(E)) of the tail-I family at truncation
-    N, g = z.z read from the last row of the factor of one ``sector_phase``
-    evaluation at lambda = WIDE_LAMBDA."""
-    z = sector_phase(_TAIL_MODEL[tail], _WIDE_GEOMETRY, N, E, 1)[1][N, :N]
-    return math.atan2(1.0, math.sqrt(E) * (z @ z))
+    N at each energy, g = z.z read from the last row of each factor of one
+    stacked ``sector_phase`` call at lambda = WIDE_LAMBDA."""
+    lanes = sector_phase(_TAIL_MODEL[tail], N, E, [WIDE_LAMBDA] * len(E), [1] * len(E))
+    return [math.atan2(1.0, math.sqrt(e) * (L[N, :N] @ L[N, :N]))
+            for e, (_, L) in zip(E, lanes)]
 
 
 @lru_cache(maxsize=8)
 def _phase_difference(tail: ProfileKind, N: int) -> tuple:
     """Memoised, read-only nodes and values Delta = theta_N' - theta_N,
     N' = ``_bumped(N)``, at every DIFFERENCE_STRIDE-th node of
-    ``_phase_table(tail, N)``: one ``_node_theta`` at N' per node.
+    ``_phase_table(tail, N)``: one ``_node_thetas`` at N'.
 
     Those nodes are the Chebyshev-Lobatto points of THETA_INTERVALS /
     DIFFERENCE_STRIDE intervals on the same window, so Delta interpolates
@@ -381,8 +449,7 @@ def _phase_difference(tail: ProfileKind, N: int) -> tuple:
     t, E, theta = _phase_table(tail, N)
     nodes = t[::DIFFERENCE_STRIDE]
     bumped = _bumped(N)
-    difference = np.array([_node_theta(tail, bumped, e)
-                           for e in E[::DIFFERENCE_STRIDE].tolist()])
+    difference = np.array(_node_thetas(tail, bumped, E[::DIFFERENCE_STRIDE].tolist()))
     difference -= theta[::DIFFERENCE_STRIDE]
     difference.setflags(write=False)
     return nodes, difference
@@ -408,16 +475,16 @@ def _interpolate_theta(table: tuple, t: np.ndarray) -> np.ndarray:
     return _barycentric(nodes, _LOBATTO_WEIGHTS, theta, t)
 
 
-def _wide_roots(model: ModelKind, geometry: Geometry, N: int) -> list:
-    """(E, sector, residual) of each eigenvalue at lambda >= WIDE_LAMBDA.
+def _wide_states(model: ModelKind, geometry: Geometry, N: int) -> list:
+    """(E, sector, k) of each eigenvalue at lambda >= WIDE_LAMBDA, solved
+    on the tabulated phase; ``scan_spectra`` certifies each.
 
     State k of sector s solves level_s = (sqrt(E) delta - theta(E))/pi
     - (1 - s)/4 = k.  The count per sector comes from the table's exact end
     nodes; all states are solved at once on the interpolated theta, by
-    Illinois steps in t from the node brackets, and each root gets one
-    exact ``_level`` evaluation, its residual r.  level_s rises at least
-    delta/pi^2 per unit E, so |E - root| <= r pi / delta, and a bound above
-    REFINE_FRAC * mu raises RuntimeError.
+    Illinois steps in t from the node brackets.  level_s rises at least
+    delta/pi^2 per unit E, so a root whose exact level misses k by r/pi
+    lies within r pi / delta of the true one.
     """
     delta = geometry.delta
     table = _phase_table(model.tails[0], N)
@@ -454,26 +521,18 @@ def _wide_roots(model: ModelKind, geometry: Geometry, N: int) -> list:
         a, fa = np.where(below, t, a), np.where(below, ft, fa)
         b, fb = np.where(below, b, t), np.where(below, fb, ft)
         side = np.where(below, -1.0, 1.0)
-    roots = []
-    for (sector, k), E in zip(states, (MU * np.sin(t) ** 2).tolist()):
-        residual = math.pi * abs(_level(model, geometry, N, E, sector) - k)
-        if residual * math.pi / delta > REFINE_FRAC * geometry.mu:
-            raise RuntimeError(
-                f"wide-window root E={E} of sector {sector} is not certified to "
-                f"{REFINE_FRAC:g} mu: residual {residual:.3g} rad")
-        roots.append((E, sector, residual))
-    return roots
+    return [(E, sector, k) for (sector, k), E in zip(states, (MU * np.sin(t) ** 2).tolist())]
 
 
 def _wide_stable(model: ModelKind, geometry: Geometry, N: int,
                  E: np.ndarray, sectors: np.ndarray) -> np.ndarray:
-    """``_stable`` for lambda >= WIDE_LAMBDA: the counts at E -+ drift on the
+    """The stability flags for lambda >= WIDE_LAMBDA: the counts at E -+ drift on the
     phase of the truncation N' = ``_bumped(N)``, with theta_N' interpolated
     as theta_N (the table the roots were solved on) plus the difference
     table ``_phase_difference``, so the check costs THETA_INTERVALS /
     DIFFERENCE_STRIDE + 1 evaluations at N' instead of a table there.  A
     level whose interpolated phase lies within DIFFERENCE_GUARD of a count
-    step is evaluated exactly at N' instead."""
+    step is evaluated exactly at N' instead, all such levels in one call."""
     mu, delta = geometry.mu, geometry.delta
     drift = STABLE_DRIFT_FRAC * mu
     table = _phase_table(model.tails[0], N)
@@ -485,9 +544,10 @@ def _wide_stable(model: ModelKind, geometry: Geometry, N: int,
         theta = (_interpolate_theta(table, t)
                  + _barycentric(nodes, _DIFFERENCE_WEIGHTS, difference, t))
         level = (np.sqrt(x) * delta - theta) / math.pi - (1 - sectors) / 4
-        for i in np.flatnonzero(np.abs(level - np.round(level)) * math.pi
-                                < DIFFERENCE_GUARD).tolist():
-            level[i] = _level(model, geometry, bumped, float(x[i]), int(sectors[i]))
+        near = np.flatnonzero(np.abs(level - np.round(level)) * math.pi < DIFFERENCE_GUARD)
+        if near.size:
+            level[near] = _levels(model, bumped, x[near].tolist(), [delta] * near.size,
+                                  sectors[near].tolist())
         return np.floor(level)
 
     lo = np.maximum(E - drift, SCAN_LO_FRAC * mu)
@@ -508,7 +568,7 @@ class Spectrum:
 
     A root is stable when its sector at N + STABILITY_BUMP (N -
     STABILITY_BUMP above MAX_MODES) has a root within STABLE_DRIFT_FRAC *
-    mu of it (``_stable``, ``_wide_stable``); every flag is True when the
+    mu of it (``_stable_steps``, ``_wide_stable``); every flag is True when the
     scan ran ungated.
     """
 
@@ -521,53 +581,90 @@ class Spectrum:
     stable: tuple  # per-eigenvalue bool
 
 
+def scan_spectra(
+    model: ModelKind,
+    geometries,
+    N: int = 64,
+    check_stability: bool = True,
+) -> list:
+    """The Spectrum of each window, in order: all discrete eigenvalues in
+    the scan window, from the sector phases, each with the parity sector
+    it was found in.
+
+    The window is (SCAN_LO_FRAC * mu, mu].  Below WIDE_LAMBDA each
+    sector's roots are the Brent chain ``roots.level_steps``; the chains
+    of every such window and sector advance in lockstep, and each round's
+    evaluations take one stacked ``sector_phase`` call.  From WIDE_LAMBDA
+    on the roots come from the tabulated phase (``_wide_states``), and
+    one stacked call certifies all of them.  When ``check_stability`` is
+    set, each root is flagged stable when its sector at truncation N +
+    STABILITY_BUMP (N - STABILITY_BUMP above MAX_MODES) has a root within
+    STABLE_DRIFT_FRAC * mu of it: below WIDE_LAMBDA the coroutines
+    ``_stable_steps`` of all roots in lockstep, one evaluation at that
+    truncation per root when the level's slope bound decides, two or
+    three otherwise; from it on the counts are read from this
+    truncation's table plus a difference table of THETA_INTERVALS /
+    DIFFERENCE_STRIDE + 1 evaluations.
+    """
+    geometries = tuple(geometries)
+    found = [[] for _ in geometries]  # (E, sector, residual) per window
+    lanes = [(i, geometry.delta, sector) for i, geometry in enumerate(geometries)
+             if geometry.delta < WIDE_LAMBDA for sector in SECTORS]
+    chains = [level_steps(SCAN_LO_FRAC * MU, MU, REFINE_FRAC * MU) for _ in lanes]
+    states, values = _lockstep(model, N, [lane[1:] for lane in lanes], chains)
+    for (i, _, sector), chain, value in zip(lanes, states, values):
+        found[i] += [(E, sector, math.pi * abs(value[E] - k)) for k, E in chain]
+
+    wide = [(i, E, sector, k) for i, geometry in enumerate(geometries)
+            if geometry.delta >= WIDE_LAMBDA
+            for E, sector, k in _wide_states(model, geometry, N)]
+    levels = _levels(model, N, [E for _, E, _, _ in wide],
+                     [geometries[i].delta for i, _, _, _ in wide],
+                     [s for _, _, s, _ in wide]) if wide else []
+    for (i, E, sector, k), level in zip(wide, levels):
+        residual = math.pi * abs(level - k)
+        if residual * math.pi / geometries[i].delta > REFINE_FRAC * MU:
+            raise RuntimeError(
+                f"wide-window root E={E} of sector {sector} is not certified to "
+                f"{REFINE_FRAC:g} mu: residual {residual:.3g} rad")
+        found[i].append((E, sector, residual))
+
+    roots = [sorted(window) for window in found]
+    flags = [[True] * len(window) for window in roots]
+    if check_stability:
+        gated = [(i, r) for i, window in enumerate(roots)
+                 if geometries[i].delta < WIDE_LAMBDA for r in range(len(window))]
+        lanes = [(geometries[i].delta, roots[i][r][1]) for i, r in gated]
+        chains = [_stable_steps(delta, roots[i][r][0])
+                  for (i, r), (delta, _) in zip(gated, lanes)]
+        for (i, r), flag in zip(gated, _lockstep(model, _bumped(N), lanes, chains)[0]):
+            flags[i][r] = flag
+        for i, geometry in enumerate(geometries):
+            if geometry.delta >= WIDE_LAMBDA and roots[i]:
+                E, sectors, _ = map(np.array, zip(*roots[i]))
+                flags[i] = _wide_stable(model, geometry, N, E, sectors).tolist()
+    return [
+        Spectrum(
+            model=model,
+            geometry=geometry,
+            N=N,
+            eigenvalues=tuple(E / geometry.mu for E, _, _ in window),
+            sectors=tuple(sector for _, sector, _ in window),
+            residuals=tuple(residual for _, _, residual in window),
+            stable=tuple(window_flags),
+        )
+        for geometry, window, window_flags in zip(geometries, roots, flags)
+    ]
+
+
 def scan_spectrum(
     model: ModelKind,
     geometry: Geometry,
     N: int = 64,
     check_stability: bool = True,
 ) -> Spectrum:
-    """All discrete eigenvalues in the scan window, from the sector phases,
-    each with the parity sector it was found in.
-
-    The window is (SCAN_LO_FRAC * mu, mu].  Below WIDE_LAMBDA each
-    sector's roots are Brent chains (``_sector_roots``), from it on they
-    come from the tabulated phase (``_wide_roots``).  When
-    ``check_stability`` is set, each root is flagged stable when its
-    sector at truncation N + STABILITY_BUMP (N - STABILITY_BUMP above
-    MAX_MODES) has a root within STABLE_DRIFT_FRAC * mu of it: below
-    WIDE_LAMBDA one evaluation at that truncation per root when the
-    level's slope bound decides, two or three otherwise; from it on the
-    counts are read from this truncation's table plus a difference table
-    of THETA_INTERVALS / DIFFERENCE_STRIDE + 1 evaluations.
-    """
-    wide = geometry.delta >= WIDE_LAMBDA
-    if wide:
-        roots = sorted(_wide_roots(model, geometry, N))
-    else:
-        roots = sorted(
-            (root, sector, residual)
-            for sector in SECTORS
-            for root, residual in _sector_roots(model, geometry, N, sector)
-        )
-    energies = tuple(root for root, _, _ in roots)
-    sectors = tuple(sector for _, sector, _ in roots)
-    if not check_stability:
-        flags = (True,) * len(roots)
-    elif wide:
-        flags = tuple(_wide_stable(model, geometry, N, np.array(energies),
-                                   np.array(sectors)).tolist())
-    else:
-        flags = tuple(_stable(model, geometry, N, E, s) for E, s in zip(energies, sectors))
-    return Spectrum(
-        model=model,
-        geometry=geometry,
-        N=N,
-        eigenvalues=tuple(E / geometry.mu for E in energies),
-        sectors=sectors,
-        residuals=tuple(residual for _, _, residual in roots),
-        stable=flags,
-    )
+    """The Spectrum of one window: ``scan_spectra`` of it alone."""
+    return scan_spectra(model, (geometry,), N, check_stability)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -647,14 +744,13 @@ def solve_coefficients(
     """
     delta, mu = geometry.delta, geometry.mu
     tol = REFINE_FRAC * mu
-    if sector_count(model, geometry, N, min(E + tol, mu), sector) == sector_count(
-        model, geometry, N, E - tol, sector
-    ):
+    above, below, (_, L) = sector_phase(model, N, [min(E + tol, mu), E - tol, E],
+                                        [delta] * 3, [sector] * 3)
+    if math.floor(_level_of(above[0], sector)) == math.floor(_level_of(below[0], sector)):
         raise ValueError(
             f"E={E} is not a root of sector {sector}: its count does not step "
             f"within {tol:.3g}"
         )
-    L = sector_phase(model, geometry, N, E, sector)[1]
     # R_s^-1 o = L_R^-T (L_R^-1 o); solving a triangular system is its back-substitution
     a = np.linalg.solve(L[:N, :N].T, L[N, :N])
 

@@ -7,10 +7,15 @@ its matching matrix, ``fdm_oracle`` from its end columns).  State k
 floor(level(E)) + 1 and k is each state's count certificate.
 
 Both levels rest on g = o^T R^-1 o > 0 for a positive definite R;
-``bordered_cholesky`` gives it from one factorization, and ``brent``
-is the bracketing root finder: Brent's method (Algorithms for
-Minimization without Derivatives, 1973, ch. 4) in the widely used C
-``brentq`` form, step for step.
+``bordered_cholesky`` gives it from one factorization, and
+``brent_steps`` is the bracketing root finder: Brent's method
+(Algorithms for Minimization without Derivatives, 1973, ch. 4) in the
+widely used C ``brentq`` form, step for step.  It is a coroutine that
+yields each point it needs and is sent the value there, as is
+``level_steps``, the chain of a sector's roots.  ``brent`` and
+``level_roots`` drive them with a scalar function; ``lockstep`` advances
+many chains together, so that the points of one round can be evaluated
+in one stacked call (``modematch.sector_phase``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import sys
 
 import numpy as np
 
-__all__ = ["bordered_cholesky", "brent", "level_roots"]
+__all__ = ["bordered_cholesky", "brent", "brent_steps", "drive", "level_roots",
+           "level_steps", "lockstep"]
 
 #: corner of the bordered matrix: any value above o^T R^-1 o keeps it
 #: positive definite, and only the factor's corner entry depends on it
@@ -46,8 +52,10 @@ def bordered_cholesky(R: np.ndarray, o: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(bordered)
 
 
-def brent(f, a: float, b: float, xtol: float) -> float:
-    """Root of f in the bracket [a, b] to xtol + BRENT_RTOL |x|.
+def brent_steps(a: float, b: float, xtol: float, target: float = 0.0):
+    """Coroutine of Brent's method on the bracket [a, b]: yields each point
+    x at which it needs f, is sent f(x), and returns the root of f -
+    target to xtol + BRENT_RTOL |x|.
 
     Each step interpolates (secant, or inverse quadratic through three
     points) when that shrinks the bracket fast enough, else bisects.  A
@@ -57,16 +65,10 @@ def brent(f, a: float, b: float, xtol: float) -> float:
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = _number(xpre, (yield xpre) - target)
+    fcur = _number(xcur, (yield xcur) - target)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -107,14 +109,84 @@ def brent(f, a: float, b: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = _number(xcur, (yield xcur) - target)
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, value is {xcur}")
+
+
+def _number(x: float, fx: float) -> float:
+    """fx, the value at x, unless it is NaN (ValueError)."""
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def level_steps(lo: float, hi: float, xtol: float):
+    """Coroutine of ``level_roots``: yields each E at which it needs the
+    level, is sent level(E), and returns the list of (k, E), ascending."""
+    roots = []
+    for k in range(math.floor((yield lo)) + 1, math.floor((yield hi)) + 1):
+        lo = yield from brent_steps(lo, hi, xtol, k)
+        roots.append((k, lo))
+    return roots
+
+
+def drive(steps, f):
+    """Return value of the coroutine ``steps`` sent f(x) at each x it yields."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def brent(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in the bracket [a, b]: ``brent_steps`` driven by f."""
+    return drive(brent_steps(a, b, xtol), f)
 
 
 def level_roots(level, lo: float, hi: float, xtol: float):
     """Yield (k, E), ascending: for each integer k in (level(lo),
     level(hi)], the Brent root E of level - k on [previous root, hi] to
-    ``xtol``, starting from ``lo``."""
+    ``xtol``, starting from ``lo``: the steps of ``level_steps``, driven
+    by level one root at a time, so a caller that stops early evaluates
+    no further."""
     for k in range(math.floor(level(lo)) + 1, math.floor(level(hi)) + 1):
-        lo = brent(lambda E: level(E) - k, lo, hi, xtol)
+        lo = drive(brent_steps(lo, hi, xtol, k), level)
         yield k, lo
+
+
+def lockstep(chains, evaluate) -> tuple[list, list]:
+    """Advance the coroutines ``chains`` together, each as ``drive`` would.
+
+    In every round each running chain has one pending point, and all of
+    them go to one call evaluate(indices, points), which returns their
+    values in order (index i names chains[i]).  A chain that asks again
+    for a point it was sent a value at gets that value at once, so each
+    point costs one evaluation per chain.  Returns each chain's return
+    value and its dict of evaluated points and values.
+    """
+    values = [{} for _ in chains]
+    results = [None] * len(chains)
+    running = list(range(len(chains)))
+    fx = [None] * len(chains)  # send(None) starts a chain
+    while running:
+        indices, points = [], []
+        for i, value in zip(running, fx):
+            send, seen = chains[i].send, values[i]
+            try:
+                x = send(value)
+                while x in seen:
+                    x = send(seen[x])
+            except StopIteration as stop:
+                results[i] = stop.value
+                continue
+            indices.append(i)
+            points.append(x)
+        if not indices:
+            break
+        fx = evaluate(indices, points)
+        for i, x, value in zip(indices, points, fx):
+            values[i][x] = value
+        running = indices
+    return results, values

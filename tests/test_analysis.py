@@ -63,9 +63,10 @@ class TestSweep:
     ])
     def test_workers_capped(self, jobs, cores, workers, monkeypatch):
         """The pool gets at most one worker per core and per lambda point
-        (it starts them all at once), and none runs for one; the fake pool
-        maps in-process, so no process starts."""
-        started = []
+        (it starts them all at once), and none runs for one; each worker
+        gets one contiguous slice of the grid; the fake pool maps
+        in-process, so no process starts."""
+        started, slices = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -78,6 +79,8 @@ class TestSweep:
                 return False
 
             def map(self, fn, tasks):
+                tasks = list(tasks)
+                slices.extend(lams for _, lams, _, _ in tasks)
                 return map(fn, tasks)
 
         # sweep imports the pool class when it starts one
@@ -86,6 +89,8 @@ class TestSweep:
         grid = (0.4, 0.5, 0.6)
         result = an.sweep(ModelKind.A, grid, N=16, check_stability=False, jobs=jobs)
         assert started == ([] if workers is None else [workers])
+        assert len(slices) == (workers or 0)
+        assert sum(slices, ()) == (grid if workers else ())
         serial = an.sweep(ModelKind.A, grid, N=16, check_stability=False)
         assert result == serial
 

@@ -122,3 +122,25 @@ def test_no_process_pool_at_start_up():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: what importing the command line may load besides the package itself:
+#: numpy and the standard-library modules the package imports at its top
+STARTUP_IMPORTS = ("numpy", "__future__", "argparse", "dataclasses", "enum", "functools",
+                   "itertools", "json", "math", "os", "sys")
+
+
+def test_no_module_added_at_start_up():
+    """A fresh interpreter that imports the command line and every module
+    loads no module beyond the package, numpy and STARTUP_IMPORTS with
+    what they import themselves: every command pays for each module
+    loaded here in its start-up time."""
+    imports = ", ".join(f"wavebound.{name}" for name in ("cli",) + MODULES)
+    code = (f"import sys, {', '.join(STARTUP_IMPORTS)}; base = set(sys.modules); "
+            f"import {imports}; "
+            "print(sorted(m for m in set(sys.modules) - base "
+            "if m.partition('.')[0] != 'wavebound'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

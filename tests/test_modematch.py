@@ -12,6 +12,7 @@ objects (spectra, fields) are shared per module.
 
 import math
 import tracemalloc
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ import field_reference
 import matching_reference as ref
 from wavebound import modematch as mm
 from wavebound.bounds import state_count_bounds
+from wavebound.roots import drive, level_roots
 from wavebound.geometry import (
     Geometry,
     ModelKind,
@@ -91,6 +93,11 @@ def reference_matrix(model, lam, N, E):
     return _assemble_general(*model.tails, lam, N, E)
 
 
+def _phase(model, geometry, N, E, sector):
+    """(phi_s(E), L) of one lane of the stacked ``sector_phase``."""
+    return next(mm.sector_phase(model, N, [E], [geometry.delta], [sector]))
+
+
 def _distance_to_target(model, geometry, N, E, sector):
     """|phi_s(E) - target_k| in radians for the nearest state k >= 0."""
     level = mm._level(model, geometry, N, E, sector)
@@ -142,7 +149,7 @@ class TestAssemble:
             assert M.shape == (8, 8)
             assert np.all(np.isfinite(M))
             assert np.allclose(M, M.T, rtol=0.0, atol=1e-13)
-            phase, L = mm.sector_phase(ModelKind.A, geometry, 8, E, sector)
+            phase, L = _phase(ModelKind.A, geometry, 8, E, sector)
             assert L.shape == (9, 9) and math.isfinite(phase)
             y = np.linalg.solve(L[:8, :8].T, L[8, :8])
             is_cos = mm._center_is_cos(ModelKind.A, sector, 8)
@@ -178,18 +185,18 @@ class TestAssemble:
         geometry = Geometry.from_lambda(0.5)
         for E in (0.0, -0.1, math.nextafter(MU, math.inf), 1.2 * MU):
             with pytest.raises(ValueError):
-                mm.sector_phase(ModelKind.A, geometry, 8, E, 1)
+                _phase(ModelKind.A, geometry, 8, E, 1)
             with pytest.raises(ValueError):
                 mm.count_states(ModelKind.A, geometry, 8, E)
-        assert math.isfinite(mm.sector_phase(ModelKind.A, geometry, 8, MU, 1)[0])
+        assert math.isfinite(_phase(ModelKind.A, geometry, 8, MU, 1)[0])
         assert mm.count_states(ModelKind.A, geometry, 8, MU) == 1
 
     def test_truncation_out_of_range_rejected(self):
         geometry = Geometry.from_lambda(0.5)
         with pytest.raises(ValueError):
-            mm.sector_phase(ModelKind.A, geometry, 3, 0.5 * MU, 1)
+            _phase(ModelKind.A, geometry, 3, 0.5 * MU, 1)
         with pytest.raises(ValueError):
-            mm.sector_phase(ModelKind.A, geometry, 257, 0.5 * MU, 1)
+            _phase(ModelKind.A, geometry, 257, 0.5 * MU, 1)
 
     def test_unknown_sector_rejected(self):
         """Only +1 and -1 name a sector; unchecked, any other value would
@@ -199,7 +206,7 @@ class TestAssemble:
         assert spec.sectors[1] == -1
         for sector in (0, 2):
             with pytest.raises(ValueError):
-                mm.sector_phase(ModelKind.B, geometry, 16, 0.5 * MU, sector)
+                _phase(ModelKind.B, geometry, 16, 0.5 * MU, sector)
             with pytest.raises(ValueError):
                 mm.solve_coefficients(
                     ModelKind.B, geometry, 16, spec.eigenvalues[1] * MU, sector
@@ -226,47 +233,74 @@ class TestAssemble:
 
 
 class TestPhaseOperands:
-    @pytest.mark.parametrize("N", [4, 8, 32, 33, 64, 72, 100, 256])
+    @pytest.mark.parametrize("N", [4, 8, 32, 33, 64, 65, 72, 99, 100, 256])
     @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.name)
     def test_bit_identical_to_the_reference(self, model, N):
-        """Memoising the operands keeps every operation and its order: the
-        phase and the factor equal the reference's, assembled from scratch,
-        bit for bit, from the bottom of the scan window to mu itself (33 and
-        100 are sizes where a contiguous copy of O[:, 1:]^T moves bits)."""
+        """Memoising the operands and stacking the lanes keep every
+        operation and its order: in one call whose lanes mix both sectors
+        and windows on both sides of the cut, each lane's phase and factor
+        equal the reference's, assembled from scratch for that lane alone,
+        bit for bit, from the bottom of the scan window to mu itself (33
+        and 100 are sizes where a contiguous copy of O[:, 1:]^T moves bits;
+        from N = 64 on a call stacks several chunks)."""
         energies = np.geomspace(mm.SCAN_LO_FRAC, 1.0, 9) * MU
         assert energies[-1] == MU
-        for lam in (0.2634, 0.5, 2.5, 20.2, 1000.0):
-            geometry = Geometry.from_lambda(lam)
-            for sector in mm.SECTORS:
-                for E in map(float, energies):
-                    phase, L = mm.sector_phase(model, geometry, N, E, sector)
-                    ref_phase, ref_L = ref.sector_phase(model, geometry, N, E, sector)
-                    assert phase == ref_phase
-                    assert np.array_equal(L, ref_L)
+        lanes = [(float(E), lam, sector)
+                 for lam in (0.2634, 0.5, 2.5, 6.9, mm.WIDE_LAMBDA, 20.2, 1000.0)
+                 for sector in mm.SECTORS for E in energies]
+        lanes = [lanes[i] for i in np.random.default_rng(N).permutation(len(lanes))]
+        E, delta, sectors = (list(column) for column in zip(*lanes))
+        stacked = list(mm.sector_phase(model, N, E, delta, sectors))
+        assert len(stacked) == len(lanes)
+        for (phase, L), (e, lam, sector) in zip(stacked, lanes):
+            ref_phase, ref_L = ref.sector_phase(model, Geometry.from_lambda(lam), N, e, sector)
+            assert phase == ref_phase
+            assert np.array_equal(L, ref_L)
+
+    def test_stack_stays_within_its_budget(self):
+        """A request of 200 lanes at N = 256 stacks one lane at a time (a
+        bordered matrix there outgrows PHASE_STACK_DOUBLES), not 200 (106
+        MB of bordered matrices): its traced peak, the bordered matrix, the
+        factorization's copy and its factor, the previous factor and the
+        matrix product's operand, stays within five such matrices
+        (measured 2.2 MB)."""
+        N, lanes = 256, 200
+        budget = 5 * 8 * max(mm.PHASE_STACK_DOUBLES, (N + 1) ** 2)
+        E = list(np.linspace(0.1, 1.0, lanes) * MU)
+        next(mm.sector_phase(ModelKind.A, N, E[:1], [0.5], [1]))  # fill the memo
+        tracemalloc.start()
+        try:
+            phases = [phase for phase, _ in
+                      mm.sector_phase(ModelKind.A, N, E, [0.5] * lanes, [1, -1] * (lanes // 2))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(phases) == lanes
+        assert peak <= budget
 
     def test_memo_follows_the_tail_family(self, monkeypatch):
-        """The memo is keyed on the tail family, not on the model: swapping
-        model A's tails changes the factor at the same E, N and sector."""
+        """The memo is keyed on the tail family as well as the model:
+        swapping model A's tails changes the factor at the same E, N and
+        sector."""
         geometry = Geometry.from_lambda(1.7)
         E = 0.6 * MU
-        before = [mm.sector_phase(ModelKind.A, geometry, 16, E, s)[1] for s in mm.SECTORS]
+        before = [_phase(ModelKind.A, geometry, 16, E, s)[1] for s in mm.SECTORS]
         swap = {ProfileKind.DN_SINE: ProfileKind.ND_COSINE,
                 ProfileKind.ND_COSINE: ProfileKind.DN_SINE}
         monkeypatch.setattr(ModelKind.A, "tails", tuple(swap[t] for t in ModelKind.A.tails))
         for sector, L in zip(mm.SECTORS, before):
-            swapped = mm.sector_phase(ModelKind.A, geometry, 16, E, sector)
+            swapped = _phase(ModelKind.A, geometry, 16, E, sector)
             assert not np.array_equal(swapped[1], L)
             assert np.array_equal(
                 swapped[1], ref.sector_phase(ModelKind.A, geometry, 16, E, sector)[1])
 
     def test_memoised_arrays_read_only(self):
-        mask = mm._center_is_cos(ModelKind.B, -1, 8)
-        operands = mm._sector_operands(ModelKind.B.tails[0], 8, mask.tobytes())
-        assert len(operands) == 5
+        operands = mm._sector_operands(ModelKind.B.tails[0], ModelKind.B, 8)
+        assert len(operands) == 6
         for array in operands:
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        assert operands is mm._sector_operands(ModelKind.B.tails[0], 8, mask.tobytes())
+        assert operands is mm._sector_operands(ModelKind.B.tails[0], ModelKind.B, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +422,7 @@ class TestCount:
                 for N in (16, 64, 256):
                     for sector in mm.SECTORS:
                         assert math.isfinite(
-                            mm.sector_phase(model, geometry, N, MU, sector)[0])
+                            _phase(model, geometry, N, MU, sector)[0])
                         for E in fractions * MU:
                             pole = math.sqrt(E) * lam / math.pi + (1 + sector) / 4
                             assert abs(pole - round(pole)) > 1e-9
@@ -445,23 +479,30 @@ def _bisected_sector_roots(model, geometry, N, sector):
     return roots
 
 
-def _scan_evaluations(monkeypatch, model, lam, check_stability=False):
-    """Phase evaluations (one bordered Cholesky factorization each) of one
-    scan at N=64, ungated unless ``check_stability``, with the wide-window
-    phase and difference tables built afresh."""
+def _count_lanes(monkeypatch) -> list:
+    """The list to which every later ``sector_phase`` call appends its
+    number of lanes (phase evaluations, one factorization each)."""
     calls = []
     original = mm.sector_phase
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(model, N, E, delta, sector):
+        calls.append(len(E))
+        return original(model, N, E, delta, sector)
 
     monkeypatch.setattr(mm, "sector_phase", counted)
+    return calls
+
+
+def _scan_evaluations(monkeypatch, model, lam, check_stability=False):
+    """Phase evaluations of one scan at N=64, ungated unless
+    ``check_stability``, with the wide-window phase and difference tables
+    built afresh."""
+    calls = _count_lanes(monkeypatch)
     mm._phase_table.cache_clear()
     mm._phase_difference.cache_clear()
     mm.scan_spectrum(model, Geometry.from_lambda(lam), N=64,
                      check_stability=check_stability)
-    return len(calls)
+    return sum(calls)
 
 
 class TestRefinement:
@@ -522,8 +563,10 @@ class TestRefinement:
         geometry = Geometry.from_lambda(lam)
         width = mm.REFINE_FRAC * MU
         refined = []
+        spec = mm.scan_spectrum(model, geometry, N=64, check_stability=False)
         for sector in mm.SECTORS:
-            roots = [E for E, _ in mm._sector_roots(model, geometry, 64, sector)]
+            roots = [value * MU for value, s in zip(spec.eigenvalues, spec.sectors)
+                     if s == sector]
             reference = _bisected_sector_roots(model, geometry, 64, sector)
             assert len(roots) == len(reference)
             assert np.max(np.abs(np.subtract(roots, reference)), initial=0.0) <= width
@@ -588,6 +631,79 @@ class TestScanSpectrum:
         assert spec.stable == (True,)
 
 
+#: the windows below the cut on which the lockstep scan is checked
+NARROW_GRID = [round(0.10 + 0.05 * i, 2) for i in range(138)]  # 0.10 ... 6.95
+
+
+def _gate_costs(model, geometry, N, E, sector):
+    """Evaluations at N + 8 that the stability gate of a root costs when it
+    probes the end nearer in level first, and when it probes lo first."""
+    level = partial(mm._level, model, geometry, mm._bumped(N), sector=sector)
+    flag_steps = mm._stable_steps(geometry.delta, E)
+    assert next(flag_steps) == E
+    at_root = level(E)
+    try:
+        flag_steps.send(at_root)
+    except StopIteration:
+        return 1, 1  # the slope bound decides
+    j = math.floor(at_root)
+    drift = mm.STABLE_DRIFT_FRAC * MU
+    lo_decides = level(max(E - drift, mm.SCAN_LO_FRAC * MU)) < j
+    hi_decides = level(min(E + drift, MU)) >= j + 1
+    nearer_decides = hi_decides if at_root - j >= 0.5 else lo_decides
+    return 2 if nearer_decides else 3, 2 if lo_decides else 3
+
+
+class TestLockstep:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("N", [8, 32, 64])
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.name)
+    def test_matches_the_per_window_chains(self, monkeypatch, model, N):
+        """The chains of 138 windows (lambda = 0.10 ... 6.95), both
+        sectors, advanced in lockstep, give each window's Brent chains run
+        on their own bit for bit, energies, sectors, residuals and flags,
+        at exactly their number of phase evaluations; each round costs one
+        stacked call."""
+        geometries = [Geometry.from_lambda(lam) for lam in NARROW_GRID]
+        calls = _count_lanes(monkeypatch)
+        spectra = mm.scan_spectra(model, geometries, N, check_stability=False)
+        rounds, lanes = len(calls), sum(calls)
+        gated = mm.scan_spectra(model, geometries, N)
+        evaluations = []
+        for geometry, spec, flagged in zip(geometries, spectra, gated):
+            roots, flags = _brent_spectrum(model, geometry, N, evaluations)
+            assert spec.eigenvalues == tuple(E / MU for E, _, _ in roots)
+            assert spec.sectors == tuple(s for _, s, _ in roots)
+            assert spec.residuals == tuple(r for _, _, r in roots)
+            assert (flagged.eigenvalues, flagged.residuals) == (spec.eigenvalues, spec.residuals)
+            assert flagged.stable == flags
+        assert lanes == sum(evaluations)
+        assert rounds == max(evaluations)  # a chain's evaluations, one per round
+
+    def test_gate_probes_the_nearer_end(self, monkeypatch):
+        """Below the cut at N = 8 most roots need an exact probe; probing
+        the end nearer in level first saves one evaluation on 212 of the
+        1,052 roots of A and B at lambda = 0.10 ... 6.95, and the gate's
+        evaluations are the three rounds' lanes."""
+        nearer = lo_first = 0
+        for model in ModelKind:
+            geometries = [Geometry.from_lambda(lam) for lam in NARROW_GRID]
+            calls = _count_lanes(monkeypatch)
+            mm.scan_spectra(model, geometries, 8, check_stability=False)
+            ungated = sum(calls)
+            calls.clear()
+            spectra = mm.scan_spectra(model, geometries, 8)
+            gate = sum(calls) - ungated
+            costs = [_gate_costs(model, geometry, 8, value * MU, sector)
+                     for geometry, spec in zip(geometries, spectra)
+                     for value, sector in zip(spec.eigenvalues, spec.sectors)]
+            assert gate == sum(c for c, _ in costs)
+            nearer += gate
+            lo_first += sum(c for _, c in costs)
+            monkeypatch.undo()
+        assert lo_first - nearer == 212
+
+
 # ---------------------------------------------------------------------------
 # wide windows: one tabulated junction phase
 # ---------------------------------------------------------------------------
@@ -595,16 +711,29 @@ class TestScanSpectrum:
 
 def _node_g(model, lam, N, E, sector):
     """g = z.z from the last row of sector_phase's factor."""
-    z = mm.sector_phase(model, Geometry.from_lambda(lam), N, E, sector)[1][N, :N]
+    z = _phase(model, Geometry.from_lambda(lam), N, E, sector)[1][N, :N]
     return z @ z
 
 
-def _brent_spectrum(model, geometry, N):
-    """(E, sector, residual) of each root of the Brent chains and its
-    stability flag, as below the cut."""
-    roots = sorted((E, sector, residual) for sector in mm.SECTORS
-                   for E, residual in mm._sector_roots(model, geometry, N, sector))
-    return roots, tuple(mm._stable(model, geometry, N, E, s) for E, s, _ in roots)
+def _brent_spectrum(model, geometry, N, evaluations=None):
+    """(E, sector, residual) of each root of one window's Brent chains and
+    its stability flag, as below the cut, each chain on its own: one
+    memoised scalar level per sector (one lane per call), driven by
+    ``roots.level_roots``, and each flag ``_stable_steps`` driven by the
+    scalar level at N + 8.  Appends the chains' evaluation count to
+    ``evaluations`` when given."""
+    roots = []
+    for sector in mm.SECTORS:
+        level = lru_cache(maxsize=None)(partial(mm._level, model, geometry, N, sector=sector))
+        roots += [(E, sector, math.pi * abs(level(E) - k)) for k, E in
+                  level_roots(level, mm.SCAN_LO_FRAC * MU, MU, mm.REFINE_FRAC * MU)]
+        if evaluations is not None:
+            evaluations.append(level.cache_info().misses)
+    roots.sort()
+    return roots, tuple(
+        drive(mm._stable_steps(geometry.delta, E),
+              partial(mm._level, model, geometry, mm._bumped(N), sector=s))
+        for E, s, _ in roots)
 
 
 class TestWideWindow:
@@ -773,8 +902,8 @@ class TestStabilityGate:
         approx = mm._barycentric(nodes, mm._DIFFERENCE_WEIGHTS, difference, mids)
         for value, angle in zip(approx.tolist(), mids.tolist()):
             E = MU * math.sin(angle) ** 2
-            exact = (mm._node_theta(tail, mm._bumped(N), E)
-                     - mm._node_theta(tail, N, E))
+            exact = (mm._node_thetas(tail, mm._bumped(N), [E])[0]
+                     - mm._node_thetas(tail, N, [E])[0])
             assert abs(value - exact) <= 2e-6
 
     def test_difference_table_exact_at_its_nodes(self):
@@ -822,17 +951,11 @@ class TestSectorRecord:
 
     def test_field_costs_the_scan_plus_three_evaluations(self, monkeypatch):
         """Two counts certify the root in its recorded sector and one
-        phase solve gives the null vector."""
-        calls = []
-        original = mm.sector_phase
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(mm, "sector_phase", counted)
+        phase solve gives the null vector, the three in one stacked call."""
+        calls = _count_lanes(monkeypatch)
         mm.solve_field(ModelKind.A, Geometry.from_lambda(0.5), branch=1, N=64)
-        assert 0 < len(calls) <= 17
+        assert 0 < sum(calls) <= 17
+        assert calls[-1] == 3
 
 
 # ---------------------------------------------------------------------------

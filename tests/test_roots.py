@@ -171,3 +171,48 @@ def test_bordered_cholesky_gives_the_quadratic_form():
         assert np.allclose(L[:n, :n] @ L[:n, :n].T, R, rtol=1e-13, atol=1e-12 * n)
     with pytest.raises(np.linalg.LinAlgError):
         roots.bordered_cholesky(-np.eye(3), np.ones(3))
+
+
+def test_lockstep_matches_the_scalar_drivers():
+    """Chains of ``brent_steps`` and ``level_steps`` advanced together
+    return what ``brent`` and ``level_roots`` return, each chain asking
+    for the same points in the same order; every round's points go to
+    one call, and a point a chain asks for again is not evaluated again."""
+    rng = np.random.default_rng(7)
+    functions, chains, expected = [], [], []
+    for i in range(40):
+        f = FAMILIES[i % 4](float(rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(-1.0, 2.0)))
+        g, points = recorded(f)
+        expected.append((roots.brent(g, -2.0, 2.0, 1e-12), points))
+        functions.append(f)
+        chains.append(roots.brent_steps(-2.0, 2.0, 1e-12))
+    for shift in (0.0, 0.3, 2.5):
+        level = partial(lambda s, x: 3.0 * x + math.sin(7.0 * x) / 8.0 + s, shift)
+        g, points = recorded(level)
+        expected.append((list(roots.level_roots(g, 0.0, 2.0, 1e-12)), points))
+        functions.append(level)
+        chains.append(roots.level_steps(0.0, 2.0, 1e-12))
+    asked = [[] for _ in chains]
+    rounds = []
+
+    def evaluate(indices, points):
+        rounds.append(len(points))
+        for i, x in zip(indices, points):
+            asked[i].append(x)
+        return [functions[i](x) for i, x in zip(indices, points)]
+
+    results, values = roots.lockstep(chains, evaluate)
+    for result, seen, points, (expected_result, expected_points) in zip(
+            results, values, asked, expected):
+        assert result == expected_result
+        assert points == list(dict.fromkeys(expected_points))  # each point once
+        assert list(seen) == points
+    assert len(rounds) == max(map(len, asked))
+    assert sum(rounds) == sum(map(len, asked))
+
+
+def test_lockstep_raises_a_chain_error():
+    """A chain that raises stops the lockstep with its error."""
+    chains = [roots.brent_steps(-1.0, 1.0, 1e-12), roots.brent_steps(1.0, 2.0, 1e-12)]
+    with pytest.raises(ValueError, match="different signs"):
+        roots.lockstep(chains, lambda indices, points: [math.atan(x) for x in points])
