@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -51,7 +52,8 @@ MAX_GRID_POINTS = 10_000
 #: most (x, y) points in one field grid, --nx times --ny
 MAX_FIELD_POINTS = 100_000
 
-#: field grid points that ``write_grid`` formats and writes at a time
+#: field grid points that ``write_grid`` formats, joins and writes at a
+#: time (whole x values, at least one)
 GRID_BLOCK = 4096
 
 
@@ -206,32 +208,51 @@ def render_json(config: dict, results) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_grid(handle, fmt: str, config: dict, xs: list, ys: list, density: list) -> None:
+def write_grid(handle, fmt: str, config: dict, xs: list, ys: list, values: list) -> None:
     """Write the bytes of ``render_csv``/``render_json`` of one {x, y,
-    density} row per point of the grid xs x ys (density flat, x slowest)
-    to ``handle``, a block of x values at a time, at most GRID_BLOCK
-    points: the block's rows are one %-format of its x values' row
-    templates, and each axis value and each density is formatted once."""
+    density} row per point of the grid xs x ys, the density the square
+    of ``values`` (flat, x slowest), to ``handle``, a block of x values
+    at a time, at most GRID_BLOCK points: a block is one join of its
+    densities' texts, each x's text up to its y and each y's text up to
+    the next density, laid out by slice assignment, and each axis value
+    and each density is formatted once."""
+    ny = len(ys)
     if fmt == "csv":
-        text = lambda values: ["%.17g" % v for v in values]  # _fmt of a float
-        row, separator = "{x},%s,%%s\n", ""
+        # _fmt of a float; a row ends with its density
+        densities = lambda chunk: map("%.17g\n".__mod__, chunk)
+        x_text = ["%.17g," % x for x in xs]
+        y_text = ["%.17g," % y for y in ys]
+        last_y = y_text[-1]
+        x_slot, y_slot, density_slot = 0, 1, 2
         head, tail = f"{CSV_VERSION_LINE}\nx,y,density\n", ""
     else:
         # json's C encoder writes each float as its indenting encoder does
         text = lambda values: json.dumps(values)[1:-1].split(", ")
-        row = '    {\n      "density": %%s,\n      "x": {x},\n      "y": %s\n    }'
-        separator = ",\n"
+        densities = lambda chunk: text(list(chunk))
+        x_text = [f',\n      "x": {x},\n      "y": ' for x in text(xs)]
+        y_json = text(ys)
+        y_text = [y + '\n    },\n    {\n      "density": ' for y in y_json]
+        last_y = y_json[-1] + "\n    }"  # the grid's last row ends the list
+        x_slot, y_slot, density_slot = 1, 2, 0
         # the rows go where json.dumps puts the empty list
         head, _, tail = render_json(config, []).partition('\n  "results": []')
-        head, tail = head + '\n  "results": [\n', "\n  ]" + tail
-    rows = separator.join(row % y for y in text(ys))  # the density of each y to come
-    x_text, ny = text(xs), len(ys)
-    block = max(1, GRID_BLOCK // ny)
+        head, tail = head + '\n  "results": [\n    {\n      "density": ', "\n  ]" + tail
+    nx, block, row = len(xs), max(1, GRID_BLOCK // ny), 3 * ny
+    pieces = [None] * (row * min(block, nx))
+    pieces[y_slot::3] = y_text * min(block, nx)
     handle.write(head)
-    for start in range(0, len(x_text), block):
-        template = separator.join(rows.replace("{x}", x) for x in x_text[start:start + block])
-        handle.write((separator if start else "")
-                     + template % tuple(text(density[start * ny:(start + block) * ny])))
+    for start in range(0, nx, block):
+        stop = min(start + block, nx)
+        del pieces[row * (stop - start):]  # a shorter last block: whole rows go
+        for i, x in enumerate(x_text[start:stop]):
+            pieces[x_slot + row * i:row * (i + 1):3] = [x] * ny
+        # math.pow is libm pow, as ** on a Python float; the array's
+        # values ** 2 differs from it in the last bit at some points
+        pieces[density_slot::3] = densities(
+            map(math.pow, values[start * ny:stop * ny], repeat(2.0)))
+        if stop == nx:  # the y text of the grid's last point
+            pieces[y_slot - 3] = last_y
+        handle.write("".join(pieces))
     handle.write(tail)
 
 
@@ -319,18 +340,16 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
     branch, nx, ny, x_halfwidth = args.branch, args.nx, args.ny, args.x_halfwidth
-    if nx < 2 or ny < 2 or not 0 < x_halfwidth < math.inf:
+    # the grid spans 2 * x_halfwidth, which must not overflow
+    if nx < 2 or ny < 2 or not 0 < 2 * x_halfwidth < math.inf:
         raise ConfigError("field grid requires --nx, --ny >= 2 and a positive "
-                          "finite --x-halfwidth")
+                          "--x-halfwidth whose span 2 * x-halfwidth is finite")
     if nx * ny > MAX_FIELD_POINTS:
         raise ConfigError(f"--nx {nx} times --ny {ny} exceeds {MAX_FIELD_POINTS} points")
     field = mm.solve_field(config.model, config.geometry, branch, N=config.modes)
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
     ys = np.linspace(0.0, 1.0, ny)
     values = mm.evaluate_field(field, xs, ys).ravel().tolist()
-    # ** on a Python float is libm pow; the array's values ** 2 differs
-    # from it in the last bit at some points
-    density = [v ** 2 for v in values]
     json_config = _config_dict(
         config,
         branch=branch,
@@ -340,7 +359,7 @@ def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
         eigenvalue_over_mu=field.E / MU,
     )
     _write(config.out, lambda handle: write_grid(
-        handle, config.format or "csv", json_config, xs.tolist(), ys.tolist(), density))
+        handle, config.format or "csv", json_config, xs.tolist(), ys.tolist(), values))
     return EXIT_OK
 
 

@@ -363,10 +363,12 @@ class TestFieldCommand:
     @pytest.mark.parametrize("model, lam, branch, nx, ny", [
         (ModelKind.A, 0.5, 1, 41, 9),
         (ModelKind.B, 2.5, 2, 41, 11),
-    ], ids=["A-0.5-branch1", "B-2.5-branch2"])
+        (ModelKind.A, 0.5, 1, 201, 41),
+    ], ids=["A-0.5-branch1", "B-2.5-branch2", "A-0.5-branch1-201x41"])
     def test_bytes_match_the_dict_rows(self, model, lam, branch, nx, ny, tmp_path):
         """CSV and JSON equal the writer that builds one dict per point; the
-        odd --nx puts x = 0.0 on the grid."""
+        odd --nx puts x = 0.0 on the grid, and the default 201 x 41 grid
+        spans three blocks of GRID_BLOCK points (99, 99 and 3 x values)."""
         config, rows = F.field_rows(model, lam, branch, 32, nx, ny, 6.0)
         base = ["field", "--model", model.name, "--lambda", str(lam), "--branch",
                 str(branch), "--modes", "32", "--nx", str(nx), "--ny", str(ny)]
@@ -399,12 +401,12 @@ class TestFieldCommand:
         and 50 MB."""
         field = mm.solve_field(ModelKind.A, Geometry.from_lambda(0.5), 1, N=16)
         xs, ys = np.linspace(-6.0, 6.0, 500), np.linspace(0.0, 1.0, 200)
-        density = [v ** 2 for v in mm.evaluate_field(field, xs, ys).ravel().tolist()]
+        values = mm.evaluate_field(field, xs, ys).ravel().tolist()
         xs, ys = xs.tolist(), ys.tolist()
         with open(os.devnull, "w", encoding="utf-8") as handle:
             tracemalloc.start()
             try:
-                cli.write_grid(handle, fmt, {"nx": 500, "ny": 200}, xs, ys, density)
+                cli.write_grid(handle, fmt, {"nx": 500, "ny": 200}, xs, ys, values)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -412,7 +414,7 @@ class TestFieldCommand:
 
     def test_bad_grid_args(self, capsys):
         assert run(["field", "--model", "A", "--lambda", "0.5", "--nx", "1"]) == 2
-        for width in ("-1", "nan", "inf"):
+        for width in ("-1", "nan", "inf", "1e308"):
             assert run(["field", "--model", "A", "--lambda", "0.5",
                         "--x-halfwidth", width]) == 2
             assert "--x-halfwidth" in capsys.readouterr().err
