@@ -65,27 +65,32 @@ modes m >= 1.  T_rest is positive definite up to and including mu_h:
 1 + q_j >= 1; 0 <= r_m < 1, as 1 - r = (1 - rho)(1 -+ rho^n)/(1 +- rho^(n+1))
 for t = +-1; and P_rest P_rest^T = I - p_0 p_0^T <= I, so
 hx^2 T_rest >= (1 - max r) I.  T_s(E) is then singular exactly where
-r_0 g = 1, g = p_0^T (hx^2 T_rest)^-1 p_0 > 0 (one bordered Cholesky
-factorization, ``roots.bordered_cholesky``): at the
-discrete junction phase
+r_0 g = 1, g = p_0^T (hx^2 T_rest)^-1 p_0 > 0 (the last row of the
+Cholesky factor of hx^2 T_rest bordered by p_0): at the discrete
+junction phase
 
     phi_s(E) = psi - atan2(1 - g cos(theta), g sin(theta)) = k pi (even), (k + 1/2) pi (odd),
 
 which rises from -pi/2 at E = 0 as its continuous counterpart in
 ``modematch`` does, so state k of the sector is the root of one
-increasing scalar (``roots.level_roots``).
+increasing scalar, found by the Brent chain ``roots.level_steps``.
+``EndColumns.levels`` is a stacked kernel, built like
+``modematch.sector_phase``: ``build`` makes the operands that do not
+depend on E once, and a call takes lanes (E, sector), writes every
+lane's bordered matrix into one stack (up to LEVEL_STACK_DOUBLES) and
+factors the stack with one call.  ``bound_spectra`` advances a grid's
+even and odd chains in ``roots.lockstep``, one stacked call per round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .geometry import SECTORS, Geometry, ModelKind
-from .roots import bordered_cholesky, level_roots
+from .roots import BORDER_CORNER, level_steps, lockstep
 
 __all__ = [
     "FdmGrid",
@@ -103,6 +108,15 @@ ROOT_FRAC = 1e-13
 
 #: default grid spacings, coarsest first
 SPACINGS = (1.0 / 40, 1.0 / 80, 1.0 / 160)
+
+#: doubles of bordered matrices that one stacked factorization of
+#: ``EndColumns.levels`` holds, max(1, LEVEL_STACK_DOUBLES // (k + 1)^2)
+#: lanes for k free end-column vertices (15 at h = 1/32, 2 at 1/80, 1 from
+#: 1/90 on).  Larger stacks make temporaries above the C allocator's default
+#: mmap threshold (128 KiB), paged in afresh on every call: two lanes at
+#: h = 1/160 took 1.55 ms stacked against 1.10 ms one at a time, and 1.09 ms
+#: stacked with that threshold raised
+LEVEL_STACK_DOUBLES = 16_384
 
 
 @dataclass(frozen=True)
@@ -199,11 +213,16 @@ def _row_lengths(grid: FdmGrid) -> np.ndarray:
 def _end_modes(grid: FdmGrid, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Levels and orthonormal modes of an end column's lumped-mass
     transverse operator S = Ly^(-1/2) Ty Ly^(-1/2) on its ``free`` vertices."""
-    # column stiffness Ty per unit cell length: vertical edges of weight 1/hy
-    w = np.full(grid.ny, 1.0 / grid.hy)
-    stiffness = np.diag(np.r_[w, 0.0] + np.r_[0.0, w]) - np.diag(w, 1) - np.diag(w, -1)
+    # column stiffness Ty per unit cell length: vertical edges of weight
+    # 1/hy, one at each wall vertex and two at every other
+    w = 1.0 / grid.hy
+    size = grid.ny + 1
+    stiffness = np.zeros((size, size))
+    stiffness.flat[:: size + 1] = 2.0 * w
+    stiffness[0, 0] = stiffness[-1, -1] = w
+    stiffness.flat[1 :: size + 1] = stiffness.flat[size :: size + 1] = -w
     scale = 1.0 / np.sqrt(_row_lengths(grid)[free])
-    return np.linalg.eigh(scale[:, None] * stiffness[np.ix_(free, free)] * scale[None, :])
+    return np.linalg.eigh(scale[:, None] * stiffness[free][:, free] * scale[None, :])
 
 
 def _cosine_modes(grid: FdmGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -222,20 +241,29 @@ class EndColumns:
     """A model's grid problem with transparent ends, reduced exactly to
     the free vertices of end column 0 (see the module docstring).
 
-    ``modes`` diag(``levels``) ``modes``^T is the end column's transverse
-    operator; ``chain_modes`` are the rows of the interior columns' cosine
-    modes at the end column's free vertices, with levels ``chain_levels``
-    and reflection parities ``parity``; ``n`` is the number of interior
-    columns.
+    ``modes`` diag(``end_levels``) ``modes``^T is the end column's
+    transverse operator; ``chain_modes`` are the rows of the interior
+    columns' cosine modes at the end column's free vertices, with levels
+    ``chain_levels``; ``n`` is the number of interior columns.  The rest
+    are the operands of ``levels`` that do not depend on E:
+    ``decay_levels``, the end column's levels and then chain_levels[1:];
+    ``signs``, the rows t_m = s p_m of the even and the odd sector (p_m
+    the modes' reflection parities; +1 where mode m's chain ends combine
+    as a sum); ``rest_modes`` = chain_modes[:, 1:] and ``rest_modes_t``,
+    its transposed view; and ``last_row``, the bordered matrix's last row
+    (p_0, BORDER_CORNER).
     """
 
     hx: float
     n: int
     modes: np.ndarray
-    levels: np.ndarray
     chain_modes: np.ndarray
     chain_levels: np.ndarray
-    parity: np.ndarray
+    decay_levels: np.ndarray
+    signs: np.ndarray
+    rest_modes: np.ndarray
+    rest_modes_t: np.ndarray
+    last_row: np.ndarray
 
     @classmethod
     def build(cls, model: ModelKind, geometry: Geometry, grid: FdmGrid) -> "EndColumns":
@@ -249,44 +277,72 @@ class EndColumns:
         if grid.hx**2 * levels[0] >= 4.0:
             raise ValueError(f"hx = {grid.hx} is too coarse for the threshold")
         chain_levels, chain_modes = _cosine_modes(grid)
-        return cls(grid.hx, grid.nx - 1, modes, levels, chain_modes[free],
-                   chain_levels, model.parity(grid.ny + 1))
+        chain_modes = chain_modes[free]
+        rest_modes = chain_modes[:, 1:]
+        return cls(grid.hx, grid.nx - 1, modes, chain_modes, chain_levels,
+                   np.concatenate([levels, chain_levels[1:]]),
+                   np.outer(SECTORS, model.parity(grid.ny + 1)), rest_modes,
+                   rest_modes.T, np.append(chain_modes[:, 0], BORDER_CORNER))
+
+    @property
+    def end_levels(self) -> np.ndarray:
+        """Levels t_j of the end column's transverse operator, ascending."""
+        return self.decay_levels[: self.modes.shape[1]]
 
     @property
     def threshold(self) -> float:
         """mu_h, the bottom of the ends' continuum."""
-        return float(self.levels[0])
+        return float(self.decay_levels[0])
 
-    def _signs(self, sector: int) -> np.ndarray:
-        """t_m = s p_m: +1 where mode m's chain ends combine as a sum."""
-        if sector not in SECTORS:
-            raise ValueError(f"sector must be one of {SECTORS}")
-        return sector * self.parity
+    def levels(self, E, sectors) -> list:
+        """phi_s(E)/pi, less 1/2 in the odd sector, of each lane (E[i],
+        sectors[i]): state k (0-based) of the sector sits at k.  Every
+        energy must lie in (0, mu_h], and a bad lane raises ValueError
+        before any lane is computed.
+
+        The lanes' elementwise work shares one (lanes, modes) array; their
+        two products are written into stacks of bordered matrices of at
+        most LEVEL_STACK_DOUBLES, and one factorization factors each
+        stack; each lane's g = z.z is one dot product of its factor's last
+        row, and its phase is finished in scalar form.  Every operation
+        acts on each lane as on a lone matrix, so a lane's level does not
+        depend on the lanes stacked with it.
+        """
+        mu_h = self.threshold
+        for energy in E:
+            if not (0.0 < energy <= mu_h):
+                raise ValueError(f"energy {energy} is outside (0, {mu_h}]")
+        for sector in sectors:
+            if sector not in SECTORS:
+                raise ValueError(f"sector must be one of {SECTORS}")
+        t = self.signs[[SECTORS.index(sector) for sector in sectors], 1:]
+        n, hx, size = self.n, self.hx, self.modes.shape[1]
+        q = _decay(self.decay_levels, hx, np.array(E, dtype=float)[:, None])
+        rho = 1.0 / (1.0 + q[:, size:])
+        r = (rho + t * rho**n) / (1.0 + t * rho ** (n + 1))
+        gs = []  # z.z of each lane
+        stack = max(1, LEVEL_STACK_DOUBLES // (size + 1) ** 2)
+        for start in range(0, len(t), stack):
+            lanes = slice(start, start + stack)
+            bordered = np.empty((len(t[lanes]), size + 1, size + 1))
+            rest = bordered[:, :size, :size]
+            np.matmul(self.modes * (1.0 + q[lanes, None, :size]), self.modes.T, out=rest)
+            rest -= (self.rest_modes * r[lanes, None, :]) @ self.rest_modes_t
+            bordered[:, size] = self.last_row
+            bordered[:, :size, size] = self.last_row[:size]
+            z = np.linalg.cholesky(bordered)[:, size, :size]
+            gs += np.matmul(z[:, None], z[:, :, None]).ravel().tolist()
+        levels = []
+        for energy, sector, g in zip(E, sectors, gs):
+            theta = 2.0 * math.asin(0.5 * hx * math.sqrt(energy))
+            phase = 0.5 * (n + 1) * theta - math.atan2(1.0 - g * math.cos(theta),
+                                                       g * math.sin(theta))
+            levels.append(phase / math.pi - (1 - sector) / 4)
+        return levels
 
     def level(self, energy: float, sector: int) -> float:
-        """phi_s(E)/pi, less 1/2 in the odd sector: state k (0-based) sits
-        at k; ``energy`` must lie in (0, mu_h]."""
-        t = self._signs(sector)[1:]
-        if not (0.0 < energy <= self.threshold):
-            raise ValueError(f"energy {energy} is outside (0, {self.threshold}]")
-        n, hx = self.n, self.hx
-        rho = 1.0 / (1.0 + _decay(self.chain_levels[1:], hx, energy))
-        r = (rho + t * rho**n) / (1.0 + t * rho ** (n + 1))
-        rest = ((self.modes * (1.0 + _decay(self.levels, hx, energy))) @ self.modes.T
-                - (self.chain_modes[:, 1:] * r) @ self.chain_modes[:, 1:].T)
-        z = bordered_cholesky(rest, self.chain_modes[:, 0])[-1, :-1]
-        g = z @ z
-        theta = 2.0 * math.asin(0.5 * hx * math.sqrt(energy))
-        phase = 0.5 * (n + 1) * theta - math.atan2(1.0 - g * math.cos(theta),
-                                                   g * math.sin(theta))
-        return phase / math.pi - (1 - sector) / 4
-
-    def states(self, sector: int):
-        """Yield the sector's bound states, ascending: the roots in
-        (WINDOW_LO_FRAC * mu_h, mu_h] to ROOT_FRAC * mu_h."""
-        mu_h = self.threshold
-        return (E for _, E in level_roots(lambda E: self.level(E, sector),
-                                          WINDOW_LO_FRAC * mu_h, mu_h, ROOT_FRAC * mu_h))
+        """The level of one sector at ``energy``: one lane of ``levels``."""
+        return self.levels([energy], [sector])[0]
 
 
 def bound_spectra(model: ModelKind, geometry: Geometry, h_list, count: int):
@@ -295,9 +351,12 @@ def bound_spectra(model: ModelKind, geometry: Geometry, h_list, count: int):
     even (A(E) has nonpositive off-diagonals and a connected graph, so by
     Perron-Frobenius its lowest state is simple and positive), so these
     are among the even sector's ``count`` and the odd sector's
-    ``count - 1`` lowest.  A count below 1,
-    fewer than three spacings or ones not in a fixed decreasing ratio
-    raise before any grid is built.
+    ``count - 1`` lowest: each is the capped Brent chain
+    ``roots.level_steps`` on (WINDOW_LO_FRAC * mu_h, mu_h] to
+    ROOT_FRAC * mu_h, a sector capped at 0 runs none, and the grid's
+    chains advance in ``roots.lockstep``, one stacked ``levels`` call per
+    round.  A count below 1, fewer than three spacings or ones not in a
+    fixed decreasing ratio raise before any grid is built.
     """
     if count < 1:
         raise ValueError("branch must be at least 1")
@@ -310,11 +369,15 @@ def bound_spectra(model: ModelKind, geometry: Geometry, h_list, count: int):
     if ratios[0] <= 1.0:
         raise ValueError("grid spacings must decrease")
 
+    sectors, caps = zip(*((s, cap) for s, cap in zip(SECTORS, (count, count - 1)) if cap))
     for hy in hs:
         ends = EndColumns.build(model, geometry, FdmGrid.from_spacing(geometry, hy))
-        found = sorted(E for s, k in zip(SECTORS, (count, count - 1))
-                       for E in islice(ends.states(s), k))
-        yield hy, found[:count]
+        mu_h = ends.threshold
+        chains = [level_steps(WINDOW_LO_FRAC * mu_h, mu_h, ROOT_FRAC * mu_h, cap)
+                  for cap in caps]
+        roots, _ = lockstep(chains, lambda indices, points: ends.levels(
+            points, [sectors[i] for i in indices]))
+        yield hy, sorted(E for chain in roots for _, E in chain)[:count]
 
 
 def richardson(spacings, values) -> tuple[float, float]:

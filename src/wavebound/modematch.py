@@ -42,13 +42,12 @@ the junction phase at state k = 0, 1, ... of the sector,
 
 phi_s rises from -pi/2 at E = 0 and is finite at mu, so k is the state's
 count certificate and the count at or below E is a closed form in
-phi_s(E).  The Cholesky factor of R_s bordered by o (as
-``roots.bordered_cholesky`` builds it) gives g_s, and one
-back-substitution in the same factor the null vector.  ``sector_phase``
-is a stacked kernel: it takes lanes (E, delta, sector) at one N, writes
-every lane's R_s into one stack of bordered matrices with one matrix
-product and factors the stack with one call, so a call costs little
-more than its arithmetic.  The operands of R_s that do not depend on E
+phi_s(E).  The Cholesky factor of R_s bordered by o and
+``roots.BORDER_CORNER`` gives g_s, and one back-substitution in the same
+factor the null vector.  ``sector_phase`` is a stacked kernel: it takes
+lanes (E, delta, sector) at one N, writes every lane's R_s into one
+stack of bordered matrices with one matrix product and factors the
+stack with one call, so a call costs little more than its arithmetic.  The operands of R_s that do not depend on E
 (O[:, 1:] and o, the squares (nu_k pi)^2 and (m pi)^2, and the sectors'
 center masks) are memoised per tail family, N and mask.  Each
 eigenvalue keeps the sector it was found in (``Spectrum.sectors``), and
@@ -132,6 +131,13 @@ _LEVEL_SLACK = 1e-12
 
 #: largest truncation N per region
 MAX_MODES = 256
+
+#: reach at which ``evaluate_field`` clips a tail point's distance |x| - delta
+#: from its switch point.  Every kappa_k is 0 or at least 2e-8 (kappa_0^2 =
+#: (pi/2)^2 - E is 0 or a multiple of the float spacing near mu), so
+#: exp(-kappa_k * TAIL_REACH) underflows to 0 as at any point farther out,
+#: and kappa_k * TAIL_REACH stays finite (kappa_k < 810 for N <= MAX_MODES)
+TAIL_REACH = 1e300
 
 #: doubles of bordered matrices that one stacked factorization of
 #: ``sector_phase`` holds, max(1, PHASE_STACK_DOUBLES // (N + 1)^2) lanes (3
@@ -820,9 +826,9 @@ def evaluate_field(field: EigenField, xs, ys) -> np.ndarray:
     right = xs > delta
     center = ~(left | right)
     out = np.empty((xs.size, ys.size))
-    tails = np.exp(kappa * (xs[left, None] + delta))  # decaying
+    tails = np.exp(kappa * np.maximum(xs[left, None] + delta, -TAIL_REACH))  # decaying
     out[left] = (field.a * tails) @ profile_values(field.model.tails[0], N, ys)
-    tails = np.exp(-kappa * (xs[right, None] - delta))
+    tails = np.exp(-kappa * np.minimum(xs[right, None] - delta, TAIL_REACH))
     out[right] = (field.b * tails) @ profile_values(field.model.tails[1], N, ys)
     f = _center_factors(field, xs[center])
     longi = field.alpha[:, None] * f[0] + field.beta[:, None] * f[1]

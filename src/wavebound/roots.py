@@ -6,16 +6,17 @@ its matching matrix, ``fdm_oracle`` from its end columns).  State k
 (0-based) sits where the level crosses k, so the count at or below E is
 floor(level(E)) + 1 and k is each state's count certificate.
 
-Both levels rest on g = o^T R^-1 o > 0 for a positive definite R;
-``bordered_cholesky`` gives it from one factorization, and
-``brent_steps`` is the bracketing root finder: Brent's method
-(Algorithms for Minimization without Derivatives, 1973, ch. 4) in the
-widely used C ``brentq`` form, step for step.  It is a coroutine that
-yields each point it needs and is sent the value there, as is
-``level_steps``, the chain of a sector's roots.  ``brent`` and
-``level_roots`` drive them with a scalar function; ``lockstep`` advances
+Both levels rest on g = o^T R^-1 o > 0 for a positive definite R, read
+from the last row of the Cholesky factor of R bordered by o and
+BORDER_CORNER.  ``brent_steps`` is the bracketing root finder: Brent's
+method (Algorithms for Minimization without Derivatives, 1973, ch. 4)
+in the widely used C ``brentq`` form, step for step.  It is a coroutine
+that yields each point it needs and is sent the value there, as is
+``level_steps``, the chain of a sector's roots.  ``brent`` drives one
+with a scalar function and ``drive`` any of them; ``lockstep`` advances
 many chains together, so that the points of one round can be evaluated
-in one stacked call (``modematch.sector_phase``).
+in one stacked call (``modematch.sector_phase``,
+``fdm_oracle.EndColumns.levels``).
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
-__all__ = ["bordered_cholesky", "brent", "brent_steps", "drive", "level_roots",
-           "level_steps", "lockstep"]
+__all__ = ["brent", "brent_steps", "drive", "level_steps", "lockstep"]
 
 #: corner of the bordered matrix: any value above o^T R^-1 o keeps it
 #: positive definite, and only the factor's corner entry depends on it
@@ -35,21 +33,6 @@ BORDER_CORNER = 1e300
 #: relative part of brent's tolerance, 4 eps, and its iteration limit
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
-
-
-def bordered_cholesky(R: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of [[R, o], [o^T, BORDER_CORNER]].
-
-    Its last row is ((L_R^-1 o)^T, *), with L_R = L[:-1, :-1] the factor
-    of R, so g = o^T R^-1 o is the squared norm of L[-1, :-1].  A matrix
-    R that is not positive definite raises numpy.linalg.LinAlgError.
-    """
-    n = o.size
-    bordered = np.empty((n + 1, n + 1))
-    bordered[:n, :n] = R
-    bordered[:n, n] = bordered[n, :n] = o
-    bordered[n, n] = BORDER_CORNER
-    return np.linalg.cholesky(bordered)
 
 
 def brent_steps(a: float, b: float, xtol: float, target: float = 0.0):
@@ -120,11 +103,14 @@ def _number(x: float, fx: float) -> float:
     return fx
 
 
-def level_steps(lo: float, hi: float, xtol: float):
-    """Coroutine of ``level_roots``: yields each E at which it needs the
-    level, is sent level(E), and returns the list of (k, E), ascending."""
+def level_steps(lo: float, hi: float, xtol: float, cap: int | None = None):
+    """Coroutine of a sector's roots: yields each E at which it needs the
+    level, is sent level(E), and returns the list of (k, E), ascending:
+    for each integer k in (level(lo), level(hi)], the lowest ``cap`` of
+    them (all when cap is None), the Brent root E of level - k on
+    [previous root, hi] to ``xtol``, starting from ``lo``."""
     roots = []
-    for k in range(math.floor((yield lo)) + 1, math.floor((yield hi)) + 1):
+    for k in range(math.floor((yield lo)) + 1, math.floor((yield hi)) + 1)[:cap]:
         lo = yield from brent_steps(lo, hi, xtol, k)
         roots.append((k, lo))
     return roots
@@ -143,17 +129,6 @@ def drive(steps, f):
 def brent(f, a: float, b: float, xtol: float) -> float:
     """Root of f in the bracket [a, b]: ``brent_steps`` driven by f."""
     return drive(brent_steps(a, b, xtol), f)
-
-
-def level_roots(level, lo: float, hi: float, xtol: float):
-    """Yield (k, E), ascending: for each integer k in (level(lo),
-    level(hi)], the Brent root E of level - k on [previous root, hi] to
-    ``xtol``, starting from ``lo``: the steps of ``level_steps``, driven
-    by level one root at a time, so a caller that stops early evaluates
-    no further."""
-    for k in range(math.floor(level(lo)) + 1, math.floor(level(hi)) + 1):
-        lo = drive(brent_steps(lo, hi, xtol, k), level)
-        yield k, lo
 
 
 def lockstep(chains, evaluate) -> tuple[list, list]:

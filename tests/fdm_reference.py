@@ -16,20 +16,38 @@ r, the sector's chain eigenvalues sigma_m + (2 - 2 cos(k pi/(n+1)))/hx^2
 with (-1)^(k+1) p_m = s, so by the inertia of the Schur complement the
 sector's count below E is neg(T_s(E)) plus the poles below E (Wittrick &
 Williams, Q. J. Mech. Appl. Math. 24 (1971) 263).  The junction phase
-``EndColumns.level`` must reproduce that count.
+``EndColumns.levels`` must reproduce that count.
+
+``level`` is that junction phase one energy at a time, as the oracle
+computed it before its lanes were stacked, and ``bound_spectra`` the
+oracle's pass on that scalar level: each sector's lazy root loop cut by
+``islice``.  The stacked kernel and the lockstep pass must equal them
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh
 from scipy.sparse.linalg import eigsh
 
-from wavebound.fdm_oracle import EndColumns, FdmGrid, _decay, _row_lengths, dirichlet_mask
+from roots_reference import bordered_cholesky, level_roots
+from wavebound.fdm_oracle import (
+    ROOT_FRAC,
+    SECTORS,
+    WINDOW_LO_FRAC,
+    EndColumns,
+    FdmGrid,
+    _decay,
+    _row_lengths,
+    dirichlet_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -127,20 +145,24 @@ def _assemble(grid: FdmGrid, index: np.ndarray) -> sp.csr_matrix:
     return (upper + upper.T + sp.diags(diag)).tocsr()
 
 
-def _ends(grid: FdmGrid, index: np.ndarray) -> tuple[TransparentEnd, ...]:
-    """Transparent ends of the end columns that carry unknowns."""
-    ly = _row_lengths(grid)
+def end_operator(grid: FdmGrid, free: np.ndarray) -> np.ndarray:
+    """A column's lumped-mass transverse operator Ly^(-1/2) Ty Ly^(-1/2)
+    on its ``free`` vertices, from the column's edges: each vertical edge
+    of weight 1/hy adds to the diagonal at both its ends."""
     w = np.full(grid.ny, 1.0 / grid.hy)
     stiffness = np.diag(np.r_[w, 0.0] + np.r_[0.0, w]) - np.diag(w, 1) - np.diag(w, -1)
+    scale = 1.0 / np.sqrt(_row_lengths(grid)[free])
+    return scale[:, None] * stiffness[np.ix_(free, free)] * scale[None, :]
+
+
+def _ends(grid: FdmGrid, index: np.ndarray) -> tuple[TransparentEnd, ...]:
+    """Transparent ends of the end columns that carry unknowns."""
     ends = []
     for i in (0, grid.nx):
         free = index[i] >= 0
         if not free.any():
             continue
-        scale = 1.0 / np.sqrt(ly[free])
-        levels, modes = np.linalg.eigh(
-            scale[:, None] * stiffness[np.ix_(free, free)] * scale[None, :]
-        )
+        levels, modes = np.linalg.eigh(end_operator(grid, free))
         ends.append(TransparentEnd(index[i, free], modes, levels))
     return tuple(ends)
 
@@ -182,6 +204,13 @@ def count_below(operator: FdmOperator, energy: float) -> int:
         k *= 2
 
 
+def signs(ends: EndColumns, sector: int) -> np.ndarray:
+    """The sector's t_m = s p_m, m >= 0."""
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}")
+    return ends.signs[SECTORS.index(sector)]
+
+
 def _theta(ends: EndColumns, energy: float) -> np.ndarray:
     """theta_m = arccos(a_m / 2), from 2 - a_m = 4 sin^2(theta_m / 2)
     without rounding a_m; 0 where a_m >= 2."""
@@ -191,7 +220,7 @@ def _theta(ends: EndColumns, energy: float) -> np.ndarray:
 
 def sector_matrix(ends: EndColumns, energy: float, sector: int) -> np.ndarray:
     """T_s(E) of one parity sector; ``energy`` must not exceed mu_h."""
-    t = ends._signs(sector)
+    t = signs(ends, sector)
     if energy > ends.threshold:
         raise ValueError(f"energy {energy} is above the threshold {ends.threshold}")
     n = ends.n
@@ -204,7 +233,7 @@ def sector_matrix(ends: EndColumns, energy: float, sector: int) -> np.ndarray:
     rho = 1.0 / (1.0 + _decay(ends.chain_levels[decay], ends.hx, energy))
     td = t[decay]
     r[decay] = (rho + td * rho**n) / (1.0 + td * rho ** (n + 1))
-    q = _decay(ends.levels, ends.hx, energy)
+    q = _decay(ends.end_levels, ends.hx, energy)
     end = (ends.modes * (1.0 + q)) @ ends.modes.T
     chain = (ends.chain_modes * r) @ ends.chain_modes.T
     return (end - chain) / ends.hx**2
@@ -213,7 +242,7 @@ def sector_matrix(ends: EndColumns, energy: float, sector: int) -> np.ndarray:
 def chain_poles(ends: EndColumns, energy: float, sector: int) -> int:
     """The sector's chain eigenvalues below ``energy``: in mode m, the
     k >= 1 with k < (n+1) theta_m / pi and (-1)^(k+1) = s p_m."""
-    odd = ends._signs(sector) > 0
+    odd = signs(ends, sector) > 0
     below = np.maximum(np.ceil((ends.n + 1) * _theta(ends, energy) / math.pi) - 1, 0)
     return int(np.sum(np.where(odd, (below + 1) // 2, below // 2)))
 
@@ -222,3 +251,44 @@ def sector_count(ends: EndColumns, energy: float, sector: int) -> int:
     """neg(T_s(E)) plus the sector's chain poles below E."""
     w = eigvalsh(sector_matrix(ends, energy, sector), check_finite=False)
     return int(np.count_nonzero(w < 0.0)) + chain_poles(ends, energy, sector)
+
+
+def level(ends: EndColumns, energy: float, sector: int) -> float:
+    """phi_s(E)/pi, less 1/2 in the odd sector, of one energy: one
+    matrix, one bordered factorization."""
+    t = signs(ends, sector)[1:]
+    if not (0.0 < energy <= ends.threshold):
+        raise ValueError(f"energy {energy} is outside (0, {ends.threshold}]")
+    n, hx = ends.n, ends.hx
+    rho = 1.0 / (1.0 + _decay(ends.chain_levels[1:], hx, energy))
+    r = (rho + t * rho**n) / (1.0 + t * rho ** (n + 1))
+    rest = ((ends.modes * (1.0 + _decay(ends.end_levels, hx, energy))) @ ends.modes.T
+            - (ends.chain_modes[:, 1:] * r) @ ends.chain_modes[:, 1:].T)
+    z = bordered_cholesky(rest, ends.chain_modes[:, 0])[-1, :-1]
+    g = z @ z
+    theta = 2.0 * math.asin(0.5 * hx * math.sqrt(energy))
+    phase = 0.5 * (n + 1) * theta - math.atan2(1.0 - g * math.cos(theta),
+                                               g * math.sin(theta))
+    return phase / math.pi - (1 - sector) / 4
+
+
+def states(ends: EndColumns, sector: int, evaluate=level):
+    """Yield the sector's bound states, ascending, from the junction
+    level evaluate(ends, E, sector): the roots in
+    (WINDOW_LO_FRAC * mu_h, mu_h] to ROOT_FRAC * mu_h."""
+    mu_h = ends.threshold
+    return (E for _, E in level_roots(partial(evaluate, ends, sector=sector),
+                                      WINDOW_LO_FRAC * mu_h, mu_h, ROOT_FRAC * mu_h))
+
+
+def bound_spectra(model, geometry, h_list, count: int):
+    """(h, states) of each grid, coarsest first: the even sector's
+    ``count`` and the odd sector's ``count - 1`` lowest states, merged
+    and cut to ``count``."""
+    spectra = []
+    for hy in sorted(h_list, reverse=True):
+        ends = EndColumns.build(model, geometry, FdmGrid.from_spacing(geometry, hy))
+        found = sorted(E for s, k in zip(SECTORS, (count, count - 1))
+                       for E in islice(states(ends, s), k))
+        spectra.append((hy, found[:count]))
+    return spectra

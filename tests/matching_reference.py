@@ -25,9 +25,9 @@ import math
 import numpy as np
 from scipy.linalg import eigvalsh
 
+from roots_reference import bordered_cholesky
 from wavebound import modematch as mm
 from wavebound.geometry import SECTORS, Geometry, ModelKind, overlap_matrix
-from wavebound.roots import bordered_cholesky
 
 
 def sector_matrix(

@@ -30,6 +30,15 @@ def run(argv, capsys=None):
     return code
 
 
+def run_module(argv):
+    """``python -m wavebound.cli`` in a fresh process, as from a shell."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "wavebound.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "# wavebound-csv v4"
@@ -412,6 +421,16 @@ class TestFieldCommand:
                 tracemalloc.stop()
         assert peak <= 8e6
 
+    def test_far_grid_is_silent(self, tmp_path):
+        """A half-width whose product with the fastest tail rate would
+        overflow writes its zero densities with nothing on stderr."""
+        out = tmp_path / "far.csv"
+        proc = run_module(["field", "--model", "A", "--lambda", "0.5", "--nx", "2",
+                           "--ny", "2", "--x-halfwidth", "8e307", "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, rows = read_csv(out)
+        assert [float(r["density"]) for r in rows] == [0.0] * 4
+
     def test_bad_grid_args(self, capsys):
         assert run(["field", "--model", "A", "--lambda", "0.5", "--nx", "1"]) == 2
         for width in ("-1", "nan", "inf", "1e308"):
@@ -606,16 +625,16 @@ class TestOracleCommand:
 
     def test_one_pass_for_all_branches(self, monkeypatch):
         """Without --branch each default grid is solved once for both of
-        B's branches at lambda = 1.5 (measured 66 junction-level
-        evaluations)."""
+        B's branches at lambda = 1.5 (measured 54 junction-level lanes;
+        one evaluation per lane, the scalar loop took 66)."""
         calls = []
-        real = cli.fo.EndColumns.level
+        real = cli.fo.EndColumns.levels
 
-        def counted(ends, energy, sector):
-            calls.append(energy)
-            return real(ends, energy, sector)
+        def counted(ends, energies, sectors):
+            calls.extend(energies)
+            return real(ends, energies, sectors)
 
-        monkeypatch.setattr(cli.fo.EndColumns, "level", counted)
+        monkeypatch.setattr(cli.fo.EndColumns, "levels", counted)
         assert run(["oracle", "--model", "B", "--lambda", "1.5"]) == 0
         assert 0 < len(calls) <= 85
 
@@ -644,13 +663,7 @@ class TestModuleEntryPoint:
     ], ids=["ok", "bad-config", "missing-branch"])
     def test_exit_code_reaches_the_shell(self, argv, code):
         """``python -m wavebound.cli`` exits with the code main returns."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "wavebound.cli", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+        proc = run_module(argv)
         assert proc.returncode == code, proc.stderr
 
 

@@ -56,10 +56,30 @@ def reduced(model, lam, grid) -> fo.EndColumns:
     return fo.EndColumns.build(model, Geometry.from_lambda(lam), grid)
 
 
+def states(ends, sector):
+    """The sector's bound states, ascending, from the oracle's junction
+    level (``EndColumns.level``)."""
+    return list(ref.states(ends, sector, fo.EndColumns.level))
+
+
 def sector_states(model, lam, grid):
     """Each sector's bound states on ``grid``, from the reduction."""
     ends = reduced(model, lam, grid)
-    return {s: list(ends.states(s)) for s in fo.SECTORS}
+    return {s: states(ends, s) for s in fo.SECTORS}
+
+
+def recorded_levels(monkeypatch):
+    """Record each ``EndColumns.levels`` call as (its EndColumns, its
+    lanes' sectors)."""
+    calls = []
+    real = fo.EndColumns.levels
+
+    def counted(ends, energies, sectors):
+        calls.append((ends, list(sectors)))
+        return real(ends, energies, sectors)
+
+    monkeypatch.setattr(fo.EndColumns, "levels", counted)
+    return calls
 
 
 def sector_count(ends, energy, sector):
@@ -127,8 +147,8 @@ def split(request):
     model, lam, ny = request.param
     grid = fo.FdmGrid.from_spacing(Geometry.from_lambda(lam), 1.0 / ny)
     ends = reduced(model, lam, grid)
-    states = {s: list(ends.states(s)) for s in fo.SECTORS}
-    return model, ref.build(model, Geometry.from_lambda(lam), grid), ends, states
+    return (model, ref.build(model, Geometry.from_lambda(lam), grid), ends,
+            {s: states(ends, s) for s in fo.SECTORS})
 
 
 class TestGrid:
@@ -300,9 +320,9 @@ class TestReduction:
             ends = fo.EndColumns.build(model, geometry, grid)
             full = ref.build(model, geometry, grid)
             assert_counts_match(ends, full)
-            states = sorted(E for s in fo.SECTORS for E in ends.states(s))
-            assert len(states) == ref.count_below(full, full.threshold)
-            assert_roots_of(full, states)
+            merged = sorted(E for s in fo.SECTORS for E in states(ends, s))
+            assert len(merged) == ref.count_below(full, full.threshold)
+            assert_roots_of(full, merged)
 
 
 class TestPhaseCount:
@@ -339,7 +359,7 @@ class TestPhaseCount:
                 ends = fo.EndColumns.build(model, geometry,
                                            fo.FdmGrid.from_spacing(geometry, 1.0 / ny))
                 for s in fo.SECTORS:
-                    for energy in ends.states(s):
+                    for energy in states(ends, s):
                         w = np.abs(np.linalg.eigvalsh(ref.sector_matrix(ends, energy, s)))
                         assert w.min() <= 1e-12 * w.max()
 
@@ -354,6 +374,79 @@ class TestPhaseCount:
             assert np.all(np.diff(levels) > 0.0)
         # phi_s rises from -pi/2 at E = 0, so no state lies below the window
         assert -0.5 < ends.level(fo.WINDOW_LO_FRAC * ends.threshold, 1) < 0.0
+
+
+class TestLevels:
+    """The stacked kernel ``EndColumns.levels``: every lane equals the
+    scalar reference ``fdm_reference.level`` bit for bit, whatever it is
+    stacked with, and a bad lane is refused before any work."""
+
+    GRIDS = (1.0 / 8, 1.0 / 16, 1.0 / 32, 1.0 / 40) + COARSE
+
+    @staticmethod
+    def lanes(ends, seed):
+        """Every energy of ``TestPhaseCount.FRACS`` (up to mu_h itself) in
+        both sectors, shuffled."""
+        energies = [float(f) * ends.threshold for f in TestPhaseCount.FRACS]
+        lanes = [(E, s) for E in energies for s in fo.SECTORS]
+        order = np.random.default_rng(seed).permutation(len(lanes))
+        return [lanes[i][0] for i in order], [lanes[i][1] for i in order]
+
+    @pytest.mark.parametrize("model,lam", [(ModelKind.A, 0.5), (ModelKind.A, 2.5),
+                                           (ModelKind.B, 1.5)],
+                             ids=["A-0.5", "A-2.5", "B-1.5"])
+    def test_lanes_equal_the_scalar_level(self, model, lam):
+        """124 lanes in one call: one stack up to 1/32, stacks split by
+        LEVEL_STACK_DOUBLES from 1/20 on (37, 9 and 2 lanes at 1/20, 1/40
+        and 1/80)."""
+        geometry = Geometry.from_lambda(lam)
+        for seed, hy in enumerate(self.GRIDS):
+            ends = fo.EndColumns.build(model, geometry, fo.FdmGrid.from_spacing(geometry, hy))
+            energies, sectors = self.lanes(ends, seed)
+            assert energies.count(ends.threshold) == 2
+            stacked = ends.levels(energies, sectors)
+            assert stacked == [ref.level(ends, E, s) for E, s in zip(energies, sectors)]
+            assert stacked == [ends.level(E, s) for E, s in zip(energies, sectors)]
+            assert stacked[:3] == ends.levels(energies[:3], sectors[:3])
+
+    def test_bad_lane_refused_before_any_factorization(self, monkeypatch):
+        geometry = Geometry.from_lambda(0.5)
+        ends = fo.EndColumns.build(ModelKind.A, geometry,
+                                   fo.FdmGrid.from_spacing(geometry, 1.0 / 16))
+        mu_h = ends.threshold
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("a stack was factored")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
+        good = ([0.5 * mu_h, mu_h], [1, -1])
+        for energy, sector in ((mu_h * (1.0 + 1e-9), 1), (0.0, -1), (math.nan, 1),
+                               (0.5 * mu_h, 0), (0.5 * mu_h, 2)):
+            with pytest.raises(ValueError):
+                ends.levels(good[0] + [energy], good[1] + [sector])
+
+    @pytest.mark.parametrize("ny", [2, 8, 21, 80])
+    def test_end_operator_is_the_edge_assembly(self, monkeypatch, ny):
+        """``_end_modes`` hands eigh, bit for bit, the operator the
+        column's edges assemble, for either wall vertex fixed, for an
+        interior vertex fixed and for none."""
+        grid = fo.FdmGrid(L=1.0, nx=4, ny=ny)
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recorded(matrix):
+            seen.append(matrix.copy())
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        for fixed in (0, ny, ny // 2, None):
+            free = np.ones(ny + 1, dtype=bool)
+            if fixed is not None:
+                free[fixed] = False
+            fo._end_modes(grid, free)
+            expected = ref.end_operator(grid, free)
+            assert seen[-1].shape == expected.shape
+            assert seen[-1].tobytes() == expected.tobytes()
 
 
 class TestTransparentEnds:
@@ -406,9 +499,9 @@ class TestTransparentEnds:
         chain = 4.0 / hy**2 * np.sin(np.arange(ny + 1) * math.pi * hy / 2) ** 2
         for model, lam in ((ModelKind.A, 0.5), (ModelKind.B, 1.5)):
             ends = reduced(model, lam, fo.FdmGrid.from_spacing(Geometry.from_lambda(lam), hy))
-            assert np.allclose(ends.levels, exact, rtol=1e-12, atol=0.0)
+            assert np.allclose(ends.end_levels, exact, rtol=1e-12, atol=0.0)
             assert np.allclose(ends.chain_levels, chain, rtol=1e-12, atol=1e-9)
-            assert ends.threshold == ends.levels[0] < MU
+            assert ends.threshold == ends.end_levels[0] < MU
 
     def test_energy_above_threshold_rejected(self):
         ends = reduced(ModelKind.A, 0.5,
@@ -483,19 +576,51 @@ class TestExtrapolate:
         (ModelKind.B, 1.5, 2, 71),
     ])
     def test_evaluation_budget(self, monkeypatch, model, lam, branch, budget):
-        """Junction-level evaluations per extrapolation of the benchmark's
+        """Junction-level lanes per extrapolation of the benchmark's
         oracle operations: per grid and sector, the window's two ends and
-        a few Brent steps per state (measured 33, 33 and 65)."""
-        calls = []
-        real = fo.EndColumns.level
-
-        def counted(ends, energy, sector):
-            calls.append(energy)
-            return real(ends, energy, sector)
-
-        monkeypatch.setattr(fo.EndColumns, "level", counted)
+        a few Brent steps per state (measured 27, 27 and 53; one lane per
+        evaluation of the scalar loop took 33, 33 and 65).  Each grid
+        takes one stacked call per round: no call holds two lanes of one
+        sector's chain, and a grid takes as many calls as its longest
+        chain has lanes."""
+        calls = recorded_levels(monkeypatch)
         fo.extrapolate(model, Geometry.from_lambda(lam), h_list=BENCH_H, branch=branch)
-        assert 0 < len(calls) <= budget
+        assert 0 < sum(len(sectors) for _, sectors in calls) <= budget
+        grids = {id(ends): [] for ends, _ in calls}
+        for ends, sectors in calls:
+            assert len(set(sectors)) == len(sectors)
+            grids[id(ends)].append(sectors)
+        assert len(grids) == len(BENCH_H)
+        for grid_calls in grids.values():
+            lanes = [s for sectors in grid_calls for s in sectors]
+            assert len(grid_calls) == max(lanes.count(s) for s in fo.SECTORS)
+
+    def test_capped_chain_budget(self, monkeypatch):
+        """Branch 1 at lambda = 20, where every grid binds 20 states,
+        stops each grid's even chain at its first root and runs no odd
+        chain: no more lanes than the scalar loop cut by islice
+        evaluated (33; measured 27)."""
+        calls = recorded_levels(monkeypatch)
+        fo.extrapolate(ModelKind.A, Geometry.from_lambda(20.0), h_list=COARSE, branch=1)
+        lanes = [s for _, sectors in calls for s in sectors]
+        assert set(lanes) == {1}
+        assert 0 < len(lanes) <= 33
+
+    @pytest.mark.parametrize("model,lam,count", [
+        (ModelKind.A, 0.5, 1),
+        (ModelKind.B, 1.5, 1),
+        (ModelKind.B, 1.5, 2),
+        (ModelKind.A, 2.5, 3),
+    ])
+    def test_pass_equals_the_scalar_loop(self, model, lam, count):
+        """The lockstep pass gives, bit for bit, the states of each
+        sector's lazy root loop on the scalar reference level cut by
+        islice, and so the benchmark's extrapolations (the first three)."""
+        geometry = Geometry.from_lambda(lam)
+        expected = ref.bound_spectra(model, geometry, BENCH_H, count)
+        assert list(fo.bound_spectra(model, geometry, BENCH_H, count)) == expected
+        assert fo.extrapolate(model, geometry, h_list=BENCH_H, branch=count) == fo.richardson(
+            [h for h, _ in expected], [states[count - 1] for _, states in expected])
 
     @pytest.mark.parametrize("model,lam,branches", [
         (ModelKind.B, 1.5, 2),

@@ -22,15 +22,16 @@ from scipy.linalg import svdvals
 
 import field_reference
 import matching_reference as ref
+from roots_reference import level_roots
 from wavebound import modematch as mm
 from wavebound.bounds import state_count_bounds
-from wavebound.roots import drive, level_roots
 from wavebound.geometry import (
     Geometry,
     ModelKind,
     ProfileKind,
     overlap_matrix,
 )
+from wavebound.roots import drive
 
 MU = math.pi**2 / 4.0
 

@@ -1,18 +1,21 @@
 """Tests for the root finder both solvers share.
 
 Oracle: ``scipy.optimize.brentq``, the reference implementation of the
-same algorithm.  ``roots.brent`` must agree with it bit for bit: the
-same root and the same sequence of evaluation points, on the solvers'
-real junction levels and on random brackets, and the same exceptions.
+same algorithm.  ``roots.brent`` and the chain ``roots.level_steps``
+must agree with it bit for bit: the same root and the same sequence of
+evaluation points, on the solvers' real junction levels and on random
+brackets, and the same exceptions.
 """
 
 import math
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from roots_reference import bordered_cholesky, level_roots
 from wavebound import modematch as mm
 from wavebound import roots
 from wavebound.fdm_oracle import ROOT_FRAC, WINDOW_LO_FRAC, EndColumns, FdmGrid
@@ -39,8 +42,13 @@ def both(f, a, b, xtol):
     return out
 
 
+def chain_roots(level, lo, hi, xtol):
+    """(k, E) of each root of the chain ``roots.level_steps`` driven by level."""
+    return roots.drive(roots.level_steps(lo, hi, xtol), level)
+
+
 def reference_level_roots(level, lo, hi, xtol):
-    """``roots.level_roots`` with brentq in place of brent."""
+    """The chain's roots with brentq in place of brent."""
     for k in range(math.floor(level(lo)) + 1, math.floor(level(hi)) + 1):
         lo = brentq(lambda E: level(E) - k, lo, hi, xtol=xtol)
         yield k, lo
@@ -48,7 +56,7 @@ def reference_level_roots(level, lo, hi, xtol):
 
 def assert_same_level_roots(level, lo, hi, xtol):
     runs = []
-    for finder in (roots.level_roots, reference_level_roots):
+    for finder in (chain_roots, reference_level_roots):
         g, points = recorded(level)
         runs.append((list(finder(g, lo, hi, xtol)), points))
     (found, points), (expected, expected_points) = runs
@@ -164,20 +172,21 @@ def test_bordered_cholesky_gives_the_quadratic_form():
         X = rng.standard_normal((n, n))
         R = X @ X.T + n * np.eye(n)
         o = rng.standard_normal(n)
-        L = roots.bordered_cholesky(R, o)
+        L = bordered_cholesky(R, o)
         assert L.shape == (n + 1, n + 1)
         z = L[n, :n]
         assert z @ z == pytest.approx(o @ np.linalg.solve(R, o), rel=1e-12)
         assert np.allclose(L[:n, :n] @ L[:n, :n].T, R, rtol=1e-13, atol=1e-12 * n)
     with pytest.raises(np.linalg.LinAlgError):
-        roots.bordered_cholesky(-np.eye(3), np.ones(3))
+        bordered_cholesky(-np.eye(3), np.ones(3))
 
 
 def test_lockstep_matches_the_scalar_drivers():
     """Chains of ``brent_steps`` and ``level_steps`` advanced together
-    return what ``brent`` and ``level_roots`` return, each chain asking
-    for the same points in the same order; every round's points go to
-    one call, and a point a chain asks for again is not evaluated again."""
+    return what ``brent`` and the lazy root loop ``level_roots`` cut by
+    islice at the chain's cap return, each chain asking for the same
+    points in the same order; every round's points go to one call, and a
+    point a chain asks for again is not evaluated again."""
     rng = np.random.default_rng(7)
     functions, chains, expected = [], [], []
     for i in range(40):
@@ -187,11 +196,13 @@ def test_lockstep_matches_the_scalar_drivers():
         functions.append(f)
         chains.append(roots.brent_steps(-2.0, 2.0, 1e-12))
     for shift in (0.0, 0.3, 2.5):
-        level = partial(lambda s, x: 3.0 * x + math.sin(7.0 * x) / 8.0 + s, shift)
-        g, points = recorded(level)
-        expected.append((list(roots.level_roots(g, 0.0, 2.0, 1e-12)), points))
-        functions.append(level)
-        chains.append(roots.level_steps(0.0, 2.0, 1e-12))
+        for cap in (None, 1, 2, 4):
+            level = partial(lambda s, x: 3.0 * x + math.sin(7.0 * x) / 8.0 + s, shift)
+            g, points = recorded(level)
+            found = list(islice(level_roots(g, 0.0, 2.0, 1e-12), cap))
+            expected.append((found, points))
+            functions.append(level)
+            chains.append(roots.level_steps(0.0, 2.0, 1e-12, cap))
     asked = [[] for _ in chains]
     rounds = []
 
