@@ -18,7 +18,12 @@ without end, and the exterior is eliminated exactly (the discrete
 Dirichlet-to-Neumann map of the 5-point stencil; Arnold, Ehrhardt &
 Sofronov, Commun. Math. Sci. 1 (2003) 501).  On the end column
 S = Psi diag(t_j) Psi^T, and its lowest level t_0 = mu_h is the discrete
-threshold.  Below it the exterior's mode j falls by rho_j per column,
+threshold.  The end column has one Dirichlet vertex, on a wall, so its
+levels and modes are closed forms (``_column_modes``):
+t_k = (2/hy sin((k + 1/2) pi hy/2))^2 and
+Psi_jk = sqrt(2 ly_j) sin((k + 1/2) pi j hy) under a Dirichlet bottom
+wall, cos(...) under a Dirichlet top wall.  Below mu_h the exterior's
+mode j falls by rho_j per column,
 
     rho_j + 1/rho_j = 2 + hx^2 (t_j - E),      |rho_j| < 1,
 
@@ -48,7 +53,8 @@ one symmetric matrix on the free vertices of column 0,
 
     T_s(E) = hx^-2 [Psi diag(1 + q) Psi^T - P diag(r) P^T],
 
-with P the rows of Phi at those vertices and r_m the sum (s p_m = +1)
+with P the rows of Phi at those vertices (sqrt(2 ly_j) cos(m pi j hy),
+scaled by sqrt(1/2) at m = 0 and m = ny) and r_m the sum (s p_m = +1)
 or difference (-1) of the corner entries of the chain's inverse:
 
     r_m = (rho + t rho^n) / (1 + t rho^(n+1)),    t = s p_m,
@@ -74,12 +80,17 @@ junction phase
 which rises from -pi/2 at E = 0 as its continuous counterpart in
 ``modematch`` does, so state k of the sector is the root of one
 increasing scalar, found by the Brent chain ``roots.level_steps``.
-``EndColumns.levels`` is a stacked kernel, built like
-``modematch.sector_phase``: ``build`` makes the operands that do not
-depend on E once, and a call takes lanes (E, sector), writes every
-lane's bordered matrix into one stack (up to LEVEL_STACK_DOUBLES) and
-factors the stack with one call.  ``bound_spectra`` advances a grid's
-even and odd chains in ``roots.lockstep``, one stacked call per round.
+Mode basis.  Rotated by Psi, which is orthogonal, hx^2 T_rest becomes
+diag(1 + q) - C_1 diag(r) C_1^T and p_0 becomes c_0, with the coupling
+C = Psi^T P formed once per grid: g is unchanged, and each level is one
+bordered factor of the form U diag(w) U^T + diag(d) that
+``modematch.sector_phase`` factors, on the same kernel,
+``roots.bordered_factors``.  ``EndColumns.build`` makes the operands
+that do not depend on E once, and ``EndColumns.levels`` takes lanes
+(E, sector) and hands the kernel the weights -r and the diagonal 1 + q,
+written in 1/rho = 1 + q as r = (1 + t rho^n/rho)/(1/rho + t rho^n).
+``bound_spectra`` advances a grid's even and odd chains in
+``roots.lockstep``, one stacked call per round.
 """
 
 from __future__ import annotations
@@ -90,7 +101,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SECTORS, Geometry, ModelKind
-from .roots import BORDER_CORNER, level_steps, lockstep
+from .roots import BORDER_CORNER, bordered_factors, lane_rows, lane_values, level_steps, lockstep
 
 __all__ = [
     "FdmGrid",
@@ -108,15 +119,6 @@ ROOT_FRAC = 1e-13
 
 #: default grid spacings, coarsest first
 SPACINGS = (1.0 / 40, 1.0 / 80, 1.0 / 160)
-
-#: doubles of bordered matrices that one stacked factorization of
-#: ``EndColumns.levels`` holds, max(1, LEVEL_STACK_DOUBLES // (k + 1)^2)
-#: lanes for k free end-column vertices (15 at h = 1/32, 2 at 1/80, 1 from
-#: 1/90 on).  Larger stacks make temporaries above the C allocator's default
-#: mmap threshold (128 KiB), paged in afresh on every call: two lanes at
-#: h = 1/160 took 1.55 ms stacked against 1.10 ms one at a time, and 1.09 ms
-#: stacked with that threshold raised
-LEVEL_STACK_DOUBLES = 16_384
 
 
 @dataclass(frozen=True)
@@ -145,12 +147,6 @@ class FdmGrid:
     @property
     def hy(self) -> float:
         return 1.0 / self.ny
-
-    def x(self) -> np.ndarray:
-        return -self.L + self.hx * np.arange(self.nx + 1)
-
-    def y(self) -> np.ndarray:
-        return self.hy * np.arange(self.ny + 1)
 
     def column_of(self, x0: float) -> int:
         """Grid column index of x0; errors if x0 is off-grid."""
@@ -195,11 +191,11 @@ def dirichlet_mask(model: ModelKind, geometry: Geometry, grid: FdmGrid) -> np.nd
 def _decay(levels: np.ndarray, hx: float, energy: float) -> np.ndarray:
     """q_j = 1/rho_j - 1 of each mode at ``energy`` <= its level.
 
-    With a = hx^2 (t_j - E), q = a/2 + sqrt(a + a^2/4), free of
+    With b = hx^2 (t_j - E)/2, q = b + sqrt(b (2 + b)), free of
     cancellation; then rho = 1/(1 + q).
     """
-    a = hx * hx * (levels - energy)
-    return 0.5 * a + np.sqrt(a + 0.25 * a * a)
+    b = 0.5 * hx * hx * (levels - energy)
+    return b + np.sqrt(b * (2.0 + b))
 
 
 def _row_lengths(grid: FdmGrid) -> np.ndarray:
@@ -210,84 +206,72 @@ def _row_lengths(grid: FdmGrid) -> np.ndarray:
     return ly
 
 
-def _end_modes(grid: FdmGrid, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and orthonormal modes of an end column's lumped-mass
-    transverse operator S = Ly^(-1/2) Ty Ly^(-1/2) on its ``free`` vertices."""
-    # column stiffness Ty per unit cell length: vertical edges of weight
-    # 1/hy, one at each wall vertex and two at every other
-    w = 1.0 / grid.hy
-    size = grid.ny + 1
-    stiffness = np.zeros((size, size))
-    stiffness.flat[:: size + 1] = 2.0 * w
-    stiffness[0, 0] = stiffness[-1, -1] = w
-    stiffness.flat[1 :: size + 1] = stiffness.flat[size :: size + 1] = -w
-    scale = 1.0 / np.sqrt(_row_lengths(grid)[free])
-    return np.linalg.eigh(scale[:, None] * stiffness[free][:, free] * scale[None, :])
-
-
-def _cosine_modes(grid: FdmGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Levels sigma_m = (2/hy sin(m pi hy/2))^2 and orthonormal modes
-    Ly^(1/2) cos(m pi y) of a Neumann-Neumann column's S, in closed form:
-    sigma_0 = 0 exactly, and mode m has parity (-1)^m under y -> 1 - y."""
-    m = np.arange(grid.ny + 1)
-    levels = (2.0 / grid.hy * np.sin(0.5 * math.pi * grid.hy * m)) ** 2
-    phase = np.outer(m, m) % (2 * grid.ny)  # j m mod 2 ny, exactly
-    modes = np.sqrt(_row_lengths(grid))[:, None] * np.cos(math.pi * phase / grid.ny)
-    return levels, modes / np.linalg.norm(modes, axis=0)
+def _column_modes(grid: FdmGrid, fixed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and orthonormal modes of a column's lumped-mass transverse
+    operator S = Ly^(-1/2) Ty Ly^(-1/2) on its free vertices j, in closed
+    form.  With every vertex free (Neumann-Neumann), sigma_m =
+    (2/hy sin(m pi hy/2))^2 and sqrt(2 ly_j) cos(m pi j hy), m = 0 ... ny,
+    scaled by sqrt(1/2) at m = 0 and ny: sigma_0 = 0 exactly, and mode m has
+    parity (-1)^m under y -> 1 - y.  With the wall vertex ``fixed`` (0 or
+    ny) Dirichlet, t_k = (2/hy sin((k + 1/2) pi hy/2))^2 and
+    sqrt(2 ly_j) sin((k + 1/2) pi j hy) (bottom) or cos((k + 1/2) pi j hy)
+    (top), k < ny.  Each phase nu pi j hy is pi p / (2 ny), with p = 2 nu j
+    mod 4 ny in integers (less ny for the sine), read from one table."""
+    ny = grid.ny
+    nu2 = 2 * np.arange(ny + 1) if fixed is None else 2 * np.arange(ny) + 1  # 2 nu
+    levels = (2.0 / grid.hy * np.sin(0.25 * math.pi * grid.hy * nu2)) ** 2
+    phase = (np.outer(np.arange(ny + 1), nu2) - (ny if fixed == 0 else 0)) % (4 * ny)
+    cosines = np.cos(0.5 * math.pi / ny * np.arange(4 * ny))
+    modes = np.sqrt(2.0 * _row_lengths(grid))[:, None] * cosines[phase]
+    if fixed is None:
+        modes[:, ::ny] *= math.sqrt(0.5)
+        return levels, modes
+    return levels, modes[1:] if fixed == 0 else modes[:-1]
 
 
 @dataclass(frozen=True)
 class EndColumns:
     """A model's grid problem with transparent ends, reduced exactly to
-    the free vertices of end column 0 (see the module docstring).
+    end column 0 and rotated into its mode basis (see the module
+    docstring): the operands of ``levels`` that do not depend on E.
 
-    ``modes`` diag(``end_levels``) ``modes``^T is the end column's
-    transverse operator; ``chain_modes`` are the rows of the interior
-    columns' cosine modes at the end column's free vertices, with levels
-    ``chain_levels``; ``n`` is the number of interior columns.  The rest
-    are the operands of ``levels`` that do not depend on E:
-    ``decay_levels``, the end column's levels and then chain_levels[1:];
-    ``signs``, the rows t_m = s p_m of the even and the odd sector (p_m
-    the modes' reflection parities; +1 where mode m's chain ends combine
-    as a sum); ``rest_modes`` = chain_modes[:, 1:] and ``rest_modes_t``,
-    its transposed view; and ``last_row``, the bordered matrix's last row
-    (p_0, BORDER_CORNER).
+    ``decay_levels`` are the end column's levels t_j, then the interior
+    columns' sigma_m for m >= 1; ``signs`` the rows t_m = s p_m, m >= 1, of
+    the even and the odd sector (p_m the modes' reflection parities; +1
+    where mode m's chain ends combine as a sum; t_0 = s); ``terms`` the
+    coupling C_1 = C[:, 1:] and ``terms_t`` its transposed view;
+    ``last_row`` the bordered matrix's last row (c_0, BORDER_CORNER); ``n``
+    the number of interior columns.
     """
 
     hx: float
     n: int
-    modes: np.ndarray
-    chain_modes: np.ndarray
-    chain_levels: np.ndarray
     decay_levels: np.ndarray
     signs: np.ndarray
-    rest_modes: np.ndarray
-    rest_modes_t: np.ndarray
+    terms: np.ndarray
+    terms_t: np.ndarray
     last_row: np.ndarray
 
     @classmethod
     def build(cls, model: ModelKind, geometry: Geometry, grid: FdmGrid) -> "EndColumns":
         """Reduce a model's grid, whose interior columns must carry no
-        Dirichlet vertex (as on ``FdmGrid.from_spacing`` grids)."""
+        Dirichlet vertex and whose end column must carry one, on a wall
+        (as on ``FdmGrid.from_spacing`` grids)."""
         mask = dirichlet_mask(model, geometry, grid)
         if mask[1:-1].any():
             raise ValueError("a Dirichlet vertex lies between the end columns")
-        free = ~mask[0]
-        levels, modes = _end_modes(grid, free)
+        fixed = np.flatnonzero(mask[0]).tolist()
+        if fixed not in ([0], [grid.ny]):
+            raise ValueError(f"the end column's Dirichlet vertices {fixed} are not one wall vertex")
+        levels, modes = _column_modes(grid, fixed[0])
         if grid.hx**2 * levels[0] >= 4.0:
             raise ValueError(f"hx = {grid.hx} is too coarse for the threshold")
-        chain_levels, chain_modes = _cosine_modes(grid)
-        chain_modes = chain_modes[free]
-        rest_modes = chain_modes[:, 1:]
-        return cls(grid.hx, grid.nx - 1, modes, chain_modes, chain_levels,
-                   np.concatenate([levels, chain_levels[1:]]),
-                   np.outer(SECTORS, model.parity(grid.ny + 1)), rest_modes,
-                   rest_modes.T, np.append(chain_modes[:, 0], BORDER_CORNER))
-
-    @property
-    def end_levels(self) -> np.ndarray:
-        """Levels t_j of the end column's transverse operator, ascending."""
-        return self.decay_levels[: self.modes.shape[1]]
+        chain_levels, chain_modes = _column_modes(grid)
+        coupling = modes.T @ chain_modes[~mask[0]]
+        terms = np.ascontiguousarray(coupling[:, 1:])
+        return cls(grid.hx, grid.nx - 1, np.concatenate([levels, chain_levels[1:]]),
+                   np.outer(SECTORS, model.parity(grid.ny + 1)[1:]), terms, terms.T,
+                   np.append(coupling[:, 0], BORDER_CORNER))
 
     @property
     def threshold(self) -> float:
@@ -300,13 +284,9 @@ class EndColumns:
         energy must lie in (0, mu_h], and a bad lane raises ValueError
         before any lane is computed.
 
-        The lanes' elementwise work shares one (lanes, modes) array; their
-        two products are written into stacks of bordered matrices of at
-        most LEVEL_STACK_DOUBLES, and one factorization factors each
-        stack; each lane's g = z.z is one dot product of its factor's last
-        row, and its phase is finished in scalar form.  Every operation
-        acts on each lane as on a lone matrix, so a lane's level does not
-        depend on the lanes stacked with it.
+        Each lane's matrix diag(1 + q) - C_1 diag(r) C_1^T is factored on
+        ``roots.bordered_factors``, with terms C_1, weights -r and diagonal
+        1 + q, and its phase is finished in scalar form from g.
         """
         mu_h = self.threshold
         for energy in E:
@@ -315,34 +295,22 @@ class EndColumns:
         for sector in sectors:
             if sector not in SECTORS:
                 raise ValueError(f"sector must be one of {SECTORS}")
-        t = self.signs[[SECTORS.index(sector) for sector in sectors], 1:]
-        n, hx, size = self.n, self.hx, self.modes.shape[1]
-        q = _decay(self.decay_levels, hx, np.array(E, dtype=float)[:, None])
-        rho = 1.0 / (1.0 + q[:, size:])
-        r = (rho + t * rho**n) / (1.0 + t * rho ** (n + 1))
-        gs = []  # z.z of each lane
-        stack = max(1, LEVEL_STACK_DOUBLES // (size + 1) ** 2)
-        for start in range(0, len(t), stack):
-            lanes = slice(start, start + stack)
-            bordered = np.empty((len(t[lanes]), size + 1, size + 1))
-            rest = bordered[:, :size, :size]
-            np.matmul(self.modes * (1.0 + q[lanes, None, :size]), self.modes.T, out=rest)
-            rest -= (self.rest_modes * r[lanes, None, :]) @ self.rest_modes_t
-            bordered[:, size] = self.last_row
-            bordered[:, :size, size] = self.last_row[:size]
-            z = np.linalg.cholesky(bordered)[:, size, :size]
-            gs += np.matmul(z[:, None], z[:, :, None]).ravel().tolist()
+        n, hx, size = self.n, self.hx, self.terms.shape[0]
+
+        def operands(index):  # -r, then 1 + q for the diagonal
+            growth = 1.0 + _decay(self.decay_levels, hx, lane_values(E, index))  # 1/rho
+            chain = growth[..., size:]
+            t_rho_n = self.signs[lane_rows(sectors, index)] * chain**-n
+            return (-1.0 - t_rho_n * chain) / (chain + t_rho_n), growth[..., :size]
+
         levels = []
-        for energy, sector, g in zip(E, sectors, gs):
+        factors = bordered_factors(self.terms, self.terms_t, self.last_row, len(E), operands)
+        for (g, _), energy, sector in zip(factors, E, sectors):
             theta = 2.0 * math.asin(0.5 * hx * math.sqrt(energy))
             phase = 0.5 * (n + 1) * theta - math.atan2(1.0 - g * math.cos(theta),
                                                        g * math.sin(theta))
             levels.append(phase / math.pi - (1 - sector) / 4)
         return levels
-
-    def level(self, energy: float, sector: int) -> float:
-        """The level of one sector at ``energy``: one lane of ``levels``."""
-        return self.levels([energy], [sector])[0]
 
 
 def bound_spectra(model: ModelKind, geometry: Geometry, h_list, count: int):

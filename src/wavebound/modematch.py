@@ -43,11 +43,12 @@ the junction phase at state k = 0, 1, ... of the sector,
 phi_s rises from -pi/2 at E = 0 and is finite at mu, so k is the state's
 count certificate and the count at or below E is a closed form in
 phi_s(E).  The Cholesky factor of R_s bordered by o and
-``roots.BORDER_CORNER`` gives g_s, and one back-substitution in the same
-factor the null vector.  ``sector_phase`` is a stacked kernel: it takes
-lanes (E, delta, sector) at one N, writes every lane's R_s into one
-stack of bordered matrices with one matrix product and factors the
-stack with one call, so a call costs little more than its arithmetic.  The operands of R_s that do not depend on E
+``roots.BORDER_CORNER`` gives g_s, and one solve in the same factor the
+null vector.  ``sector_phase`` takes lanes (E, delta, sector) at one N
+and factors them on ``roots.bordered_factors``, the stacked kernel it
+shares with the oracle: R_s has that kernel's form, terms O_1 with lane
+weights w and diagonal kappa, so a call costs little more than its
+arithmetic.  The operands of R_s that do not depend on E
 (O[:, 1:] and o, the squares (nu_k pi)^2 and (m pi)^2, and the sectors'
 center masks) are memoised per tail family, N and mask.  Each
 eigenvalue keeps the sector it was found in (``Spectrum.sectors``), and
@@ -99,14 +100,13 @@ from .geometry import (
     overlap_matrix,
     profile_values,
 )
-from .roots import BORDER_CORNER, level_steps, lockstep
+from .roots import BORDER_CORNER, bordered_factors, lane_rows, lane_values, level_steps, lockstep
 
 __all__ = [
     "SECTORS",
     "Spectrum",
     "EigenField",
     "sector_phase",
-    "sector_count",
     "count_states",
     "scan_spectrum",
     "scan_spectra",
@@ -138,14 +138,6 @@ MAX_MODES = 256
 #: exp(-kappa_k * TAIL_REACH) underflows to 0 as at any point farther out,
 #: and kappa_k * TAIL_REACH stays finite (kappa_k < 810 for N <= MAX_MODES)
 TAIL_REACH = 1e300
-
-#: doubles of bordered matrices that one stacked factorization of
-#: ``sector_phase`` holds, max(1, PHASE_STACK_DOUBLES // (N + 1)^2) lanes (3
-#: at N = 64, 15 at N = 32).  In a loop a lane at N = 64 costs 49 us alone,
-#: 39 us in stacks of 5 to 12 and 52 us in stacks of 16, but a whole scan of
-#: A at lambda = 20.2 runs faster in stacks of 3 than of 7, whose operands
-#: push the rest of the scan's data out of the cache
-PHASE_STACK_DOUBLES = 16_384
 
 #: Chebyshev-Lobatto intervals of the wide-window phase table (M + 1 nodes)
 THETA_INTERVALS = 16
@@ -239,8 +231,8 @@ def _sector_operands(tail: ProfileKind, model: ModelKind, N: int) -> tuple:
     the tail-I family (the model's, a key of its own so that the memo
     follows the family), the model's center masks and N: O_1 = O[:, 1:]
     (contiguous) and O_1^T (its transposed view: a contiguous copy of the
-    transpose changes the product's last bits at some N, 33 and 100), o =
-    O[:, 0], the bordered matrix's last row (o, BORDER_CORNER), the
+    transpose changes the product's last bits at some N, 33 and 100), the
+    bordered matrix's last row (o, BORDER_CORNER) with o = O[:, 0], the
     squares under the rates, (nu_k pi)^2 for kappa_k and then (m pi)^2 for
     gamma_m, m >= 1, and the masks of the even and the odd sector as rows
     0 and 1, m >= 1."""
@@ -250,7 +242,6 @@ def _sector_operands(tail: ProfileKind, model: ModelKind, N: int) -> tuple:
     operands = (
         O1,
         O1.T,
-        O[:, 0],
         np.append(O[:, 0], BORDER_CORNER),
         np.concatenate([((np.arange(N) + 0.5) * math.pi) ** 2,
                         (np.arange(N) * math.pi)[1:] ** 2]),
@@ -270,12 +261,8 @@ def sector_phase(model: ModelKind, N: int, E, delta, sector):
 
     R_s(E) = (O_1 diag(w) O_1^T) + diag(kappa), with O_1 = O[:, 1:] and
     w_m = -Lambda_m = gamma_m tanh(gamma_m delta) (c_m) or
-    gamma_m coth(gamma_m delta) (s_m), m >= 1, from the memoised operands.
-    The lanes are stacked, at most PHASE_STACK_DOUBLES of bordered
-    matrices at a time: one matrix product writes every R_s into the
-    bordered stack, and one factorization factors it.  Every operation
-    acts on each lane as on a lone matrix, so a lane's phase and factor
-    do not depend on the lanes stacked with it.
+    gamma_m coth(gamma_m delta) (s_m), m >= 1, from the memoised operands,
+    factored on the stacked kernel ``roots.bordered_factors``.
     """
     if not (4 <= N <= MAX_MODES):
         raise ValueError(f"truncation N must lie in [4, {MAX_MODES}], got {N}")
@@ -285,35 +272,19 @@ def sector_phase(model: ModelKind, N: int, E, delta, sector):
     for s in sector:
         if s not in SECTORS:
             raise ValueError(f"sector must be one of {SECTORS}, got {s}")
-    O1, O1T, o, last_row, squares, masks = _sector_operands(model.tails[0], model, N)
-    size = max(1, PHASE_STACK_DOUBLES // (N + 1) ** 2)
-    for start in range(0, len(E), size):
-        energies, halves = E[start:start + size], delta[start:start + size]
-        lanes = len(energies)
-        if lanes == 1:  # scalars and one matrix keep numpy on its fast paths
-            e, d, mask = energies[0], halves[0], masks[(1 - sector[start]) // 2]
-            stack = ()
-        else:
-            e = np.array(energies, dtype=float)[:, None]
-            d = np.array(halves, dtype=float)[:, None]
-            mask = masks[[(1 - s) // 2 for s in sector[start:start + size]]]
-            stack = (lanes,)
-        rates = np.sqrt(squares - e)  # kappa_k, then gamma_m for m >= 1
+    O1, O1T, last_row, squares, masks = _sector_operands(model.tails[0], model, N)
+    def operands(index):  # w, then kappa for the diagonal
+        rates = np.sqrt(squares - lane_values(E, index))  # kappa_k, then gamma_m for m >= 1
         g = rates[..., N:]
-        tanh = np.tanh(g * d)
+        tanh = np.tanh(g * lane_values(delta, index))
         w = g / tanh
-        np.multiply(g, tanh, out=w, where=mask)
-        bordered = np.empty(stack + (N + 1, N + 1))
-        np.matmul(O1 * w[..., None, :], O1T, out=bordered[..., :N, :N])
-        bordered.reshape(stack + (-1,))[..., : N * (N + 2) : N + 2] += rates[..., :N]
-        bordered[..., N, :] = last_row
-        bordered[..., :N, N] = o
-        factors = np.linalg.cholesky(bordered).reshape(lanes, N + 1, N + 1)
-        for i, (energy, half) in enumerate(zip(energies, halves)):
-            L = factors[i]
-            z = L[N, :N]
-            root_e = math.sqrt(energy)
-            yield root_e * half - math.atan2(1.0, root_e * (z @ z)), L
+        np.putmask(w, masks[lane_rows(sector, index)], g * tanh)
+        return w, rates[..., :N]
+
+    factors = bordered_factors(O1, O1T, last_row, len(E), operands)
+    for (g, L), energy, half in zip(factors, E, delta):
+        root_e = math.sqrt(energy)
+        yield root_e * half - math.atan2(1.0, root_e * g), L
 
 
 def _level_of(phase: float, sector: int) -> float:
@@ -325,19 +296,6 @@ def _levels(model: ModelKind, N: int, E, delta, sector) -> list:
     """The level ``_level_of`` of each lane of ``sector_phase``."""
     return [_level_of(phase, s)
             for (phase, _), s in zip(sector_phase(model, N, E, delta, sector), sector)]
-
-
-def _level(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
-    """The level of one sector at E: one lane of ``_levels``."""
-    return _levels(model, N, [E], [geometry.delta], [sector])[0]
-
-
-def sector_count(
-    model: ModelKind, geometry: Geometry, N: int, E: float, sector: int
-) -> int:
-    """Number of eigenvalues at or below E in one sector of the N-truncated
-    problem: floor(phi_s/pi) + 1 (even) or floor(phi_s/pi - 1/2) + 1 (odd)."""
-    return math.floor(_level(model, geometry, N, E, sector)) + 1
 
 
 def count_states(model: ModelKind, geometry: Geometry, N: int, E: float) -> int:
@@ -757,7 +715,8 @@ def solve_coefficients(
             f"E={E} is not a root of sector {sector}: its count does not step "
             f"within {tol:.3g}"
         )
-    # R_s^-1 o = L_R^-T (L_R^-1 o); solving a triangular system is its back-substitution
+    # R_s^-1 o = L_R^-T (L_R^-1 o), by a general LU solve (LAPACK gesv) of the
+    # triangular L_R^T: numpy has no triangular solver
     a = np.linalg.solve(L[:N, :N].T, L[N, :N])
 
     O = overlap_matrix(model.tails[0], N)

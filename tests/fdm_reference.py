@@ -10,19 +10,23 @@ come from shift-invert Lanczos with no polish, and the count of states
 below E is neg(A(E) - E), read from the eigenvalues of A(E).
 
 Per sector, the reference is the end-column matrix T_s(E) of the module
-docstring with every chain mode in closed form, wave or decaying, and
-its Wittrick-Williams count: T_s(E) decreases in E between the poles of
+docstring in the end column's vertex basis (``VertexEnds``: its modes
+from ``eigh`` of the column's edge assembly, every chain mode in closed
+form, wave or decaying), and its Wittrick-Williams count: T_s(E) decreases in E between the poles of
 r, the sector's chain eigenvalues sigma_m + (2 - 2 cos(k pi/(n+1)))/hx^2
 with (-1)^(k+1) p_m = s, so by the inertia of the Schur complement the
 sector's count below E is neg(T_s(E)) plus the poles below E (Wittrick &
 Williams, Q. J. Mech. Appl. Math. 24 (1971) 263).  The junction phase
 ``EndColumns.levels`` must reproduce that count.
 
-``level`` is that junction phase one energy at a time, as the oracle
-computed it before its lanes were stacked, and ``bound_spectra`` the
-oracle's pass on that scalar level: each sector's lazy root loop cut by
-``islice``.  The stacked kernel and the lockstep pass must equal them
-bit for bit.
+``level`` is that junction phase one energy at a time, assembled from
+scratch in the end column's mode basis from the operands of
+``EndColumns``, and ``bound_spectra`` the oracle's pass on that scalar
+level: each sector's lazy root loop cut by ``islice``.  The stacked
+kernel and the lockstep pass must equal them bit for bit.
+``vertex_level`` is the same phase in the vertex basis of
+``VertexEnds``, as the oracle computed it before its rotation; the two
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -155,6 +159,18 @@ def end_operator(grid: FdmGrid, free: np.ndarray) -> np.ndarray:
     return scale[:, None] * stiffness[np.ix_(free, free)] * scale[None, :]
 
 
+def cosine_modes(grid: FdmGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Levels sigma_m = (2/hy sin(m pi hy/2))^2 and orthonormal modes
+    Ly^(1/2) cos(m pi y) of a Neumann-Neumann column's transverse
+    operator: sigma_0 = 0 exactly, and mode m has parity (-1)^m under
+    y -> 1 - y."""
+    m = np.arange(grid.ny + 1)
+    levels = (2.0 / grid.hy * np.sin(0.5 * math.pi * grid.hy * m)) ** 2
+    phase = np.outer(m, m) % (2 * grid.ny)  # j m mod 2 ny, exactly
+    modes = np.sqrt(_row_lengths(grid))[:, None] * np.cos(math.pi * phase / grid.ny)
+    return levels, modes / np.linalg.norm(modes, axis=0)
+
+
 def _ends(grid: FdmGrid, index: np.ndarray) -> tuple[TransparentEnd, ...]:
     """Transparent ends of the end columns that carry unknowns."""
     ends = []
@@ -204,21 +220,55 @@ def count_below(operator: FdmOperator, energy: float) -> int:
         k *= 2
 
 
-def signs(ends: EndColumns, sector: int) -> np.ndarray:
+@dataclass(frozen=True)
+class VertexEnds:
+    """The reduction of the module docstring in the end column's vertex
+    basis, as the oracle assembled it before its rotation into the end
+    column's modes: ``modes`` diag(``end_levels``) ``modes``^T is the end
+    column's transverse operator on its free vertices, from ``eigh`` of
+    the edge assembly ``end_operator`` and so independent of the
+    oracle's closed forms; ``chain_modes`` are the rows there of the
+    Neumann-Neumann column's cosine modes, with levels ``chain_levels``
+    and reflection parities ``parity``; ``n`` is the number of interior
+    columns."""
+
+    hx: float
+    n: int
+    end_levels: np.ndarray
+    modes: np.ndarray
+    chain_levels: np.ndarray
+    chain_modes: np.ndarray
+    parity: np.ndarray
+
+    @classmethod
+    def build(cls, model, geometry, grid: FdmGrid) -> "VertexEnds":
+        free = ~dirichlet_mask(model, geometry, grid)[0]
+        end_levels, modes = np.linalg.eigh(end_operator(grid, free))
+        chain_levels, chain_modes = cosine_modes(grid)
+        return cls(grid.hx, grid.nx - 1, end_levels, modes, chain_levels,
+                   chain_modes[free], model.parity(grid.ny + 1))
+
+    @property
+    def threshold(self) -> float:
+        """mu_h, the end column's lowest level."""
+        return float(self.end_levels[0])
+
+
+def signs(ends: VertexEnds, sector: int) -> np.ndarray:
     """The sector's t_m = s p_m, m >= 0."""
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}")
-    return ends.signs[SECTORS.index(sector)]
+    return sector * ends.parity
 
 
-def _theta(ends: EndColumns, energy: float) -> np.ndarray:
+def _theta(ends: VertexEnds, energy: float) -> np.ndarray:
     """theta_m = arccos(a_m / 2), from 2 - a_m = 4 sin^2(theta_m / 2)
     without rounding a_m; 0 where a_m >= 2."""
     gap = np.maximum(energy - ends.chain_levels, 0.0)
     return 2.0 * np.arcsin(0.5 * ends.hx * np.sqrt(gap))
 
 
-def sector_matrix(ends: EndColumns, energy: float, sector: int) -> np.ndarray:
+def sector_matrix(ends: VertexEnds, energy: float, sector: int) -> np.ndarray:
     """T_s(E) of one parity sector; ``energy`` must not exceed mu_h."""
     t = signs(ends, sector)
     if energy > ends.threshold:
@@ -239,7 +289,7 @@ def sector_matrix(ends: EndColumns, energy: float, sector: int) -> np.ndarray:
     return (end - chain) / ends.hx**2
 
 
-def chain_poles(ends: EndColumns, energy: float, sector: int) -> int:
+def chain_poles(ends: VertexEnds, energy: float, sector: int) -> int:
     """The sector's chain eigenvalues below ``energy``: in mode m, the
     k >= 1 with k < (n+1) theta_m / pi and (-1)^(k+1) = s p_m."""
     odd = signs(ends, sector) > 0
@@ -247,15 +297,24 @@ def chain_poles(ends: EndColumns, energy: float, sector: int) -> int:
     return int(np.sum(np.where(odd, (below + 1) // 2, below // 2)))
 
 
-def sector_count(ends: EndColumns, energy: float, sector: int) -> int:
+def sector_count(ends: VertexEnds, energy: float, sector: int) -> int:
     """neg(T_s(E)) plus the sector's chain poles below E."""
     w = eigvalsh(sector_matrix(ends, energy, sector), check_finite=False)
     return int(np.count_nonzero(w < 0.0)) + chain_poles(ends, energy, sector)
 
 
-def level(ends: EndColumns, energy: float, sector: int) -> float:
-    """phi_s(E)/pi, less 1/2 in the odd sector, of one energy: one
-    matrix, one bordered factorization."""
+def _phase_level(g: float, hx: float, n: int, energy: float, sector: int) -> float:
+    """phi_s(E)/pi, less 1/2 in the odd sector, from g."""
+    theta = 2.0 * math.asin(0.5 * hx * math.sqrt(energy))
+    phase = 0.5 * (n + 1) * theta - math.atan2(1.0 - g * math.cos(theta),
+                                               g * math.sin(theta))
+    return phase / math.pi - (1 - sector) / 4
+
+
+def vertex_level(ends: VertexEnds, energy: float, sector: int) -> float:
+    """The junction level in the vertex basis, the oracle's formula
+    before it was rotated into the end column's modes: T_rest =
+    Psi diag(1 + q) Psi^T - P_1 diag(r) P_1^T bordered by p_0."""
     t = signs(ends, sector)[1:]
     if not (0.0 < energy <= ends.threshold):
         raise ValueError(f"energy {energy} is outside (0, {ends.threshold}]")
@@ -265,11 +324,28 @@ def level(ends: EndColumns, energy: float, sector: int) -> float:
     rest = ((ends.modes * (1.0 + _decay(ends.end_levels, hx, energy))) @ ends.modes.T
             - (ends.chain_modes[:, 1:] * r) @ ends.chain_modes[:, 1:].T)
     z = bordered_cholesky(rest, ends.chain_modes[:, 0])[-1, :-1]
-    g = z @ z
-    theta = 2.0 * math.asin(0.5 * hx * math.sqrt(energy))
-    phase = 0.5 * (n + 1) * theta - math.atan2(1.0 - g * math.cos(theta),
-                                               g * math.sin(theta))
-    return phase / math.pi - (1 - sector) / 4
+    return _phase_level(z @ z, hx, n, energy, sector)
+
+
+def level(ends: EndColumns, energy: float, sector: int) -> float:
+    """The junction level of one energy in the end column's mode basis,
+    assembled from scratch: diag(1 + q) - C_1 diag(r) C_1^T bordered by
+    c_0, with 1/rho = 1 + q of each mode from ``decay_levels`` and r
+    written in 1/rho, one matrix and one bordered factorization."""
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}")
+    if not (0.0 < energy <= ends.threshold):
+        raise ValueError(f"energy {energy} is outside (0, {ends.threshold}]")
+    n, hx, size = ends.n, ends.hx, ends.terms.shape[0]
+    growth = 1.0 + _decay(ends.decay_levels, hx, energy)
+    chain = growth[size:]
+    t_rho_n = ends.signs[SECTORS.index(sector)] * chain**-n
+    r = (1.0 + t_rho_n * chain) / (chain + t_rho_n)
+    C1 = ends.terms
+    rest = (C1 * -r) @ C1.T
+    rest[np.diag_indices(size)] += growth[:size]
+    z = bordered_cholesky(rest, ends.last_row[:-1])[-1, :-1]
+    return _phase_level(z @ z, hx, n, energy, sector)
 
 
 def states(ends: EndColumns, sector: int, evaluate=level):

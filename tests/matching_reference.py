@@ -1,7 +1,8 @@
 """The sector matrix M_s(E) and its Wittrick-Williams count: the reference
 the junction phase of ``wavebound.modematch`` must reproduce; and the
 phase itself assembled from scratch at every call, which the solver's
-memoised operands must reproduce bit for bit.
+memoised operands must reproduce bit for bit; and one-lane helpers on
+the solver's own level (``level``, ``phase_count``).
 
 In the parity sector s the matching at x = -delta is the symmetric N x N
 system
@@ -79,6 +80,16 @@ def sector_phase(
     return root_e * geometry.delta - math.atan2(1.0, root_e * (z @ z)), L
 
 
+def level(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> float:
+    """The junction level of one sector at E: one lane of ``modematch._levels``."""
+    return mm._levels(model, N, [E], [geometry.delta], [sector])[0]
+
+
+def phase_count(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> int:
+    """The sector's eigenvalues at or below E, read from its junction level."""
+    return math.floor(level(model, geometry, N, E, sector)) + 1
+
+
 def stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) -> bool:
     """The stability flag of a root E below the cut by its definition: the
     sector's count at N' = ``modematch._bumped(N)`` steps between E - drift
@@ -88,7 +99,7 @@ def stable(model: ModelKind, geometry: Geometry, N: int, E: float, sector: int) 
     lo = max(E - drift, mm.SCAN_LO_FRAC * mu)
     hi = min(E + drift, mu)
     bumped = mm._bumped(N)
-    return mm.sector_count(model, geometry, bumped, hi, sector) > mm.sector_count(
+    return phase_count(model, geometry, bumped, hi, sector) > phase_count(
         model, geometry, bumped, lo, sector)
 
 

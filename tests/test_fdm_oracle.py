@@ -56,10 +56,16 @@ def reduced(model, lam, grid) -> fo.EndColumns:
     return fo.EndColumns.build(model, Geometry.from_lambda(lam), grid)
 
 
+def level(ends, energy, sector):
+    """The oracle's junction level at one energy: one lane of
+    ``EndColumns.levels``."""
+    return ends.levels([energy], [sector])[0]
+
+
 def states(ends, sector):
     """The sector's bound states, ascending, from the oracle's junction
-    level (``EndColumns.level``)."""
-    return list(ref.states(ends, sector, fo.EndColumns.level))
+    level."""
+    return list(ref.states(ends, sector, level))
 
 
 def sector_states(model, lam, grid):
@@ -84,7 +90,7 @@ def recorded_levels(monkeypatch):
 
 def sector_count(ends, energy, sector):
     """The sector's states at or below E, read from its junction level."""
-    return math.floor(ends.level(energy, sector)) + 1
+    return math.floor(level(ends, energy, sector)) + 1
 
 
 def assert_counts_match(ends, full):
@@ -157,8 +163,8 @@ class TestGrid:
         grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 40)
         i_minus = grid.column_of(-0.37)
         i_plus = grid.column_of(0.37)
-        assert grid.x()[i_minus] == pytest.approx(-0.37, abs=1e-12)
-        assert grid.x()[i_plus] == pytest.approx(0.37, abs=1e-12)
+        for i, x in ((i_minus, -0.37), (i_plus, 0.37)):
+            assert -grid.L + grid.hx * i == pytest.approx(x, abs=1e-12)
         # the window plus one cell: the switch columns are next to the ends
         assert (i_minus, i_plus) == (1, grid.nx - 1)
         assert grid == margin_grid(0.37, 40, 1)
@@ -236,7 +242,7 @@ class TestEigenpairs:
         energy, op = state_a_half
         vector = state_vector(op, energy)
         grid = op_a_half.grid
-        y = grid.y()
+        y = grid.hy * np.arange(grid.ny + 1)
         weights = np.full(grid.ny + 1, grid.hy)
         weights[0] = weights[-1] = grid.hy / 2.0
         profiles = (ProfileKind.DN_SINE, ProfileKind.ND_COSINE)
@@ -298,11 +304,13 @@ class TestParitySplit:
 
     def test_sector_validation(self):
         geometry = Geometry.from_lambda(0.5)
-        ends = reduced(ModelKind.A, 0.5, fo.FdmGrid.from_spacing(geometry, 1.0 / 8))
+        grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 8)
+        ends = reduced(ModelKind.A, 0.5, grid)
+        vertex = ref.VertexEnds.build(ModelKind.A, geometry, grid)
         with pytest.raises(ValueError):
-            ends.level(0.5 * MU, 0)
+            ends.levels([0.5 * MU], [0])
         with pytest.raises(ValueError):
-            ref.sector_count(ends, 0.5 * MU, 0)
+            ref.sector_count(vertex, 0.5 * MU, 0)
 
 
 class TestReduction:
@@ -329,7 +337,10 @@ class TestPhaseCount:
     """Stop rule of the junction phase: the count floor(level) + 1 equals
     the per-sector reference neg(T_s(E)) + poles on every probe, T_rest
     factors up to and including mu_h, each state is a zero of T_s, and
-    the level increases."""
+    the level increases.  The reference T_s is assembled in the end
+    column's vertex basis from ``eigh`` modes (``fdm_reference.VertexEnds``),
+    whose mu_h differs from the oracle's closed form by rounding, so the
+    probes run up to the lower of the two."""
 
     #: energies as fractions of mu_h, from deep below to the threshold
     FRACS = np.r_[np.geomspace(1e-6, 0.9, 40), np.linspace(0.9, 1.0 - 1e-4, 20),
@@ -341,11 +352,12 @@ class TestPhaseCount:
     def test_phase_count_equals_reference(self, model, lam):
         geometry = Geometry.from_lambda(lam)
         for ny in (8, 20, 21, 40):
-            ends = fo.EndColumns.build(model, geometry,
-                                       fo.FdmGrid.from_spacing(geometry, 1.0 / ny))
-            for energy in self.FRACS * ends.threshold:
+            grid = fo.FdmGrid.from_spacing(geometry, 1.0 / ny)
+            ends = fo.EndColumns.build(model, geometry, grid)
+            vertex = ref.VertexEnds.build(model, geometry, grid)
+            for energy in self.FRACS * min(ends.threshold, vertex.threshold):
                 for s in fo.SECTORS:
-                    assert sector_count(ends, energy, s) == ref.sector_count(ends, energy, s)
+                    assert sector_count(ends, energy, s) == ref.sector_count(vertex, energy, s)
 
     @pytest.mark.parametrize("model", [ModelKind.A, ModelKind.B],
                              ids=lambda m: m.name)
@@ -356,11 +368,12 @@ class TestPhaseCount:
         for lam in (0.3, 0.5, 1.5, 2.5, 20.0):
             geometry = Geometry.from_lambda(lam)
             for ny in (8, 21, 40):
-                ends = fo.EndColumns.build(model, geometry,
-                                           fo.FdmGrid.from_spacing(geometry, 1.0 / ny))
+                grid = fo.FdmGrid.from_spacing(geometry, 1.0 / ny)
+                ends = fo.EndColumns.build(model, geometry, grid)
+                vertex = ref.VertexEnds.build(model, geometry, grid)
                 for s in fo.SECTORS:
                     for energy in states(ends, s):
-                        w = np.abs(np.linalg.eigvalsh(ref.sector_matrix(ends, energy, s)))
+                        w = np.abs(np.linalg.eigvalsh(ref.sector_matrix(vertex, energy, s)))
                         assert w.min() <= 1e-12 * w.max()
 
     def test_level_increases(self):
@@ -370,16 +383,18 @@ class TestPhaseCount:
         ends = reduced(ModelKind.A, 2.5, fo.FdmGrid.from_spacing(geometry, 1.0 / 40))
         energies = np.linspace(0.0, ends.threshold, 4002)[1:]
         for s in fo.SECTORS:
-            levels = np.array([ends.level(E, s) for E in energies])
+            levels = np.array([level(ends, E, s) for E in energies])
             assert np.all(np.diff(levels) > 0.0)
         # phi_s rises from -pi/2 at E = 0, so no state lies below the window
-        assert -0.5 < ends.level(fo.WINDOW_LO_FRAC * ends.threshold, 1) < 0.0
+        assert -0.5 < level(ends, fo.WINDOW_LO_FRAC * ends.threshold, 1) < 0.0
 
 
 class TestLevels:
     """The stacked kernel ``EndColumns.levels``: every lane equals the
     scalar reference ``fdm_reference.level`` bit for bit, whatever it is
-    stacked with, and a bad lane is refused before any work."""
+    stacked with, and that reference equals the vertex-basis level; a bad
+    lane is refused before any work; and the closed-form end modes are
+    the eigenpairs of the column's edge assembly."""
 
     GRIDS = (1.0 / 8, 1.0 / 16, 1.0 / 32, 1.0 / 40) + COARSE
 
@@ -397,8 +412,8 @@ class TestLevels:
                              ids=["A-0.5", "A-2.5", "B-1.5"])
     def test_lanes_equal_the_scalar_level(self, model, lam):
         """124 lanes in one call: one stack up to 1/32, stacks split by
-        LEVEL_STACK_DOUBLES from 1/20 on (37, 9 and 2 lanes at 1/20, 1/40
-        and 1/80)."""
+        ``roots.STACK_DOUBLES`` from 1/20 on (37, 9 and 2 lanes at 1/20,
+        1/40 and 1/80)."""
         geometry = Geometry.from_lambda(lam)
         for seed, hy in enumerate(self.GRIDS):
             ends = fo.EndColumns.build(model, geometry, fo.FdmGrid.from_spacing(geometry, hy))
@@ -406,7 +421,7 @@ class TestLevels:
             assert energies.count(ends.threshold) == 2
             stacked = ends.levels(energies, sectors)
             assert stacked == [ref.level(ends, E, s) for E, s in zip(energies, sectors)]
-            assert stacked == [ends.level(E, s) for E, s in zip(energies, sectors)]
+            assert stacked == [level(ends, E, s) for E, s in zip(energies, sectors)]
             assert stacked[:3] == ends.levels(energies[:3], sectors[:3])
 
     def test_bad_lane_refused_before_any_factorization(self, monkeypatch):
@@ -425,28 +440,59 @@ class TestLevels:
             with pytest.raises(ValueError):
                 ends.levels(good[0] + [energy], good[1] + [sector])
 
+    @pytest.mark.parametrize("model,lam", [(ModelKind.A, 0.5), (ModelKind.A, 2.5),
+                                           (ModelKind.B, 1.5)],
+                             ids=["A-0.5", "A-2.5", "B-1.5"])
+    def test_mode_basis_equals_the_vertex_basis(self, model, lam):
+        """Rotating the reduction into the end column's closed-form modes
+        moves no level by more than 1e-11 below 0.999 mu_h (measured
+        1.6e-12), against the vertex-basis formula on ``eigh`` modes.  Near
+        mu_h the level moves with sqrt(t_0 - E), and eigh's t_0 misses the
+        closed form by up to 1.1e-13 relative."""
+        geometry = Geometry.from_lambda(lam)
+        fracs = TestPhaseCount.FRACS[TestPhaseCount.FRACS <= 0.999]
+        for hy in self.GRIDS:
+            grid = fo.FdmGrid.from_spacing(geometry, hy)
+            ends = fo.EndColumns.build(model, geometry, grid)
+            vertex = ref.VertexEnds.build(model, geometry, grid)
+            for energy in fracs * ends.threshold:
+                for s in fo.SECTORS:
+                    assert abs(ref.level(ends, energy, s)
+                               - ref.vertex_level(vertex, energy, s)) <= 1e-11
+
     @pytest.mark.parametrize("ny", [2, 8, 21, 80])
-    def test_end_operator_is_the_edge_assembly(self, monkeypatch, ny):
-        """``_end_modes`` hands eigh, bit for bit, the operator the
-        column's edges assemble, for either wall vertex fixed, for an
-        interior vertex fixed and for none."""
+    def test_closed_forms_are_the_edge_assembly(self, ny):
+        """The closed-form levels and modes of a column with either wall
+        vertex fixed, and of the Neumann-Neumann chain column, are
+        orthonormal eigenpairs of the operator its edges assemble
+        (``fdm_reference.end_operator``): the residual within 4 eps of its
+        norm and the Gram matrix within 4 eps ny of the identity (measured
+        1.2 and 1.0)."""
         grid = fo.FdmGrid(L=1.0, nx=4, ny=ny)
-        seen = []
-        eigh = np.linalg.eigh
-
-        def recorded(matrix):
-            seen.append(matrix.copy())
-            return eigh(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
-        for fixed in (0, ny, ny // 2, None):
+        eps = np.finfo(float).eps
+        for fixed in (0, ny, None):
             free = np.ones(ny + 1, dtype=bool)
             if fixed is not None:
                 free[fixed] = False
-            fo._end_modes(grid, free)
-            expected = ref.end_operator(grid, free)
-            assert seen[-1].shape == expected.shape
-            assert seen[-1].tobytes() == expected.tobytes()
+            levels, modes = fo._column_modes(grid, fixed)
+            S = ref.end_operator(grid, free)
+            assert modes.shape == S.shape == (free.sum(),) * 2
+            assert np.all(np.diff(levels) > 0.0)
+            norm = np.linalg.norm(S, 2)
+            assert np.abs(S @ modes - modes * levels).max() <= 4 * eps * norm
+            assert np.abs(modes.T @ modes - np.eye(free.sum())).max() <= 4 * eps * ny
+
+    def test_end_column_must_fix_one_wall_vertex(self, monkeypatch):
+        """``build`` refuses an end column whose Dirichlet set is not one
+        wall vertex: none, an interior vertex or both walls."""
+        geometry = Geometry.from_lambda(0.5)
+        grid = fo.FdmGrid.from_spacing(geometry, 1.0 / 8)
+        for fixed in ([], [4], [0, 8]):
+            mask = np.zeros((grid.nx + 1, grid.ny + 1), dtype=bool)
+            mask[0, fixed] = True
+            monkeypatch.setattr(fo, "dirichlet_mask", lambda *args, mask=mask: mask)
+            with pytest.raises(ValueError, match="one wall vertex"):
+                fo.EndColumns.build(ModelKind.A, geometry, grid)
 
 
 class TestTransparentEnds:
@@ -499,16 +545,17 @@ class TestTransparentEnds:
         chain = 4.0 / hy**2 * np.sin(np.arange(ny + 1) * math.pi * hy / 2) ** 2
         for model, lam in ((ModelKind.A, 0.5), (ModelKind.B, 1.5)):
             ends = reduced(model, lam, fo.FdmGrid.from_spacing(Geometry.from_lambda(lam), hy))
-            assert np.allclose(ends.end_levels, exact, rtol=1e-12, atol=0.0)
-            assert np.allclose(ends.chain_levels, chain, rtol=1e-12, atol=1e-9)
-            assert ends.threshold == ends.end_levels[0] < MU
+            end, rest = ends.decay_levels[:ny], ends.decay_levels[ny:]
+            assert np.allclose(end, exact, rtol=1e-12, atol=0.0)
+            assert np.allclose(rest, chain[1:], rtol=1e-12, atol=0.0)
+            assert ends.threshold == end[0] < MU
 
     def test_energy_above_threshold_rejected(self):
         ends = reduced(ModelKind.A, 0.5,
                        fo.FdmGrid.from_spacing(Geometry.from_lambda(0.5), 1.0 / 40))
         for energy in (ends.threshold * (1.0 + 1e-9), 0.0):
             with pytest.raises(ValueError):
-                ends.level(energy, 1)
+                ends.levels([energy], [1])
 
     def test_unreducible_grid_rejected(self):
         """A grid with Dirichlet vertices between its end columns has no

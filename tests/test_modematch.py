@@ -31,7 +31,7 @@ from wavebound.geometry import (
     ProfileKind,
     overlap_matrix,
 )
-from wavebound.roots import drive
+from wavebound.roots import STACK_DOUBLES, drive
 
 MU = math.pi**2 / 4.0
 
@@ -101,7 +101,7 @@ def _phase(model, geometry, N, E, sector):
 
 def _distance_to_target(model, geometry, N, E, sector):
     """|phi_s(E) - target_k| in radians for the nearest state k >= 0."""
-    level = mm._level(model, geometry, N, E, sector)
+    level = ref.level(model, geometry, N, E, sector)
     return math.pi * abs(level - max(round(level), 0))
 
 
@@ -260,13 +260,13 @@ class TestPhaseOperands:
 
     def test_stack_stays_within_its_budget(self):
         """A request of 200 lanes at N = 256 stacks one lane at a time (a
-        bordered matrix there outgrows PHASE_STACK_DOUBLES), not 200 (106
+        bordered matrix there outgrows ``roots.STACK_DOUBLES``), not 200 (106
         MB of bordered matrices): its traced peak, the bordered matrix, the
         factorization's copy and its factor, the previous factor and the
         matrix product's operand, stays within five such matrices
         (measured 2.2 MB)."""
         N, lanes = 256, 200
-        budget = 5 * 8 * max(mm.PHASE_STACK_DOUBLES, (N + 1) ** 2)
+        budget = 5 * 8 * max(STACK_DOUBLES, (N + 1) ** 2)
         E = list(np.linspace(0.1, 1.0, lanes) * MU)
         next(mm.sector_phase(ModelKind.A, N, E[:1], [0.5], [1]))  # fill the memo
         tracemalloc.start()
@@ -297,7 +297,7 @@ class TestPhaseOperands:
 
     def test_memoised_arrays_read_only(self):
         operands = mm._sector_operands(ModelKind.B.tails[0], ModelKind.B, 8)
-        assert len(operands) == 6
+        assert len(operands) == 5
         for array in operands:
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -349,7 +349,7 @@ class TestCount:
             geometry = Geometry.from_lambda(lam)
             energies = np.linspace(1e-8 * MU, MU, 300)
             for sector in mm.SECTORS:
-                counts = [mm.sector_count(model, geometry, 24, float(E), sector)
+                counts = [ref.phase_count(model, geometry, 24, float(E), sector)
                           for E in energies]
                 assert counts[0] == 0
                 assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -370,13 +370,13 @@ class TestCount:
         problem reflected, so every sector count must coincide."""
         geometry = Geometry.from_lambda(1.7)
         energies = np.random.default_rng(42).uniform(0.01 * MU, 0.99 * MU, 20)
-        sector_counts = [[mm.sector_count(ModelKind.A, geometry, 16, float(E), s)
+        sector_counts = [[ref.phase_count(ModelKind.A, geometry, 16, float(E), s)
                           for s in mm.SECTORS] for E in energies]
         swap = {ProfileKind.DN_SINE: ProfileKind.ND_COSINE,
                 ProfileKind.ND_COSINE: ProfileKind.DN_SINE}
         swapped_tails = tuple(swap[t] for t in ModelKind.A.tails)
         monkeypatch.setattr(ModelKind.A, "tails", swapped_tails)
-        swapped = [[mm.sector_count(ModelKind.A, geometry, 16, float(E), s)
+        swapped = [[ref.phase_count(ModelKind.A, geometry, 16, float(E), s)
                     for s in mm.SECTORS] for E in energies]
         assert swapped == sector_counts
         assert max(map(sum, sector_counts)) >= 1
@@ -427,7 +427,7 @@ class TestCount:
                         for E in fractions * MU:
                             pole = math.sqrt(E) * lam / math.pi + (1 + sector) / 4
                             assert abs(pole - round(pole)) > 1e-9
-                            phase = mm.sector_count(model, geometry, N, E, sector)
+                            phase = ref.phase_count(model, geometry, N, E, sector)
                             expected = ref.sector_count(model, geometry, N, E, sector)
                             if phase != expected:
                                 mismatches.append((model, lam, N, sector, E))
@@ -639,7 +639,7 @@ NARROW_GRID = [round(0.10 + 0.05 * i, 2) for i in range(138)]  # 0.10 ... 6.95
 def _gate_costs(model, geometry, N, E, sector):
     """Evaluations at N + 8 that the stability gate of a root costs when it
     probes the end nearer in level first, and when it probes lo first."""
-    level = partial(mm._level, model, geometry, mm._bumped(N), sector=sector)
+    level = partial(ref.level, model, geometry, mm._bumped(N), sector=sector)
     flag_steps = mm._stable_steps(geometry.delta, E)
     assert next(flag_steps) == E
     at_root = level(E)
@@ -725,7 +725,7 @@ def _brent_spectrum(model, geometry, N, evaluations=None):
     ``evaluations`` when given."""
     roots = []
     for sector in mm.SECTORS:
-        level = lru_cache(maxsize=None)(partial(mm._level, model, geometry, N, sector=sector))
+        level = lru_cache(maxsize=None)(partial(ref.level, model, geometry, N, sector=sector))
         roots += [(E, sector, math.pi * abs(level(E) - k)) for k, E in
                   level_roots(level, mm.SCAN_LO_FRAC * MU, MU, mm.REFINE_FRAC * MU)]
         if evaluations is not None:
@@ -733,7 +733,7 @@ def _brent_spectrum(model, geometry, N, evaluations=None):
     roots.sort()
     return roots, tuple(
         drive(mm._stable_steps(geometry.delta, E),
-              partial(mm._level, model, geometry, mm._bumped(N), sector=s))
+              partial(ref.level, model, geometry, mm._bumped(N), sector=s))
         for E, s, _ in roots)
 
 
@@ -942,8 +942,8 @@ class TestSectorRecord:
         for value, sector in zip(spec.eigenvalues, spec.sectors):
             assert sector in mm.SECTORS
             E = value * MU
-            below = mm.sector_count(model, geometry, 64, E - width, sector)
-            assert mm.sector_count(model, geometry, 64, E + width, sector) == below + 1
+            below = ref.phase_count(model, geometry, 64, E - width, sector)
+            assert ref.phase_count(model, geometry, 64, E + width, sector) == below + 1
 
     def test_wrong_sector_rejected(self, spectrum_a_half):
         E = spectrum_a_half.eigenvalues[0] * MU

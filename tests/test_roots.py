@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import matching_reference as ref
 from roots_reference import bordered_cholesky, level_roots
 from wavebound import modematch as mm
 from wavebound import roots
@@ -71,7 +72,7 @@ def assert_same_level_roots(level, lo, hi, xtol):
 def test_matches_brentq_on_the_mode_matching_levels(model, lam):
     geometry = Geometry.from_lambda(lam)
     mu = geometry.mu
-    levels = [partial(mm._level, model, geometry, 64, sector=sector) for sector in SECTORS]
+    levels = [partial(ref.level, model, geometry, 64, sector=sector) for sector in SECTORS]
     assert sum(assert_same_level_roots(level, mm.SCAN_LO_FRAC * mu, mu, mm.REFINE_FRAC * mu)
                for level in levels) == len(mm.scan_spectrum(model, geometry).eigenvalues)
 
@@ -80,7 +81,10 @@ def test_matches_brentq_on_the_oracle_level():
     geometry = Geometry.from_lambda(0.5)
     ends = EndColumns.build(ModelKind.A, geometry, FdmGrid.from_spacing(geometry, 1 / 32))
     mu_h = ends.threshold
-    level = partial(ends.level, sector=1)
+
+    def level(E):
+        return ends.levels([E], [1])[0]
+
     assert assert_same_level_roots(level, WINDOW_LO_FRAC * mu_h, mu_h, ROOT_FRAC * mu_h) == 1
 
 
