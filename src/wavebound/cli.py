@@ -208,18 +208,28 @@ def render_json(config: dict, results) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_grid(handle, fmt: str, config: dict, xs: list, ys: list, values: list) -> None:
+def write_grid(handle, fmt: str, config: dict, xs: list, ys: list, values: list,
+               flip_y: bool) -> None:
     """Write the bytes of ``render_csv``/``render_json`` of one {x, y,
-    density} row per point of the grid xs x ys, the density the square
-    of ``values`` (flat, x slowest), to ``handle``, a block of x values
-    at a time, at most GRID_BLOCK points: a block is one join of its
-    densities' texts, each x's text up to its y and each y's text up to
-    the next density, laid out by slice assignment, and each axis value
-    and each density is formatted once."""
+    density} row per point of the grid xs x ys to ``handle``, a block of x
+    values at a time, at most GRID_BLOCK points.
+
+    The axes are symmetric (xs reversed is -xs, and ys reversed is 1 - ys,
+    up to rounding), and so is the density under the model's reflection.
+    ``values`` (flat, x slowest) holds the field on the first h =
+    ceil(nx/2) x values only, and the density is its square there.  Every
+    other point (i, j) takes the density text of its mirror point
+    (nx-1-i, ny-1-j) when ``flip_y``, else (nx-1-i, j).
+
+    A block is one join of its densities' texts, each x's text up to its
+    y and each y's text up to the next density, laid out by slice
+    assignment.  Each axis value and each density of the first half is
+    formatted once, and the first half's density texts are kept, one list
+    per x value, for the mirror half."""
     ny = len(ys)
     if fmt == "csv":
         # _fmt of a float; a row ends with its density
-        densities = lambda chunk: map("%.17g\n".__mod__, chunk)
+        densities = lambda chunk: list(map("%.17g\n".__mod__, chunk))
         x_text = ["%.17g," % x for x in xs]
         y_text = ["%.17g," % y for y in ys]
         last_y = y_text[-1]
@@ -238,18 +248,26 @@ def write_grid(handle, fmt: str, config: dict, xs: list, ys: list, values: list)
         head, _, tail = render_json(config, []).partition('\n  "results": []')
         head, tail = head + '\n  "results": [\n    {\n      "density": ', "\n  ]" + tail
     nx, block, row = len(xs), max(1, GRID_BLOCK // ny), 3 * ny
+    half = (nx + 1) // 2
+    columns = []  # the density texts of the first half, one list per x value
     pieces = [None] * (row * min(block, nx))
     pieces[y_slot::3] = y_text * min(block, nx)
     handle.write(head)
     for start in range(0, nx, block):
         stop = min(start + block, nx)
         del pieces[row * (stop - start):]  # a shorter last block: whole rows go
-        for i, x in enumerate(x_text[start:stop]):
-            pieces[x_slot + row * i:row * (i + 1):3] = [x] * ny
-        # math.pow is libm pow, as ** on a Python float; the array's
-        # values ** 2 differs from it in the last bit at some points
-        pieces[density_slot::3] = densities(
-            map(math.pow, values[start * ny:stop * ny], repeat(2.0)))
+        if start < half:
+            # math.pow is libm pow, as ** on a Python float; the array's
+            # values ** 2 differs from it in the last bit at some points
+            texts = densities(map(math.pow, values[start * ny:min(stop, half) * ny],
+                                  repeat(2.0)))
+            columns.extend(texts[k:k + ny] for k in range(0, len(texts), ny))
+        for i in range(start, stop):
+            at = row * (i - start)
+            pieces[x_slot + at:at + row:3] = [x_text[i]] * ny
+            column = columns[min(i, nx - 1 - i)]  # its own or its mirror's
+            pieces[density_slot + at:at + row:3] = (
+                column[::-1] if flip_y and i >= half else column)
         if stop == nx:  # the y text of the grid's last point
             pieces[y_slot - 3] = last_y
         handle.write("".join(pieces))
@@ -339,6 +357,15 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
+    """Write the density of one state on the grid of nx x values in
+    [-x_halfwidth, x_halfwidth] by ny y values in [0, 1].
+
+    The grid and the density are symmetric under the model's reflection,
+    so only the densities of the first ceil(nx/2) x values are taken from
+    the field, and ``write_grid`` mirrors them.  The field is evaluated
+    on every x value short of the right tail: each region's product then
+    has the rows it has on the whole grid and keeps its bits (numpy
+    computes a one-row product by gemv, which rounds unlike gemm)."""
     branch, nx, ny, x_halfwidth = args.branch, args.nx, args.ny, args.x_halfwidth
     # the grid spans 2 * x_halfwidth, which must not overflow
     if nx < 2 or ny < 2 or not 0 < 2 * x_halfwidth < math.inf:
@@ -349,7 +376,9 @@ def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
     field = mm.solve_field(config.model, config.geometry, branch, N=config.modes)
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
     ys = np.linspace(0.0, 1.0, ny)
-    values = mm.evaluate_field(field, xs, ys).ravel().tolist()
+    half = (nx + 1) // 2
+    stop = max(half, int(np.count_nonzero(xs <= field.geometry.delta)))
+    values = mm.evaluate_field(field, xs[:stop], ys)[:half].ravel().tolist()
     json_config = _config_dict(
         config,
         branch=branch,
@@ -359,7 +388,8 @@ def cmd_field(config: RunConfig, args: argparse.Namespace) -> int:
         eigenvalue_over_mu=field.E / MU,
     )
     _write(config.out, lambda handle: write_grid(
-        handle, config.format or "csv", json_config, xs.tolist(), ys.tolist(), values))
+        handle, config.format or "csv", json_config, xs.tolist(), ys.tolist(), values,
+        config.model.flips_y))
     return EXIT_OK
 
 

@@ -64,11 +64,17 @@ class ModelKind(enum.Enum):
         self.tails = tuple(ProfileKind.ND_COSINE if y else ProfileKind.DN_SINE
                            for y in (left, right))
 
+    @property
+    def flips_y(self) -> bool:
+        """Whether the reflection that swaps the tails flips y: (x, y) ->
+        (-x, 1 - y) when the two Dirichlet walls differ, else x -> -x."""
+        left, right = self.value
+        return left != right
+
     def parity(self, n: int) -> np.ndarray:
         """Parities p_m of cos(m pi y), m < n, under the reflection that swaps
-        the tails: (-1)^m when the walls differ (it flips y), else 1."""
-        left, right = self.value
-        return (-1.0) ** np.arange(n) if left != right else np.ones(n)
+        the tails: (-1)^m when it flips y, else 1."""
+        return (-1.0) ** np.arange(n) if self.flips_y else np.ones(n)
 
 
 #: parity sectors under the model's reflection, which swaps the two

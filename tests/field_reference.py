@@ -4,11 +4,12 @@ writer built from one {x, y, density} dict per grid point.
 ``evaluate_points`` sums the modal expansion point by point, one
 N-vector of longitudinal factors and profiles per point; the grid
 evaluator ``modematch.evaluate_field`` must match it to rounding.  The
-writer's rows take their values from the grid evaluator, so its bytes
-pin the writer of ``wavebound field`` alone: they square numpy scalars,
-as ``values[i, j] ** 2``; the CSV formats every cell with the CLI's
-``_fmt``, and the JSON is the whole payload through
-``json.dumps(..., sort_keys=True, indent=2)``.
+writer's rows take their values from the grid evaluator on the whole
+grid, keep its first ceil(nx/2) x values and mirror them with numpy
+under the model's reflection, so its bytes pin the writer of ``wavebound
+field`` alone: they square numpy scalars, as ``values[i, j] ** 2``; the
+CSV formats every cell with the CLI's ``_fmt``, and the JSON is the
+whole payload through ``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ def field_rows(model: ModelKind, lam: float, branch: int, modes: int, nx: int,
     field = mm.solve_field(model, Geometry.from_lambda(lam), branch, N=modes)
     xs = np.linspace(-x_halfwidth, x_halfwidth, nx)
     ys = np.linspace(0.0, 1.0, ny)
-    values = mm.evaluate_field(field, xs, ys)
+    half = mm.evaluate_field(field, xs, ys)[:(nx + 1) // 2]
+    # the point (i, j) of the mirror half is (nx-1-i, ny-1-j) of the first
+    # in model A, whose reflection flips y, and (nx-1-i, j) in model B
+    mirror = np.flip(half[:nx // 2], axis=(0, 1) if model is ModelKind.A else 0)
+    values = np.concatenate([half, mirror])
     rows = [
         {"x": float(xs[i]), "y": float(ys[j]), "density": float(values[i, j] ** 2)}
         for i in range(nx)

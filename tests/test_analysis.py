@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
+import matching_reference as ref
 from wavebound import analysis as an
 from wavebound import modematch as mm
 from wavebound.bounds import state_count_bounds
-from wavebound.geometry import Geometry, ModelKind
+from wavebound.geometry import SECTORS, Geometry, ModelKind
 
 MU = math.pi**2 / 4.0
 
@@ -258,3 +259,41 @@ class TestEmergence:
         """The first branch emerges near 0.2643, above hi: no silent retry."""
         with pytest.raises(RuntimeError):
             an.find_emergence(ModelKind.A, 1, lo=0.2, hi=0.25)
+
+
+class TestThresholdLaw:
+    """A state that leaves the continuum at lambda_m binds with kappa_0 =
+    sqrt(mu - E) vanishing linearly in lambda - lambda_m, the
+    one-dimensional weak-coupling law (Simon, Ann. Phys. 97 (1976) 279)."""
+
+    @pytest.mark.parametrize("model, m, first, bisected", [
+        (ModelKind.A, 1, 0.264, 0.2632688),
+        (ModelKind.B, 2, 1.208, 1.2075438),
+        (ModelKind.A, 3, 2.208, 2.2072229),
+    ], ids=["A-m1", "B-m2", "A-m3"])
+    def test_kappa0_root_is_the_emergence_point(self, model, m, first, bisected):
+        """At N = 64 the root of a quadratic fit of kappa_0 at four lambda
+        just above lambda_m (steps of 1e-3) equals, within 1e-6, lambda_m
+        bisected in lambda as the point where the count at mu, read from
+        the junction levels, reaches m (7e-8 apart at most, measured)."""
+        N = 64
+        lams = first + 1e-3 * np.arange(4)
+        kappa = [
+            math.sqrt(MU * (1.0 - mm.scan_spectrum(
+                model, Geometry.from_lambda(lam), N=N,
+                check_stability=False).eigenvalues[m - 1]))
+            for lam in lams
+        ]
+        root = min(np.roots(np.polyfit(lams, kappa, 2)), key=lambda r: abs(r - first))
+
+        def count(lam: float) -> int:
+            geometry = Geometry.from_lambda(lam)
+            return sum(ref.phase_count(model, geometry, N, MU, s) for s in SECTORS)
+
+        lo, hi = first - 0.01, first
+        assert count(lo) < m <= count(hi)
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if count(mid) >= m else (mid, hi)
+        assert abs(hi - bisected) < 1e-6
+        assert np.isreal(root) and abs(root.real - hi) < 1e-6

@@ -72,12 +72,14 @@ def test_geometry_lambda_roundtrip(lam):
 
 def _model_definition(model, tails, parity, corners, rows):
     """What follows from a model's two Dirichlet walls at lam = 0.5: the
-    tail families, the parities of six cosines, the switch points in
+    tail families, the parities of six cosines (the odd ones are -1 when
+    the reflection flips y), the switch points in
     their order (top wall first, then by x) and the mask's Dirichlet row
     left of -delta and right of +delta on the h = 1/8 window grid."""
     geometry = Geometry.from_lambda(0.5)
     assert model.tails == tails
     assert model.parity(6).tolist() == parity
+    assert model.flips_y is (parity[1] == -1)
     assert switch_points(model, geometry) == corners
     grid = FdmGrid.from_spacing(geometry, 1.0 / 8)
     mask = dirichlet_mask(model, geometry, grid)
